@@ -24,8 +24,8 @@ from . import data as dat
 from .baselines import BayesianRidge, ForestConfig, RandomForest, flatten_windows, knn_predict_batch
 from .errors import DataError, GridcastError, NumericError, ParameterError, SchemaError, SizeError
 from .explain import attribute, write_attribution_csv
-from .metrics import (classification_metrics, regression_metrics,
-                      write_comparison_csv, write_roc_csv)
+from .metrics import (ClassificationReport, RegressionReport, classification_metrics,
+                      regression_metrics, write_comparison_csv, write_roc_csv)
 from .network import Network, NetworkConfig
 from .tensor import RngState
 from .train import TrainConfig, fit, predict_all
@@ -227,8 +227,13 @@ def load_model(path):
     return net, scaler, payload
 
 
-def evaluate_on_test(net: Network, test: dat.SupervisedSet, task: str) -> dict:
-    """Metric payload on the held-out split, in original kW units."""
+def evaluate_on_test(net: Network, test: dat.SupervisedSet, task: str
+                     ) -> tuple[dict, RegressionReport | ClassificationReport, np.ndarray]:
+    """Metric payload, report and predictions on the held-out split.
+
+    Regression predictions are in original kW units; classification
+    ones are the head's probabilities.
+    """
     raw = predict_all(net, test.inputs)
     payload: dict = {"n_test": len(test)}
     if task == "regression":

@@ -1,10 +1,20 @@
 """Network layers with explicit forward and backward passes.
 
+Every layer runs on a batch. The sequence layers (``Conv1d``, ``Gru``,
+``Attention``) take windows shaped (B, T, F): B windows of T steps with
+F features each. A single (T, F) window is a batch of 1: it is viewed
+as (1, T, F) on entry and its result is squeezed back on exit, so both
+shapes run the same code. The row-wise layers (``LayerNorm``,
+``Dense``, ``Dropout``, ``Relu``) act on the last axis and accept any
+leading axes.
+
 Each layer caches the activations its backward pass needs during
 ``forward`` and releases them when ``backward`` consumes them, so a
-layer instance pairs exactly one backward with one forward. ``backward``
-returns the gradient with respect to the layer input and stores
-parameter gradients in ``self.grads`` (same keys and shapes as
+layer instance pairs exactly one backward with one forward.
+``backward`` takes the upstream gradient in the shape ``forward``
+returned and gives back the gradient with respect to the layer input in
+the input's shape. Parameter gradients are summed over every window of
+the batch and stored in ``self.grads`` (same keys and shapes as
 ``params()``). No autodiff anywhere: every gradient below is the
 hand-derived derivative of the forward map, and the test suite checks
 all of them against central finite differences.
@@ -21,6 +31,23 @@ from .tensor import RngState, as_tensor, sigmoid, softmax_rows
 def glorot_uniform(rng: RngState, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
+
+
+def _as_batch(x, width: int, name: str):
+    """``x`` as a (B, T, width) batch, plus whether it was a single (T, width) window."""
+    x = as_tensor(x)
+    if x.ndim not in (2, 3) or x.shape[-1] != width:
+        raise DimensionError(f"{name} expects (T, {width}) or (B, T, {width}) input, got {x.shape}")
+    single = x.ndim == 2
+    return (x[np.newaxis] if single else x), single
+
+
+def _rows(x, width: int, name: str) -> np.ndarray:
+    """``x`` checked to be (..., width) with at least one leading axis."""
+    x = as_tensor(x)
+    if x.ndim < 2 or x.shape[-1] != width:
+        raise DimensionError(f"{name} expects (n, {width}) or (..., {width}) input, got {x.shape}")
+    return x
 
 
 class _Layer:
@@ -44,10 +71,11 @@ class Conv1d(_Layer):
     """1-D convolution over time with "same" zero padding, stride 1.
 
     Kernels have shape (out_ch, in_ch, k) with k odd; output length
-    equals input length for every odd k. Internally an im2col matrix
-    turns the convolution into one matrix product, which keeps the
-    backward pass a pair of matmuls plus a fold of the column gradient
-    back onto overlapping time positions.
+    equals input length for every odd k, and (B, T, in_ch) maps to
+    (B, T, out_ch). Internally an im2col matrix with one row per
+    (window, step) turns the convolution into one matrix product, which
+    keeps the backward pass a pair of matmuls plus a fold of the column
+    gradient back onto overlapping time positions.
     """
 
     def __init__(self, kernels, bias):
@@ -73,40 +101,39 @@ class Conv1d(_Layer):
         return {"kernels": self.kernels, "bias": self.bias}
 
     def forward(self, x) -> np.ndarray:
-        x = as_tensor(x)
         out_ch, in_ch, k = self.kernels.shape
-        if x.ndim != 2 or x.shape[1] != in_ch:
-            raise DimensionError(
-                f"conv1d expects (T, {in_ch}) input, got {x.shape}"
-            )
-        t_len = x.shape[0]
+        x, single = _as_batch(x, in_ch, "conv1d")
+        batch, t_len, _ = x.shape
         pad = k // 2
-        xp = np.zeros((t_len + 2 * pad, in_ch))
-        xp[pad:pad + t_len] = x
-        # cols[t, i, j] = padded input at time t+j, channel i
-        cols = np.empty((t_len, in_ch, k))
+        xp = np.zeros((batch, t_len + 2 * pad, in_ch))
+        xp[:, pad:pad + t_len] = x
+        # cols[b, t, i, j] = padded input of window b at time t+j, channel i
+        cols = np.empty((batch, t_len, in_ch, k))
         for j in range(k):
-            cols[:, :, j] = xp[j:j + t_len]
-        cols = cols.reshape(t_len, in_ch * k)
+            cols[:, :, :, j] = xp[:, j:j + t_len]
+        cols = cols.reshape(batch * t_len, in_ch * k)
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
-        self._cache = (cols, t_len)
-        return cols @ w_mat.T + self.bias
+        self._cache = (cols, x.shape)
+        out = (cols @ w_mat.T + self.bias).reshape(batch, t_len, out_ch)
+        return out[0] if single else out
 
     def backward(self, upstream):
-        cols, t_len = self._take_cache()
-        upstream = as_tensor(upstream)
-        out_ch, in_ch, k = self.kernels.shape
+        cols, (batch, t_len, in_ch) = self._take_cache()
+        out_ch, _, k = self.kernels.shape
+        upstream, single = _as_batch(upstream, out_ch, "conv1d backward")
+        upstream = upstream.reshape(batch * t_len, out_ch)
         pad = k // 2
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
         self.grads = {
             "kernels": (upstream.T @ cols).reshape(out_ch, in_ch, k),
             "bias": upstream.sum(axis=0),
         }
-        dcols = (upstream @ w_mat).reshape(t_len, in_ch, k)
-        dxp = np.zeros((t_len + 2 * pad, in_ch))
+        dcols = (upstream @ w_mat).reshape(batch, t_len, in_ch, k)
+        dxp = np.zeros((batch, t_len + 2 * pad, in_ch))
         for j in range(k):
-            dxp[j:j + t_len] += dcols[:, :, j]
-        return dxp[pad:pad + t_len]
+            dxp[:, j:j + t_len] += dcols[:, :, :, j]
+        dx = dxp[:, pad:pad + t_len]
+        return dx[0] if single else dx
 
 
 class Gru(_Layer):
@@ -119,9 +146,14 @@ class Gru(_Layer):
         c_t = tanh(x_t W + (r_t * h_{t-1}) U + b)
         h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
-    so z_t gates the candidate in. The backward pass is full
-    backpropagation through time across all steps, including the
-    gradient on h0 (kept in ``h0_grad``).
+    so z_t gates the candidate in. A (B, T, in_dim) batch advances all
+    B windows together: each step is one (B, hidden) @ (hidden, hidden)
+    product per matrix, and the per-step states are stored time-major,
+    (T, B, hidden), so every step reads one contiguous slice. ``h0`` is
+    (B, hidden) for a batch and (hidden,) for a single window; zeros if
+    omitted. The backward pass is full backpropagation through time
+    across all steps, including the gradient on h0 (kept in
+    ``h0_grad``, shaped like h0).
     """
 
     def __init__(self, W_r, W_z, W, U_r, U_z, U, b_r, b_z, b):
@@ -156,23 +188,23 @@ class Gru(_Layer):
         }
 
     def forward(self, x, h0=None) -> np.ndarray:
-        x = as_tensor(x)
         in_dim, hidden = self.W_r.shape
-        if x.ndim != 2 or x.shape[1] != in_dim:
-            raise DimensionError(f"gru expects (T, {in_dim}) input, got {x.shape}")
-        t_len = x.shape[0]
-        h0 = np.zeros(hidden) if h0 is None else as_tensor(h0)
-        if h0.shape != (hidden,):
-            raise DimensionError(f"h0 shape {h0.shape} != ({hidden},)")
-        # input projections for every step in one shot
+        x, single = _as_batch(x, in_dim, "gru")
+        batch, t_len, _ = x.shape
+        h0_shape = (hidden,) if single else (batch, hidden)
+        h0 = np.zeros(h0_shape) if h0 is None else as_tensor(h0)
+        if h0.shape != h0_shape:
+            raise DimensionError(f"h0 shape {h0.shape} != {h0_shape}")
+        # time-major input; projections for every step in one shot
+        x = np.ascontiguousarray(x.transpose(1, 0, 2))
         xr = x @ self.W_r + self.b_r
         xz = x @ self.W_z + self.b_z
         xh = x @ self.W + self.b
-        hs = np.empty((t_len + 1, hidden))
+        hs = np.empty((t_len + 1, batch, hidden))
         hs[0] = h0
-        rs = np.empty((t_len, hidden))
-        zs = np.empty((t_len, hidden))
-        cs = np.empty((t_len, hidden))
+        rs = np.empty((t_len, batch, hidden))
+        zs = np.empty((t_len, batch, hidden))
+        cs = np.empty((t_len, batch, hidden))
         # gates inlined (same math as tensor.sigmoid) to keep the step
         # loop free of per-call overhead
         with np.errstate(over="ignore"):
@@ -183,21 +215,23 @@ class Gru(_Layer):
                 cs[t] = np.tanh(xh[t] + (rs[t] * h_prev) @ self.U)
                 hs[t + 1] = (1.0 - zs[t]) * h_prev + zs[t] * cs[t]
         self._cache = (x, hs, rs, zs, cs)
-        return hs[1:].copy()
+        out = hs[1:].transpose(1, 0, 2).copy()
+        return out[0] if single else out
 
     def backward(self, upstream):
         x, hs, rs, zs, cs = self._take_cache()
-        upstream = as_tensor(upstream)
-        t_len, hidden = rs.shape
-        if upstream.shape != (t_len, hidden):
-            raise DimensionError(f"upstream shape {upstream.shape} != ({t_len}, {hidden})")
+        t_len, batch, hidden = rs.shape
+        upstream, single = _as_batch(upstream, hidden, "gru backward")
+        if upstream.shape != (batch, t_len, hidden):
+            raise DimensionError(f"upstream batch shape {upstream.shape} != {(batch, t_len, hidden)}")
+        upstream = upstream.transpose(1, 0, 2)
         # pre-activation gradients per step; weight gradients batch into
         # single matmuls afterwards
-        dar_seq = np.empty((t_len, hidden))
-        daz_seq = np.empty((t_len, hidden))
-        dah_seq = np.empty((t_len, hidden))
+        dar_seq = np.empty((t_len, batch, hidden))
+        daz_seq = np.empty((t_len, batch, hidden))
+        dah_seq = np.empty((t_len, batch, hidden))
         u_t, ur_t, uz_t = self.U.T, self.U_r.T, self.U_z.T
-        carry = np.zeros(hidden)
+        carry = np.zeros((batch, hidden))
         for t in range(t_len - 1, -1, -1):
             delta = upstream[t] + carry
             h_prev, r, z, c = hs[t], rs[t], zs[t], cs[t]
@@ -209,14 +243,22 @@ class Gru(_Layer):
             daz_seq[t] = daz
             dah_seq[t] = dah
             carry = delta * (1.0 - z) + dar @ ur_t + daz @ uz_t + drh * r
-        h_prev_seq = hs[:-1]
+        # every (step, window) pair is one row of the weight-gradient sums
+        rows = t_len * batch
+        x_rows = x.reshape(rows, -1)
+        h_rows = hs[:-1].reshape(rows, hidden)
+        rh_rows = (rs * hs[:-1]).reshape(rows, hidden)
+        dar_rows = dar_seq.reshape(rows, hidden)
+        daz_rows = daz_seq.reshape(rows, hidden)
+        dah_rows = dah_seq.reshape(rows, hidden)
         self.grads = {
-            "W_r": x.T @ dar_seq, "U_r": h_prev_seq.T @ dar_seq, "b_r": dar_seq.sum(axis=0),
-            "W_z": x.T @ daz_seq, "U_z": h_prev_seq.T @ daz_seq, "b_z": daz_seq.sum(axis=0),
-            "W": x.T @ dah_seq, "U": (rs * h_prev_seq).T @ dah_seq, "b": dah_seq.sum(axis=0),
+            "W_r": x_rows.T @ dar_rows, "U_r": h_rows.T @ dar_rows, "b_r": dar_rows.sum(axis=0),
+            "W_z": x_rows.T @ daz_rows, "U_z": h_rows.T @ daz_rows, "b_z": daz_rows.sum(axis=0),
+            "W": x_rows.T @ dah_rows, "U": rh_rows.T @ dah_rows, "b": dah_rows.sum(axis=0),
         }
-        self.h0_grad = carry
-        return dar_seq @ self.W_r.T + daz_seq @ self.W_z.T + dah_seq @ self.W.T
+        self.h0_grad = carry[0] if single else carry
+        dx = (dar_seq @ self.W_r.T + daz_seq @ self.W_z.T + dah_seq @ self.W.T).transpose(1, 0, 2)
+        return dx[0] if single else dx
 
 
 class Attention(_Layer):
@@ -225,7 +267,8 @@ class Attention(_Layer):
     Keys and queries are learned projections of the input; values are
     the unprojected input rows. Scores are scaled by 1/sqrt(d_attn)
     before the row softmax, so each output row is a convex combination
-    of the input rows.
+    of the input rows of its own window. A (B, T, d) batch gives one
+    batched (B, T, T) score product.
     """
 
     def __init__(self, K_w, Q_w):
@@ -250,32 +293,41 @@ class Attention(_Layer):
         return {"K_w": self.K_w, "Q_w": self.Q_w}
 
     def forward(self, x) -> np.ndarray:
-        x = as_tensor(x)
         d, d_attn = self.K_w.shape
-        if x.ndim != 2 or x.shape[1] != d:
-            raise DimensionError(f"attention expects (T, {d}) input, got {x.shape}")
+        x, single = _as_batch(x, d, "attention")
+        batch, t_len, _ = x.shape
         keys = x @ self.K_w
         queries = x @ self.Q_w
-        scores = queries @ keys.T / np.sqrt(d_attn)
-        weights = softmax_rows(scores)
+        scores = queries @ keys.transpose(0, 2, 1) / np.sqrt(d_attn)
+        # cached as (B*T, T): one softmax row per (window, query step)
+        weights = softmax_rows(scores.reshape(batch * t_len, t_len))
         self._cache = (x, keys, queries, weights)
-        return weights @ x
+        out = weights.reshape(batch, t_len, t_len) @ x
+        return out[0] if single else out
 
     def backward(self, upstream):
         x, keys, queries, weights = self._take_cache()
-        upstream = as_tensor(upstream)
+        batch, t_len, d = x.shape
+        upstream, single = _as_batch(upstream, d, "attention backward")
+        weights = weights.reshape(batch, t_len, t_len)
         scale = 1.0 / np.sqrt(self.K_w.shape[1])
-        dweights = upstream @ x.T
+        dweights = upstream @ x.transpose(0, 2, 1)
         # softmax backward per row: dS = A * (dA - sum(dA * A))
-        dscores = weights * (dweights - (dweights * weights).sum(axis=1, keepdims=True))
+        dscores = weights * (dweights - (dweights * weights).sum(axis=2, keepdims=True))
         dqueries = dscores @ keys * scale
-        dkeys = dscores.T @ queries * scale
-        self.grads = {"K_w": x.T @ dkeys, "Q_w": x.T @ dqueries}
-        return weights.T @ upstream + dqueries @ self.Q_w.T + dkeys @ self.K_w.T
+        dkeys = dscores.transpose(0, 2, 1) @ queries * scale
+        x_rows = x.reshape(batch * t_len, d)
+        self.grads = {
+            "K_w": x_rows.T @ dkeys.reshape(batch * t_len, -1),
+            "Q_w": x_rows.T @ dqueries.reshape(batch * t_len, -1),
+        }
+        dx = (weights.transpose(0, 2, 1) @ upstream
+              + dqueries @ self.Q_w.T + dkeys @ self.K_w.T)
+        return dx[0] if single else dx
 
 
 class Dense(_Layer):
-    """Affine map with an optional elementwise activation."""
+    """Affine map of the last axis with an optional elementwise activation."""
 
     def __init__(self, weight, bias, activation="identity"):
         super().__init__()
@@ -300,11 +352,7 @@ class Dense(_Layer):
         return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x) -> np.ndarray:
-        x = as_tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.weight.shape[0]:
-            raise DimensionError(
-                f"dense expects (n, {self.weight.shape[0]}) input, got {x.shape}"
-            )
+        x = _rows(x, self.weight.shape[0], "dense")
         z = x @ self.weight + self.bias
         if self.activation == "relu":
             y = np.maximum(z, 0.0)
@@ -324,12 +372,19 @@ class Dense(_Layer):
             dz = upstream * y * (1.0 - y)
         else:
             dz = upstream
-        self.grads = {"weight": x.T @ dz, "bias": dz.sum(axis=0)}
+        in_dim, out_dim = self.weight.shape
+        dz_rows = dz.reshape(-1, out_dim)
+        self.grads = {"weight": x.reshape(-1, in_dim).T @ dz_rows, "bias": dz_rows.sum(axis=0)}
         return dz @ self.weight.T
 
 
 class Dropout(_Layer):
-    """Inverted dropout: identity at inference, mask + rescale in training."""
+    """Inverted dropout: identity at inference, mask + rescale in training.
+
+    The mask takes ``x.size`` draws in row-major order, so a batch gets
+    the same masks as its windows would one after another from the same
+    stream.
+    """
 
     def __init__(self, rate: float):
         super().__init__()
@@ -355,7 +410,7 @@ class Dropout(_Layer):
 
 
 class LayerNorm(_Layer):
-    """Per-row normalization with learned gain and shift.
+    """Normalization of the last axis with learned gain and shift.
 
     Each row is centered by its mean and divided by the square root of
     its population variance plus epsilon, making inference independent
@@ -382,12 +437,9 @@ class LayerNorm(_Layer):
         return {"gain": self.gain, "shift": self.shift}
 
     def forward(self, x) -> np.ndarray:
-        x = as_tensor(x)
-        d = self.gain.shape[0]
-        if x.ndim != 2 or x.shape[1] != d:
-            raise DimensionError(f"layernorm expects (n, {d}) input, got {x.shape}")
-        mu = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
+        x = _rows(x, self.gain.shape[0], "layernorm")
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.epsilon)
         xhat = (x - mu) * inv
         self._cache = (xhat, inv)
@@ -396,15 +448,16 @@ class LayerNorm(_Layer):
     def backward(self, upstream):
         xhat, inv = self._take_cache()
         upstream = as_tensor(upstream)
+        d = self.gain.shape[0]
         dxhat = upstream * self.gain
         self.grads = {
-            "gain": (upstream * xhat).sum(axis=0),
-            "shift": upstream.sum(axis=0),
+            "gain": (upstream * xhat).reshape(-1, d).sum(axis=0),
+            "shift": upstream.reshape(-1, d).sum(axis=0),
         }
         return inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
 
 

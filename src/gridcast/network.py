@@ -6,11 +6,18 @@ concatenated along features and layer-normalized, and the block is
 repeated; the MLP head reads the final timestep of the last block and
 emits one value (linear for regression, sigmoid for classification).
 
-Backward chains exactly through that wiring: the head gradient is
-scattered onto the last timestep, the norm gradient is split by
-feature ranges between the branches, and both branches' input
-gradients are summed to form the gradient flowing into the block
-below.
+The network runs on a batch of windows shaped (B, window, features)
+and returns one value per window, shape (B,). A single
+(window, features) window is a batch of 1: it is viewed as
+(1, window, features) on entry and gives shape (1,).
+
+Backward takes the (B,) loss gradient and chains exactly through that
+wiring: the head gradient is scattered onto the last timestep of each
+window, the norm gradient is split by feature ranges between the
+branches, and both branches' input gradients are summed to form the
+gradient flowing into the block below. Parameter gradients are summed
+over the batch, so the gradient of a batch-mean loss is the mean of
+the per-window gradients.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, StateError
+from .errors import DimensionError, ParameterError
 from .layers import Attention, Conv1d, Dense, Dropout, Gru, LayerNorm, Relu
 from .tensor import RngState, as_tensor
 
@@ -84,7 +91,9 @@ class Network:
         self.head_hidden = head_hidden
         self.head_drop = head_drop
         self.head_out = head_out
-        self._forward_done = False
+        # shape of the last forward's input; backward gives ``input_grad`` in it
+        self._input_shape = None
+        self.input_grad = None
 
     @classmethod
     def build(cls, config: NetworkConfig, rng: RngState) -> "Network":
@@ -137,45 +146,47 @@ class Network:
     # --- forward / backward -----------------------------------------------
 
     def forward(self, x, training: bool = False, rng: RngState | None = None) -> np.ndarray:
-        """Map one (window, features) sequence to a single output value."""
+        """Map (B, window, features) windows to (B,) outputs; (window, features) gives (1,)."""
         x = as_tensor(x)
         cfg = self.config
-        if x.shape != (cfg.window, cfg.features):
+        if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.window, cfg.features):
             raise DimensionError(
-                f"network expects ({cfg.window}, {cfg.features}) input, got {x.shape}"
+                f"network expects ({cfg.window}, {cfg.features}) or "
+                f"(B, {cfg.window}, {cfg.features}) input, got {x.shape}"
             )
+        self._input_shape = x.shape
+        x = x.reshape(-1, cfg.window, cfg.features)
         for block in self.blocks:
             conv_out = block.conv.forward(x)
             if block.conv_act is not None:
                 conv_out = block.conv_act.forward(conv_out)
             attn_out = block.attn.forward(block.gru.forward(x))
-            x = block.norm.forward(np.concatenate([conv_out, attn_out], axis=1))
-        last = x[-1:, :]
+            x = block.norm.forward(np.concatenate([conv_out, attn_out], axis=2))
+        last = x[:, -1, :]
         hidden = self.head_drop.forward(self.head_hidden.forward(last), training, rng)
-        out = self.head_out.forward(hidden)
-        self._forward_done = True
-        return out.reshape(1)
+        return self.head_out.forward(hidden).reshape(-1)
 
     def backward(self, loss_grad) -> dict[str, np.ndarray]:
-        """Gradients of every parameter for the cached forward pass."""
-        if not self._forward_done:
-            raise StateError("network backward called without a prior training forward")
-        self._forward_done = False
-        loss_grad = as_tensor(loss_grad).reshape(1, 1)
+        """Gradients of every parameter for the cached forward pass.
+
+        ``loss_grad`` holds one value per window, shape (B,). The input
+        gradient is left in ``input_grad``, shaped like the forward input.
+        """
+        loss_grad = as_tensor(loss_grad).reshape(-1, 1)
         up = self.head_hidden.backward(self.head_drop.backward(self.head_out.backward(loss_grad)))
         cfg = self.config
         merged = cfg.conv_filters + cfg.gru_units
-        grad_seq = np.zeros((cfg.window, merged))
-        grad_seq[-1] = up[0]
+        grad_seq = np.zeros((up.shape[0], cfg.window, merged))
+        grad_seq[:, -1] = up
         for block in reversed(self.blocks):
             g = block.norm.backward(grad_seq)
-            g_conv, g_attn = g[:, :cfg.conv_filters], g[:, cfg.conv_filters:]
+            g_conv, g_attn = g[:, :, :cfg.conv_filters], g[:, :, cfg.conv_filters:]
             if block.conv_act is not None:
                 g_conv = block.conv_act.backward(g_conv)
             dx_conv = block.conv.backward(g_conv)
             dx_gru = block.gru.backward(block.attn.backward(g_attn))
             grad_seq = dx_conv + dx_gru
-        self.input_grad = grad_seq
+        self.input_grad = grad_seq.reshape(self._input_shape)
         grads = {}
         for i, block in enumerate(self.blocks):
             for part_name, part in (("conv", block.conv), ("gru", block.gru),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParameterError
+from .errors import DataError, DimensionError, NumericError, ParameterError
 from .network import Network
 from .tensor import RngState, as_tensor
 
@@ -186,17 +186,28 @@ class LrSchedule:
 # --- epoch loop ---------------------------------------------------------------
 
 
+# windows per inference forward: large enough to amortize the per-call
+# Python overhead, small enough that the activation caches stay tiny
+INFERENCE_CHUNK = 32
+
+
 def predict_all(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Inference-mode predictions for a stack of (window, features) inputs."""
-    return np.array([net.forward(inputs[i])[0] for i in range(inputs.shape[0])])
+    """Inference-mode predictions for a stack of (window, features) inputs,
+    ``INFERENCE_CHUNK`` windows per forward."""
+    out = np.empty(inputs.shape[0])
+    for start in range(0, inputs.shape[0], INFERENCE_CHUNK):
+        out[start:start + INFERENCE_CHUNK] = net.forward(inputs[start:start + INFERENCE_CHUNK])
+    return out
 
 
 def evaluate_loss(net: Network, inputs, targets, head: str) -> float:
-    total = 0.0
-    for i in range(inputs.shape[0]):
-        value, _ = loss(head, net.forward(inputs[i]), targets[i:i + 1])
-        total += value
-    return total / inputs.shape[0]
+    """Mean per-window loss of inference-mode predictions."""
+    return loss(head, predict_all(net, inputs), targets)[0]
+
+
+def _require_finite(value: float, epoch: int, what: str):
+    if not np.isfinite(value):
+        raise NumericError(f"epoch {epoch}: {what} is {value}")
 
 
 def fit(net: Network, train_set, val_set, cfg: TrainConfig):
@@ -204,7 +215,11 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
 
     ``train_set``/``val_set`` are (inputs, targets) pairs with inputs of
     shape (n, window, features) and targets of shape (n,), already
-    scaled/labeled for the network's head.
+    scaled/labeled for the network's head. Each mini-batch is one
+    batched forward and backward; the batch-mean loss makes the
+    gradient the mean of the per-window gradients. A non-finite batch
+    loss, validation loss or parameter gradient raises ``NumericError``
+    naming the epoch (and, for a gradient, the parameter).
     """
     cfg.validate()
     train_x, train_y = (as_tensor(a) for a in train_set)
@@ -232,25 +247,24 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            acc = {key: np.zeros_like(arr) for key, arr in params.items()}
-            for idx in batch:
-                value, grad = loss(
-                    head,
-                    net.forward(train_x[idx], training=True, rng=dropout_rng),
-                    train_y[idx:idx + 1],
-                )
-                loss_sum += value
-                for key, g in net.backward(grad).items():
-                    acc[key] += g
+            value, grad = loss(
+                head,
+                net.forward(train_x[batch], training=True, rng=dropout_rng),
+                train_y[batch],
+            )
+            _require_finite(value, epoch, "training loss")
+            loss_sum += value * len(batch)
+            grads = net.backward(grad)
+            for key, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise NumericError(f"epoch {epoch}: non-finite gradient for parameter {key}")
             if not cfg.freeze_params:
-                scale = 1.0 / len(batch)
-                for key in acc:
-                    acc[key] *= scale
                 step += 1
-                adam_step(params, acc, adam, lr, step,
+                adam_step(params, grads, adam, lr, step,
                           cfg.beta1, cfg.beta2, cfg.adam_epsilon)
         train_loss = loss_sum / n
         val_loss = evaluate_loss(net, val_x, val_y, head)
+        _require_finite(val_loss, epoch, "validation loss")
         improved, stop = sched.update(val_loss)
         if improved:
             best_snapshot = net.snapshot()

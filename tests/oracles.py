@@ -35,6 +35,15 @@ def max_rel_err(analytic, numeric, floor=1e-6):
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+def rel_norm_err(actual, expected):
+    """Normwise relative error ||actual - expected|| / ||expected|| (0 when both vanish)."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    scale = np.linalg.norm(expected)
+    diff = np.linalg.norm(actual - expected)
+    return float(diff / scale) if scale > 0 else float(diff)
+
+
 def check_gradients(forward_fn, backward_fn, arrays, seed=0, tol=1e-4):
     """Compare analytic and finite-difference gradients of a scalar readout.
 

@@ -137,6 +137,14 @@ class TestExitCodes:
         assert main(["predict", "--model", str(tmp_path / "no.json"),
                      "--csv", str(synth_csv), "--out-dir", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_is_numeric_error(self, tmp_path, synth_csv, capsys):
+        # an absurd learning rate blows the parameters up after one step
+        code = main(["train", "--csv", str(synth_csv), "--out-dir", str(tmp_path),
+                     "--max-epochs", "3", "--lr", "1e300", *FAST_NET])
+        assert code == 4
+        assert "numeric error: epoch 1: training loss is nan" in capsys.readouterr().err
+
     def test_bad_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")

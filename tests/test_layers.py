@@ -7,7 +7,9 @@ from gridcast.errors import DimensionError, ParameterError, StateError
 from gridcast.layers import Attention, Conv1d, Dense, Dropout, Gru, LayerNorm, Relu
 from gridcast.tensor import RngState
 
-from oracles import check_gradients, max_rel_err, numeric_grad
+from oracles import check_gradients, max_rel_err, numeric_grad, rel_norm_err
+
+BATCH = 3
 
 
 def naive_conv1d(kernels, bias, x):
@@ -200,6 +202,15 @@ class TestDropout:
         b = Dropout(0.3).forward(x, training=True, rng=RngState(42))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("rate", [0.2, 0.5])
+    def test_batch_masks_match_sequential_draws(self, rate):
+        x = np.ones((5, 7))
+        batched = Dropout(rate).forward(x, training=True, rng=RngState(31))
+        stream = RngState(31)
+        rows = [Dropout(rate).forward(x[i:i + 1], training=True, rng=stream)
+                for i in range(x.shape[0])]
+        assert np.array_equal(batched, np.concatenate(rows))
+
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
             Dropout(1.0)
@@ -383,6 +394,80 @@ class TestGradientChecks:
             check_gradients(lambda layer=layer, x=x: layer.forward(x),
                             backward_fn, arrays, seed=case)
 
+    @pytest.mark.parametrize("case", range(5))
+    def test_conv1d_batch(self, case):
+        rng = RngState(1100 + case)
+        in_ch = 1 + case % 3
+        layer = Conv1d.init(in_ch, 1 + (case + 1) % 3, (1, 3, 5)[case % 3], rng)
+        x = rng.uniform(-1, 1, (BATCH, 1 + case % 5, in_ch))
+        arrays = {"x": x, **layer.params()}
+
+        def backward_fn(up):
+            return {"x": layer.backward(up), **layer.grads}
+
+        check_gradients(lambda: layer.forward(x), backward_fn, arrays, seed=case)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_gru_batch_including_h0(self, case):
+        rng = RngState(1200 + case)
+        in_dim, hidden = 1 + case % 3, 1 + (case + 1) % 4
+        layer = Gru.init(in_dim, hidden, rng)
+        x = rng.uniform(-1, 1, (BATCH, 1 + case % 5, in_dim))
+        h0 = rng.uniform(-1, 1, (BATCH, hidden))
+        arrays = {"x": x, "h0": h0, **layer.params()}
+
+        def backward_fn(up):
+            dx = layer.backward(up)
+            assert layer.h0_grad.shape == (BATCH, hidden)
+            return {"x": dx, "h0": layer.h0_grad, **layer.grads}
+
+        check_gradients(lambda: layer.forward(x, h0), backward_fn, arrays, seed=case)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_attention_batch(self, case):
+        rng = RngState(1300 + case)
+        d = 1 + case % 4
+        layer = Attention.init(d, 1 + (case + 2) % 3, rng)
+        x = rng.uniform(-1, 1, (BATCH, 1 + case % 5, d))
+        arrays = {"x": x, **layer.params()}
+
+        def backward_fn(up):
+            return {"x": layer.backward(up), **layer.grads}
+
+        check_gradients(lambda: layer.forward(x), backward_fn, arrays, seed=case)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_layernorm_batch(self, case):
+        rng = RngState(1400 + case)
+        d = 2 + case % 4
+        layer = LayerNorm.init(d)
+        layer.gain += rng.uniform(-0.3, 0.3, d)
+        layer.shift += rng.uniform(-0.3, 0.3, d)
+        x = rng.uniform(-1, 1, (BATCH, 1 + case % 4, d))
+        arrays = {"x": x, **layer.params()}
+
+        def backward_fn(up):
+            return {"x": layer.backward(up), **layer.grads}
+
+        check_gradients(lambda: layer.forward(x), backward_fn, arrays, seed=case)
+
+    @pytest.mark.parametrize("activation", ["identity", "relu", "sigmoid"])
+    def test_dense_batch(self, activation):
+        rng = RngState(1500)
+        for case in range(5):
+            in_dim = 1 + case % 3
+            layer = Dense.init(in_dim, 1 + (case + 1) % 3, rng, activation=activation)
+            # keep relu pre-activations away from the kink
+            x = rng.uniform(0.1, 1.0, (BATCH, 1 + case % 4, in_dim))
+            layer.bias += 0.05
+            arrays = {"x": x, **layer.params()}
+
+            def backward_fn(up, layer=layer):
+                return {"x": layer.backward(up), **layer.grads}
+
+            check_gradients(lambda layer=layer, x=x: layer.forward(x),
+                            backward_fn, arrays, seed=case)
+
     def test_fd_oracle_catches_wrong_gradient(self):
         # sanity-check the oracle itself: a corrupted gradient must fail
         layer = Dense.init(3, 2, RngState(1))
@@ -397,3 +482,41 @@ class TestGradientChecks:
 
         with pytest.raises(AssertionError):
             check_gradients(lambda: layer.forward(x), backward_fn, arrays)
+
+
+def _layer_and_input(kind: str, rng: RngState):
+    """A layer of ``kind`` and a (BATCH, 5, width) input for it."""
+    if kind == "conv1d":
+        layer, width = Conv1d.init(3, 4, 3, rng), 3
+    elif kind == "gru":
+        layer, width = Gru.init(3, 4, rng), 3
+    elif kind == "attention":
+        layer, width = Attention.init(4, 3, rng), 4
+    elif kind == "layernorm":
+        layer, width = LayerNorm.init(4), 4
+        layer.gain += rng.uniform(-0.3, 0.3, 4)
+    else:
+        layer, width = Dense.init(4, 3, rng, activation="sigmoid"), 4
+    return layer, rng.uniform(-1, 1, (BATCH, 5, width))
+
+
+@pytest.mark.parametrize("kind", ["conv1d", "gru", "attention", "layernorm", "dense"])
+def test_batch_matches_stacked_single_windows(kind):
+    """A batch gives each window's single-window output and input gradient,
+    and parameter gradients equal to the sum over its windows."""
+    rng = RngState(1600)
+    layer, x = _layer_and_input(kind, rng)
+    out = layer.forward(x)
+    up = rng.uniform(-1, 1, out.shape)
+    dx = layer.backward(up)
+    grads = dict(layer.grads)
+    summed = {key: np.zeros_like(g) for key, g in grads.items()}
+    for i in range(BATCH):
+        single_out = layer.forward(x[i])
+        assert single_out.shape == out[i].shape
+        assert rel_norm_err(out[i], single_out) <= 1e-12
+        assert rel_norm_err(dx[i], layer.backward(up[i])) <= 1e-12
+        for key, g in layer.grads.items():
+            summed[key] += g
+    for key, g in grads.items():
+        assert rel_norm_err(g, summed[key]) <= 1e-12, key

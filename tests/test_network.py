@@ -4,8 +4,11 @@ import pytest
 from gridcast.errors import DimensionError, ParameterError, StateError
 from gridcast.network import Network, NetworkConfig
 from gridcast.tensor import RngState
+from gridcast.train import loss
 
-from oracles import check_gradients
+from oracles import check_gradients, rel_norm_err
+
+BATCH = 3
 
 
 def tiny_config(case: int) -> NetworkConfig:
@@ -100,6 +103,22 @@ class TestForward:
             net = Network.build(cfg, RngState(0))
             assert net.forward(np.zeros((4, 3))).shape == (1,)
 
+    @pytest.mark.parametrize("case", range(6))
+    def test_batch_equals_stacked_single_windows(self, case):
+        cfg = tiny_config(case)
+        net = Network.build(cfg, RngState(1000 + case))
+        x = RngState(2000 + case).uniform(-1, 1, (5, cfg.window, cfg.features))
+        out = net.forward(x)
+        assert out.shape == (5,)
+        stacked = np.concatenate([net.forward(x[i]) for i in range(5)])
+        assert rel_norm_err(out, stacked) <= 1e-12
+
+    def test_batch_of_one_matches_single_window(self):
+        net = Network.build(NetworkConfig(window=4, features=3), RngState(0))
+        x = RngState(1).uniform(-1, 1, (4, 3))
+        assert net.forward(x[np.newaxis]).shape == (1,)
+        assert rel_norm_err(net.forward(x[np.newaxis]), net.forward(x)) <= 1e-12
+
     def test_shape_mismatch(self):
         net = Network.build(NetworkConfig(window=4, features=3), RngState(0))
         with pytest.raises(DimensionError):
@@ -153,6 +172,47 @@ class TestBackward:
             return {"x": net.input_grad, **grads}
 
         check_gradients(forward_fn, backward_fn, arrays, seed=case)
+
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_whole_network_gradient_check_batch(self, case):
+        cfg = tiny_config(case)
+        net = Network.build(cfg, RngState(1100 + case))
+        x = RngState(2100 + case).uniform(-1, 1, (BATCH, cfg.window, cfg.features))
+        arrays = {"x": x, **net.params()}
+
+        def forward_fn():
+            return net.forward(x, training=True, rng=RngState(3100 + case))
+
+        def backward_fn(up):
+            grads = net.backward(up)
+            assert net.input_grad.shape == x.shape
+            return {"x": net.input_grad, **grads}
+
+        check_gradients(forward_fn, backward_fn, arrays, seed=case)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_batch_gradients_equal_mean_of_per_sample(self, case):
+        # the same dropout stream feeds the batch and the windows in turn,
+        # so both see identical masks
+        cfg = tiny_config(case)
+        net = Network.build(cfg, RngState(1200 + case))
+        rng = RngState(2200 + case)
+        x = rng.uniform(-1, 1, (4, cfg.window, cfg.features))
+        y = (rng.uniforms(4) > 0.5).astype(float)
+        _, grad = loss(cfg.head, net.forward(x, training=True, rng=RngState(5)), y)
+        batched = net.backward(grad)
+        batched_dx = net.input_grad
+        stream = RngState(5)
+        mean = {key: np.zeros_like(g) for key, g in batched.items()}
+        for i in range(4):
+            _, grad = loss(cfg.head, net.forward(x[i], training=True, rng=stream), y[i:i + 1])
+            for key, g in net.backward(grad).items():
+                mean[key] += g / 4
+            # the batch-mean loss weighs each window's input gradient by 1/B
+            assert rel_norm_err(batched_dx[i], net.input_grad / 4) <= 1e-12
+        for key, g in batched.items():
+            assert rel_norm_err(g, mean[key]) <= 1e-12, key
 
 
 class TestSaveLoad:

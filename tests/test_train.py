@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gridcast.errors import DataError, DimensionError, ParameterError
+from gridcast.errors import DataError, DimensionError, NumericError, ParameterError
 from gridcast.metrics import regression_metrics
 from gridcast.network import Network, NetworkConfig
 from gridcast.tensor import RngState
@@ -252,3 +252,37 @@ class TestFit:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == log.epochs[0].train_loss
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestNonFinite:
+    def test_overflowing_training_loss_names_the_epoch(self):
+        x, y = linear_problem(n=40)
+        with pytest.raises(NumericError, match="epoch 1: training loss is inf"):
+            fit(tiny_net(), (x[:32], y[:32] * 1e200), (x[32:], y[32:]),
+                TrainConfig(max_epochs=5, seed=1))
+
+    def test_overflowing_validation_loss_names_the_epoch(self):
+        x, y = linear_problem(n=40)
+        with pytest.raises(NumericError, match="epoch 1: validation loss is inf"):
+            fit(tiny_net(), (x[:32], y[:32]), (x[32:], y[32:] * 1e200),
+                TrainConfig(max_epochs=5, seed=1))
+
+    def test_non_finite_gradient_names_epoch_and_parameter(self, monkeypatch):
+        x, y = linear_problem(n=40)
+        net = tiny_net()
+        backward = net.backward
+        calls = []
+
+        def poisoned(loss_grad):
+            grads = backward(loss_grad)
+            calls.append(None)
+            if len(calls) == 3:       # first batch of epoch 2 (two batches per epoch)
+                grads["block0.gru.U_r"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(net, "backward", poisoned)
+        with pytest.raises(NumericError, match=r"epoch 2: non-finite gradient for parameter "
+                                               r"block0\.gru\.U_r"):
+            fit(net, (x[:32], y[:32]), (x[32:], y[32:]),
+                TrainConfig(max_epochs=5, batch_size=16, seed=1))
