@@ -2,12 +2,17 @@
 """Derive the synthetic generator's shortfall-rule constants.
 
 The generator column is GEN_SCALE * max(0, s - GEN_THRESHOLD) where s is
-the standardized shortfall latent. This script rebuilds s at large n,
-places the threshold at the 40% quantile (so ~40% of rows are
-zero-generation), and solves the scale so the mean output hits the
-reference 18.55 kW. The resulting numbers are frozen into
+the shortfall latent from ``gridcast.data.synth_latent``. This script
+draws s at large n, places the threshold at the 40% quantile (so ~40%
+of rows are zero-generation), and solves the scale so the mean output
+hits the reference 18.55 kW. The resulting numbers are frozen into
 gridcast.data; rerun this after changing any latent-mixing constant.
+
+Exit status: 0 when the frozen constants agree with the derivation,
+1 when they have drifted.
 """
+
+import sys
 
 import numpy as np
 
@@ -15,29 +20,11 @@ from gridcast import data as dat
 from gridcast.tensor import RngState
 
 
-def shortfall_latent(n: int, seed: int) -> np.ndarray:
-    rng = RngState(seed)
-    ar_rng, _, target_rng = rng.spawn(1), rng.spawn(2), rng.spawn(3)
-    t = np.arange(n)
-    cycle = dat._standardized(
-        np.tanh(dat._CYCLE_SHARPNESS * np.sin(2.0 * np.pi * t / dat._CYCLE_PERIOD))
-    )
-    eps = ar_rng.normals(n)
-    persist = np.empty(n)
-    persist[0] = eps[0]
-    innov = np.sqrt(1.0 - dat._AR_RHO ** 2)
-    for i in range(1, n):
-        persist[i] = dat._AR_RHO * persist[i - 1] + innov * eps[i]
-    persist = dat._standardized(persist)
-    latent = dat._CYCLE_WEIGHT * cycle + dat._PERSIST_WEIGHT * persist
-    signal = np.sqrt(1.0 - dat._TARGET_NOISE ** 2)
-    return signal * latent + dat._TARGET_NOISE * target_rng.normals(n)
-
-
-def main():
+def main() -> int:
     target_mean = dat.TABLE_STATS["generator_kw"][0]
     zero_rate = 0.40
-    samples = np.concatenate([shortfall_latent(400_000, seed) for seed in range(5)])
+    samples = np.concatenate([dat.synth_latent(400_000, RngState(seed))[1]
+                              for seed in range(5)])
     threshold = float(np.quantile(samples, zero_rate))
     mean_above = float(np.clip(samples - threshold, 0.0, None).mean())
     scale = target_mean / mean_above
@@ -52,10 +39,11 @@ def main():
     drift_t = abs(threshold - dat._GEN_THRESHOLD)
     drift_s = abs(scale - dat._GEN_SCALE)
     if drift_t > 5e-3 or drift_s > 5e-2:
-        print("WARNING: frozen constants drifted; update gridcast.data")
-    else:
-        print("frozen constants agree with this derivation")
+        print("frozen constants drifted; update gridcast.data", file=sys.stderr)
+        return 1
+    print("frozen constants agree with this derivation")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

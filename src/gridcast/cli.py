@@ -252,6 +252,35 @@ def evaluate_on_test(net: Network, test: dat.SupervisedSet, task: str
     return payload, cls, raw
 
 
+def _prepare_run(args, regression_only: bool = False):
+    """The preamble every modelling command shares.
+
+    Resolves and validates the run config, loads ``--model`` (if the
+    command has one) and adopts its window and horizon, makes the
+    out-dir and dumps the effective config into it. Returns
+    ``(cfg, out_dir, model)`` with ``model`` the ``load_model`` triple
+    or None. ``regression_only`` rejects a classification config or
+    model head.
+    """
+    cfg = resolve_config(args)
+    if regression_only and cfg.task != "regression":
+        raise ParameterError(f"{args.command} reports the regression benchmark; "
+                             "use --task regression")
+    cfg.validate()
+    model = None
+    if getattr(args, "model", None):
+        model = load_model(args.model)
+        meta = model[2]
+        if regression_only and meta["task"] != "regression":
+            raise ParameterError(f"model {args.model} has head {meta['task']!r}")
+        cfg.window = meta["window"]
+        cfg.horizon = meta["horizon"]
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dump_effective_config(cfg, out_dir)
+    return cfg, out_dir, model
+
+
 # --- commands -------------------------------------------------------------------
 
 
@@ -289,11 +318,7 @@ def _train_pipeline(cfg: RunConfig, out_dir: Path):
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    cfg.validate()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump_effective_config(cfg, out_dir)
+    cfg, out_dir, _ = _prepare_run(args)
     net, log, (train, val, test) = _train_pipeline(cfg, out_dir)
     payload, report, _ = evaluate_on_test(net, test, cfg.task)
     payload["stop_reason"] = log.stop_reason
@@ -312,20 +337,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = resolve_config(args)
-    if cfg.task != "regression":
-        raise ParameterError("compare reports the regression benchmark; use --task regression")
-    cfg.validate()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump_effective_config(cfg, out_dir)
-
-    if getattr(args, "model", None):
-        net, model_scaler, meta = load_model(args.model)
-        if meta["task"] != "regression":
-            raise ParameterError(f"model {args.model} has head {meta['task']!r}")
-        cfg.window = meta["window"]
-        cfg.horizon = meta["horizon"]
+    cfg, out_dir, model = _prepare_run(args, regression_only=True)
+    if model:
+        net, model_scaler, _ = model
         table = load_table(cfg)
         raw_windows = dat.make_windows(table, cfg.window, cfg.horizon)
         train, val, test = build_splits(cfg, table)
@@ -363,40 +377,18 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _prediction_windows(table: dat.Table, window: int, horizon: int):
-    """All windows incl. the trailing ones whose target row is beyond the data."""
-    n = len(table)
-    if n < window:
-        raise DataError(f"need at least {window} rows to form one window, got {n}")
-    starts = range(n - window + 1)
-    inputs = np.stack([table.features[i:i + window] for i in starts])
-    target_rows = np.array([i + window + horizon - 1 for i in starts])
-    reals = np.full(len(inputs), np.nan)
-    in_range = target_rows < n
-    reals[in_range] = table.features[target_rows[in_range], dat.TARGET_INDEX]
-    return inputs, target_rows, reals
-
-
 def cmd_predict(args) -> int:
-    cfg = resolve_config(args)
-    net, scaler, meta = load_model(args.model)
-    cfg.window = meta["window"]
-    cfg.horizon = meta["horizon"]
+    cfg, out_dir, (net, scaler, meta) = _prepare_run(args)
     task = meta["task"]
-    table = dat.load_csv(args.csv, on_missing=cfg.on_missing)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump_effective_config(cfg, out_dir)
-
-    inputs, target_rows, reals = _prediction_windows(table, cfg.window, cfg.horizon)
+    table = load_table(cfg)
+    # trailing windows predict past the data; their real value is NaN
+    windows = dat.make_windows(table, cfg.window, cfg.horizon, trailing=True)
+    inputs, reals, keep = windows.inputs, windows.targets_raw, windows.indices
     if args.split != "all":
-        windowed = dat.make_windows(table, cfg.window, cfg.horizon)
-        train, val, test = dat.split_and_scale(
-            windowed, cfg.train_frac, cfg.val_frac,
-            shuffle=cfg.shuffle_split, seed=cfg.seed,
-            validate_on_test=cfg.validate_on_test)
+        train, val, test = build_splits(cfg, table)
         keep = {"train": train, "val": val, "test": test}[args.split].indices
-        inputs, target_rows, reals = inputs[keep], target_rows[keep], reals[keep]
+        inputs, reals = inputs[keep], reals[keep]
+    target_rows = keep + cfg.window + cfg.horizon - 1
 
     raw = predict_all(net, scaler.scale_inputs(inputs))
     has_real = ~np.isnan(reals)
@@ -435,15 +427,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    cfg = resolve_config(args)
-    cfg.validate()
-    net, scaler, meta = load_model(args.model)
-    cfg.window = meta["window"]
-    cfg.horizon = meta["horizon"]
+    cfg, out_dir, (net, scaler, meta) = _prepare_run(args)
     task = meta["task"]
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump_effective_config(cfg, out_dir)
 
     train, _, test = build_splits(cfg, load_table(cfg))
     d = len(dat.SCHEMA)

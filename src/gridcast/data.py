@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParameterError, RowError, SchemaError
+from .errors import DataError, ParameterError, RowError, SchemaError
 from .tensor import RngState
 
 log = logging.getLogger(__name__)
@@ -120,9 +120,6 @@ class Table:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.features[:, SCHEMA.index(name)]
 
 
 @dataclass
@@ -281,17 +278,25 @@ def write_csv(table: Table, path):
 # --- windowing / splitting -------------------------------------------------
 
 
-def make_windows(table: Table, window: int, horizon: int = 1) -> SupervisedSet:
-    """Slide a length-``window`` input over the rows; target sits ``horizon`` after."""
+def make_windows(table: Table, window: int, horizon: int = 1, *,
+                 trailing: bool = False) -> SupervisedSet:
+    """Slide a length-``window`` input over the rows; target sits ``horizon`` after.
+
+    With ``trailing`` the last ``horizon`` windows, whose target row lies
+    past the data, are kept too and get NaN targets.
+    """
     if window < 1 or horizon < 1:
         raise ParameterError(f"window and horizon must be >= 1, got {window}, {horizon}")
+    need = window if trailing else window + horizon
     n = len(table)
-    count = n - window - horizon + 1
-    if count < 1:
-        raise DataError(f"need more than {window + horizon - 1} rows to window, got {n}")
+    if n < need:
+        raise DataError(f"need at least {need} rows to window, got {n}")
+    count = n - need + 1
     inputs = np.stack([table.features[i:i + window] for i in range(count)])
-    targets = table.features[window + horizon - 1:window + horizon - 1 + count, TARGET_INDEX]
-    return SupervisedSet(inputs, targets.copy(), indices=np.arange(count))
+    targets = np.full(count, np.nan)
+    known = table.features[window + horizon - 1:, TARGET_INDEX]
+    targets[:len(known)] = known
+    return SupervisedSet(inputs, targets, indices=np.arange(count))
 
 
 def fit_scaler(inputs: np.ndarray, targets: np.ndarray) -> Scaler:
@@ -372,23 +377,22 @@ def _standardized(v: np.ndarray) -> np.ndarray:
     return centered / std if std > 1e-12 else centered
 
 
-def synth_generate(n: int, seed: int, regime: str = "default") -> Table:
-    """Draw ``n`` schema rows with reference moments and a learnable target."""
-    if n < 1:
-        raise ParameterError(f"row count must be >= 1, got {n}")
-    if regime not in ("default", "kenya"):
-        raise ParameterError(f"regime must be default or kenya, got {regime!r}")
-    rng = RngState(seed)
-    ar_rng, feat_rng, target_rng = rng.spawn(1), rng.spawn(2), rng.spawn(3)
+def _cycle(n: int, offset: int = 0) -> np.ndarray:
+    wave = np.sin(2.0 * np.pi * (np.arange(n) + offset) / _CYCLE_PERIOD)
+    return _standardized(np.tanh(_CYCLE_SHARPNESS * wave))
 
-    t = np.arange(n)
 
-    def cycle_at(offset: int) -> np.ndarray:
-        wave = np.sin(2.0 * np.pi * (t + offset) / _CYCLE_PERIOD)
-        return _standardized(np.tanh(_CYCLE_SHARPNESS * wave))
+def synth_latent(n: int, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+    """The synthetic generator's shared latents for ``n`` rows.
 
-    cycle = cycle_at(0)
-    eps = ar_rng.normals(n)
+    Returns the standardized AR(1) persistence, which every feature
+    mixes with its own phase of the daily cycle, and the shortfall
+    latent behind ``generator_kw``: the in-phase cycle plus persistence
+    and a little fresh noise. Draws from ``rng.spawn(1)`` and
+    ``rng.spawn(3)``; ``scripts/calibrate_synth.py`` calibrates the
+    shortfall rule on this function's output.
+    """
+    eps = rng.spawn(1).normals(n)
     persist = np.empty(n)
     persist[0] = eps[0]
     innov = np.sqrt(1.0 - _AR_RHO ** 2)
@@ -397,11 +401,23 @@ def synth_generate(n: int, seed: int, regime: str = "default") -> Table:
     persist = _standardized(persist)
 
     signal = np.sqrt(1.0 - _TARGET_NOISE ** 2)
-    latent = _CYCLE_WEIGHT * cycle + _PERSIST_WEIGHT * persist
-    shortfall = signal * latent + _TARGET_NOISE * target_rng.normals(n)
+    latent = _CYCLE_WEIGHT * _cycle(n) + _PERSIST_WEIGHT * persist
+    shortfall = signal * latent + _TARGET_NOISE * rng.spawn(3).normals(n)
+    return persist, shortfall
+
+
+def synth_generate(n: int, seed: int, regime: str = "default") -> Table:
+    """Draw ``n`` schema rows with reference moments and a learnable target."""
+    if n < 1:
+        raise ParameterError(f"row count must be >= 1, got {n}")
+    if regime not in ("default", "kenya"):
+        raise ParameterError(f"regime must be default or kenya, got {regime!r}")
+    rng = RngState(seed)
+    persist, shortfall = synth_latent(n, rng)
     mean_scale = _KENYA_MEAN_SCALE if regime == "kenya" else 1.0
     generator = _GEN_SCALE * mean_scale * np.clip(shortfall - _GEN_THRESHOLD, 0.0, None)
 
+    feat_rng = rng.spawn(2)
     features = np.empty((n, len(SCHEMA)))
     for j, name in enumerate(SCHEMA):
         if name == TARGET_COLUMN:
@@ -409,7 +425,7 @@ def synth_generate(n: int, seed: int, regime: str = "default") -> Table:
             continue
         mean, variance = TABLE_STATS[name]
         w = _LOADINGS[name]
-        mix = _CYCLE_WEIGHT * cycle_at(_PHASE_OFFSETS[name]) + _PERSIST_WEIGHT * persist
+        mix = _CYCLE_WEIGHT * _cycle(n, _PHASE_OFFSETS[name]) + _PERSIST_WEIGHT * persist
         noise = feat_rng.normals(n)
         features[:, j] = mean * mean_scale + np.sqrt(variance) * (
             w * mix + np.sqrt(1.0 - w * w) * noise

@@ -23,7 +23,6 @@ the per-window gradients.
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -213,15 +212,6 @@ class Network:
         net = cls.build(config, RngState(0))
         net.set_params({key: _decode_array(entry) for key, entry in payload["params"].items()})
         return net
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "Network":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _encode_array(arr: np.ndarray) -> dict:

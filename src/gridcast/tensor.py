@@ -15,25 +15,10 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 
-Tensor = np.ndarray
-
 
 def as_tensor(data) -> np.ndarray:
     """Coerce to a float64 ndarray (copies only when needed)."""
     return np.asarray(data, dtype=np.float64)
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D tensors with explicit shape checking."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul needs 2-D operands, got {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def sigmoid(x) -> np.ndarray:
@@ -45,46 +30,6 @@ def sigmoid(x) -> np.ndarray:
     x = as_tensor(x)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def tanh(x) -> np.ndarray:
-    return np.tanh(as_tensor(x))
-
-
-def relu(x) -> np.ndarray:
-    return np.maximum(as_tensor(x), 0.0)
-
-
-def identity(x) -> np.ndarray:
-    return as_tensor(x)
-
-
-ACTIVATIONS = {
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "identity": identity,
-}
-
-
-def activate(x, kind: str) -> np.ndarray:
-    """Elementwise activation. ``kind`` is one of ACTIVATIONS' keys."""
-    try:
-        fn = ACTIVATIONS[kind]
-    except KeyError:
-        raise ParameterError(
-            f"unknown activation {kind!r}, expected one of {sorted(ACTIVATIONS)}"
-        ) from None
-    return fn(x)
-
-
-def softmax(x) -> np.ndarray:
-    """Softmax of a 1-D tensor, max-subtracted for overflow safety."""
-    x = as_tensor(x)
-    if x.ndim != 1 or x.size == 0:
-        raise DimensionError(f"softmax needs a non-empty 1-D tensor, got shape {x.shape}")
-    z = np.exp(x - x.max())
-    return z / z.sum()
 
 
 def softmax_rows(x) -> np.ndarray:

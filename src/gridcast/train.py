@@ -240,41 +240,46 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
     best_snapshot = net.snapshot()
     step = 0
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        t0 = time.perf_counter()
-        lr = sched.lr
-        order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            value, grad = loss(
-                head,
-                net.forward(train_x[batch], training=True, rng=dropout_rng),
-                train_y[batch],
-            )
-            _require_finite(value, epoch, "training loss")
-            loss_sum += value * len(batch)
-            grads = net.backward(grad)
-            for key, g in grads.items():
-                if not np.isfinite(g).all():
-                    raise NumericError(f"epoch {epoch}: non-finite gradient for parameter {key}")
-            if not cfg.freeze_params:
-                step += 1
-                adam_step(params, grads, adam, lr, step,
-                          cfg.beta1, cfg.beta2, cfg.adam_epsilon)
-        train_loss = loss_sum / n
-        val_loss = evaluate_loss(net, val_x, val_y, head)
-        _require_finite(val_loss, epoch, "validation loss")
-        improved, stop = sched.update(val_loss)
-        if improved:
-            best_snapshot = net.snapshot()
-        log.epochs.append(EpochRecord(epoch, train_loss, val_loss, lr,
-                                      time.perf_counter() - t0))
-        if stop:
-            log.stop_reason = "early_stop"
-            break
-    else:
-        log.stop_reason = "max_epochs"
+    # overflow and invalid values only ever reach a non-finite loss or
+    # gradient, which raises NumericError below; numpy's own warnings
+    # would bury that message
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            t0 = time.perf_counter()
+            lr = sched.lr
+            order = shuffle_rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                value, grad = loss(
+                    head,
+                    net.forward(train_x[batch], training=True, rng=dropout_rng),
+                    train_y[batch],
+                )
+                _require_finite(value, epoch, "training loss")
+                loss_sum += value * len(batch)
+                grads = net.backward(grad)
+                for key, g in grads.items():
+                    if not np.isfinite(g).all():
+                        raise NumericError(
+                            f"epoch {epoch}: non-finite gradient for parameter {key}")
+                if not cfg.freeze_params:
+                    step += 1
+                    adam_step(params, grads, adam, lr, step,
+                              cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+            train_loss = loss_sum / n
+            val_loss = evaluate_loss(net, val_x, val_y, head)
+            _require_finite(val_loss, epoch, "validation loss")
+            improved, stop = sched.update(val_loss)
+            if improved:
+                best_snapshot = net.snapshot()
+            log.epochs.append(EpochRecord(epoch, train_loss, val_loss, lr,
+                                          time.perf_counter() - t0))
+            if stop:
+                log.stop_reason = "early_stop"
+                break
+        else:
+            log.stop_reason = "max_epochs"
 
     net.set_params(best_snapshot)
     return net, log

@@ -294,8 +294,8 @@ def test_criterion_7_shapley_soundness():
 def test_criterion_8_synthetic_moment_matching():
     with criterion(8, "synthetic feature means match reference within 3 SE at n=10^4"):
         table = dat.synth_generate(10_000, seed=SURROGATE_SEED)
-        for name in dat.SCHEMA:
-            col = table.column(name)
+        for j, name in enumerate(dat.SCHEMA):
+            col = table.features[:, j]
             mean, variance = dat.TABLE_STATS[name]
             if name == "generator_kw":
                 # the target comes from the clipped shortfall rule, whose

@@ -137,7 +137,7 @@ class TestExitCodes:
         assert main(["predict", "--model", str(tmp_path / "no.json"),
                      "--csv", str(synth_csv), "--out-dir", str(tmp_path / "x")]) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_training_is_numeric_error(self, tmp_path, synth_csv, capsys):
         # an absurd learning rate blows the parameters up after one step
         code = main(["train", "--csv", str(synth_csv), "--out-dir", str(tmp_path),
@@ -223,6 +223,16 @@ class TestCompare:
                      "--out-dir", str(out), "--trees", "4", "--window", "6"])
         assert code == 0
         assert (out / "compare.csv").exists()
+
+    def test_effective_config_records_the_model_window(self, tmp_path, synth_csv, trained):
+        # the trained model uses window 6; the run's own default is 8
+        out = tmp_path / "cmpcfg"
+        code = main(["compare", "--csv", str(synth_csv), "--seed", "11",
+                     "--model", str(trained / "model.json"),
+                     "--out-dir", str(out), "--trees", "2"])
+        assert code == 0
+        lines = (out / "effective_config.txt").read_text().splitlines()
+        assert "window = 6" in lines
 
     def test_rerun_byte_identical(self, tmp_path, synth_csv):
         out = tmp_path / "cmpdet"

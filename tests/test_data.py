@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gridcast import data as dat
 from gridcast.data import (SCHEMA, TABLE_STATS, Table, fit_scaler,
                            label_zero_state, load_csv, make_windows,
                            moment_report, split_and_scale, synth_generate,
-                           write_csv)
+                           synth_latent, write_csv)
 from gridcast.errors import DataError, ParameterError, RowError, SchemaError
+from gridcast.tensor import RngState
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def rows_csv(tmp_path, rows, header=None, name="data.csv"):
@@ -14,6 +23,10 @@ def rows_csv(tmp_path, rows, header=None, name="data.csv"):
     lines += [",".join(str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def column(table, name):
+    return table.features[:, SCHEMA.index(name)]
 
 
 def simple_row(gen=5.0, base=1.0):
@@ -33,7 +46,7 @@ class TestLoadCsv:
         rows = [simple_row(gen=float(g)) for g in (1, 2, 3)]
         table = load_csv(rows_csv(tmp_path, rows))
         assert len(table) == 3
-        assert np.array_equal(table.column("generator_kw"), [1.0, 2.0, 3.0])
+        assert np.array_equal(column(table, "generator_kw"), [1.0, 2.0, 3.0])
 
     def test_unparsable_cell_cites_file_line(self, tmp_path):
         rows = [simple_row() for _ in range(4)]
@@ -62,8 +75,8 @@ class TestLoadCsv:
         header = list(reversed(SCHEMA))
         row = list(reversed(simple_row(gen=9.0)))
         table = load_csv(rows_csv(tmp_path, [row], header=header))
-        assert table.column("generator_kw")[0] == 9.0
-        assert table.column("pv_kw")[0] == simple_row()[0]
+        assert column(table, "generator_kw")[0] == 9.0
+        assert column(table, "pv_kw")[0] == simple_row()[0]
 
     def test_timestamp_column_preserved(self, tmp_path):
         header = ["timestamp"] + SCHEMA
@@ -90,7 +103,7 @@ class TestLoadCsv:
         rows[1][0] = ""
         table = load_csv(rows_csv(tmp_path, rows), on_missing="ffill")
         assert len(table) == 2
-        assert table.column("pv_kw")[1] == table.column("pv_kw")[0]
+        assert column(table, "pv_kw")[1] == column(table, "pv_kw")[0]
 
     def test_negative_generator_rejected(self, tmp_path):
         rows = [simple_row(gen=-1.0)]
@@ -123,6 +136,20 @@ class TestMakeWindows:
     def test_too_few_rows(self):
         with pytest.raises(DataError):
             make_windows(Table(np.ones((4, 13))), window=4)
+        with pytest.raises(DataError):
+            make_windows(Table(np.ones((3, 13))), window=4, trailing=True)
+
+    def test_trailing_keeps_windows_past_the_data(self):
+        feats = np.arange(10 * 13, dtype=float).reshape(10, 13)
+        full = make_windows(Table(feats), window=4, horizon=2)
+        trailing = make_windows(Table(feats), window=4, horizon=2, trailing=True)
+        assert len(trailing) == 10 - 4 + 1
+        assert np.isnan(trailing.targets_raw[-2:]).all()
+        assert np.array_equal(trailing.targets_raw[:-2], full.targets_raw)
+        assert np.array_equal(trailing.inputs[:-2], full.inputs)
+        assert np.array_equal(trailing.inputs[-1], feats[6:10])
+        assert np.array_equal(trailing.indices, np.arange(7))
+        assert len(make_windows(Table(feats[:4]), window=4, trailing=True)) == 1
 
 
 class TestSplitAndScale:
@@ -202,7 +229,7 @@ class TestZeroState:
 class TestSynthGenerate:
     def test_pv_mean_matches_reference_within_three_se(self):
         table = synth_generate(10_000, seed=7)
-        pv = table.column("pv_kw")
+        pv = column(table, "pv_kw")
         assert abs(pv.mean() - 70.84) < 3.0 * np.sqrt(8.45 / 10_000)
 
     def test_all_feature_means_match_reference(self):
@@ -212,21 +239,21 @@ class TestSynthGenerate:
                 continue
             mean, var = TABLE_STATS[name]
             limit = 3.0 * np.sqrt(var / 10_000)
-            assert abs(table.column(name).mean() - mean) < limit, name
+            assert abs(column(table, name).mean() - mean) < limit, name
 
     def test_generator_mean_matches_its_rule_expectation(self):
         table = synth_generate(10_000, seed=3)
-        gen = table.column("generator_kw")
+        gen = column(table, "generator_kw")
         se = gen.std(ddof=1) / np.sqrt(gen.size)
         assert abs(gen.mean() - TABLE_STATS["generator_kw"][0]) < 3.0 * se
 
     def test_generator_nonnegative(self):
         table = synth_generate(5000, seed=1)
-        assert (table.column("generator_kw") >= 0).all()
+        assert (column(table, "generator_kw") >= 0).all()
 
     def test_zero_rate_near_forty_percent(self):
         table = synth_generate(8000, seed=13)
-        rate = (table.column("generator_kw") == 0.0).mean()
+        rate = (column(table, "generator_kw") == 0.0).mean()
         assert 0.33 < rate < 0.47
 
     def test_same_seed_identical_rows(self):
@@ -236,7 +263,21 @@ class TestSynthGenerate:
 
     def test_kenya_regime_scales_means(self):
         table = synth_generate(4000, seed=2, regime="kenya")
-        assert abs(table.column("pv_kw").mean() - 0.9 * 70.84) < 1.0
+        assert abs(column(table, "pv_kw").mean() - 0.9 * 70.84) < 1.0
+
+    @pytest.mark.parametrize("regime, mean_scale", [("default", 1.0), ("kenya", 0.9)])
+    def test_generator_is_shortfall_rule_on_shared_latent(self, regime, mean_scale):
+        _, shortfall = synth_latent(300, RngState(5))
+        rule = dat._GEN_SCALE * mean_scale * np.clip(shortfall - dat._GEN_THRESHOLD, 0.0, None)
+        table = synth_generate(300, seed=5, regime=regime)
+        assert np.array_equal(column(table, "generator_kw"), rule)
+
+    def test_calibration_script_agrees_with_frozen_constants(self):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, str(REPO / "scripts" / "calibrate_synth.py")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "agree" in done.stdout
 
     def test_single_row_works(self):
         assert len(synth_generate(1, seed=0)) == 1

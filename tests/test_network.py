@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from gridcast.cli import RunConfig, save_model
+from gridcast.data import Scaler
 from gridcast.errors import DimensionError, ParameterError, StateError
 from gridcast.network import Network, NetworkConfig
 from gridcast.tensor import RngState
@@ -216,12 +220,10 @@ class TestBackward:
 
 
 class TestSaveLoad:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         cfg = NetworkConfig(window=4, features=3, dropout_rate=0.3)
         net = Network.build(cfg, RngState(13))
-        path = tmp_path / "model.json"
-        net.save(path)
-        loaded = Network.load(path)
+        loaded = Network.from_dict(json.loads(json.dumps(net.to_dict())))
         assert loaded.config == net.config
         for key, arr in net.params().items():
             assert np.array_equal(arr, loaded.params()[key]), key
@@ -231,7 +233,8 @@ class TestSaveLoad:
     def test_save_is_deterministic_bytes(self, tmp_path):
         cfg = NetworkConfig(window=3, features=2)
         net = Network.build(cfg, RngState(5))
+        scaler = Scaler(np.zeros(2), np.ones(2), 0.0, 1.0)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        net.save(p1)
-        net.save(p2)
+        save_model(p1, net, scaler, RunConfig(window=3))
+        save_model(p2, net, scaler, RunConfig(window=3))
         assert p1.read_bytes() == p2.read_bytes()

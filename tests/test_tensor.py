@@ -5,86 +5,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcast.errors import DimensionError, ParameterError
-from gridcast.tensor import RngState, activate, matmul, softmax, softmax_rows
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_zero(self):
-        out = matmul([[1.0, 2.0]], [[0.0], [0.0]])
-        assert np.array_equal(out, [[0.0]])
-
-    def test_hand_case(self):
-        # dot products evaluated by hand: [1*5+2*6, 3*5+4*6]
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        assert np.array_equal(out, [[17.0], [39.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_finite_output(self):
-        rng = RngState(3)
-        a = rng.uniform(-1e3, 1e3, (4, 5))
-        b = rng.uniform(-1e3, 1e3, (5, 2))
-        assert np.isfinite(matmul(a, b)).all()
+from gridcast.errors import DimensionError
+from gridcast.tensor import RngState, sigmoid, softmax_rows
 
 
 class TestActivate:
     def test_sigmoid_symmetry_point(self):
-        assert activate(np.array([0.0]), "sigmoid")[0] == 0.5
-
-    def test_tanh_odd(self):
-        assert activate(np.array([0.0]), "tanh")[0] == 0.0
-
-    def test_relu_definition(self):
-        out = activate(np.array([-3.2, 3.2]), "relu")
-        assert out[0] == 0.0 and out[1] == 3.2
+        assert sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_ranges(self):
         # strict open bounds hold while float64 can still represent them
-        x = np.linspace(-15, 15, 101)
-        s = activate(x, "sigmoid")
-        t = activate(x, "tanh")
+        s = sigmoid(np.linspace(-15, 15, 101))
         assert ((s > 0) & (s < 1)).all()
-        assert ((t > -1) & (t < 1)).all()
-        big = np.linspace(-500, 500, 51)
-        assert ((activate(big, "sigmoid") >= 0) & (activate(big, "sigmoid") <= 1)).all()
-        assert (activate(big, "relu") >= 0).all()
+        big = sigmoid(np.linspace(-500, 500, 51))
+        assert ((big >= 0) & (big <= 1)).all()
 
     def test_extreme_inputs_stay_finite(self):
-        x = np.array([-1e6, -700.0, 700.0, 1e6])
-        for kind in ("sigmoid", "tanh", "relu"):
-            assert np.isfinite(activate(x, kind)).all()
+        assert np.isfinite(sigmoid(np.array([-1e6, -700.0, 700.0, 1e6]))).all()
 
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            activate(np.zeros(3), "softplus")
+
+def softmax_row(values):
+    """softmax_rows on a single row, returned as 1-D."""
+    return softmax_rows(np.array([values], dtype=float))[0]
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = softmax(np.array([2.5, 2.5, 2.5]))
+        out = softmax_row([2.5, 2.5, 2.5])
         assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_single_element(self):
-        assert softmax(np.array([7.0]))[0] == 1.0
+        assert softmax_row([7.0])[0] == 1.0
 
     def test_hand_case(self):
         # e^0 / (e^0 + e^ln3) = 1/4
-        out = softmax(np.array([0.0, math.log(3.0)]))
+        out = softmax_row([0.0, math.log(3.0)])
         assert np.allclose(out, [0.25, 0.75], atol=1e-12)
 
     def test_empty_errors(self):
         with pytest.raises(DimensionError):
-            softmax(np.array([]))
+            softmax_rows(np.empty((1, 0)))
 
     def test_overflow_safety(self):
-        out = softmax(np.array([1000.0, 1000.0, 0.0]))
+        out = softmax_row([1000.0, 1000.0, 0.0])
         assert np.isfinite(out).all()
         assert abs(out.sum() - 1.0) < 1e-12
 
@@ -93,20 +56,21 @@ class TestSoftmax:
     @settings(max_examples=200, deadline=None)
     def test_shift_invariance(self, values, c):
         x = np.array(values)
-        assert np.allclose(softmax(x + c), softmax(x), atol=1e-12)
+        assert np.allclose(softmax_row(x + c), softmax_row(x), atol=1e-12)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one(self, values):
-        out = softmax(np.array(values))
+        out = softmax_row(values)
         assert (out > 0).all()
         assert abs(out.sum() - 1.0) < 1e-12
 
     def test_rows_variant_matches_1d(self):
+        # each row is normalised on its own, as if it were the only row
         x = np.array([[0.0, 1.0, -2.0], [3.0, 3.0, 0.5]])
         rows = softmax_rows(x)
         for i in range(2):
-            assert np.allclose(rows[i], softmax(x[i]), atol=1e-15)
+            assert np.allclose(rows[i], softmax_row(x[i]), atol=1e-15)
 
 
 class TestRngState:

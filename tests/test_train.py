@@ -254,7 +254,7 @@ class TestFit:
         assert float(first[1]) == log.epochs[0].train_loss
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFinite:
     def test_overflowing_training_loss_names_the_epoch(self):
         x, y = linear_problem(n=40)
