@@ -130,34 +130,49 @@ class _Node:
         self.value = value
 
 
-def best_split(x_col: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best threshold of one feature by sum-of-squares reduction.
+def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Best split of a node over its candidate columns by sum-of-squares reduction.
 
-    Returns (gain, threshold) or None when no split leaves ``min_leaf``
-    rows on both sides. Thresholds sit midway between adjacent distinct
-    values; rows with value <= threshold go left. Gain ties resolve to
-    the smallest left-side count, so results are order-deterministic.
+    ``x`` holds the candidate columns as (m, k); a 1-D column is the
+    k=1 case. Returns (gain, column, threshold), ``column`` indexing
+    ``x``'s columns, or None when no column has a split that leaves
+    ``min_leaf`` rows on both sides. Thresholds sit midway between
+    adjacent distinct values; rows with value <= threshold go left.
+    Gain ties resolve to the smallest left-side count within a column
+    and to the lowest column index across columns, so results are
+    order-deterministic.
     """
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
-    ys = y[order]
-    m = xs.size
+    cols = x.reshape(x.shape[0], -1).T                 # (k, m)
+    m = cols.shape[1]
     if m < 2 * min_leaf:
         return None
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys * ys)
-    total_sse = csq[-1] - csum[-1] ** 2 / m
-    p = np.arange(min_leaf, m - min_leaf + 1)          # left-side counts
-    distinct = xs[p - 1] != xs[p]
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=1)
+    ys = y[order]
+    left = slice(min_leaf - 1, m - min_leaf)           # sorted rows p-1 ...
+    right = slice(min_leaf, m - min_leaf + 1)          # ... and p
+    distinct = xs[:, left] != xs[:, right]
     if not distinct.any():
         return None
-    left_sse = csq[p - 1] - csum[p - 1] ** 2 / p
-    right_sum = csum[-1] - csum[p - 1]
-    right_sse = (csq[-1] - csq[p - 1]) - right_sum ** 2 / (m - p)
-    gain = np.where(distinct, total_sse - left_sse - right_sse, -np.inf)
-    at = int(np.argmax(gain))
-    split = p[at]
-    return float(gain[at]), (xs[split - 1] + xs[split]) / 2.0
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    # Column totals are squared one at a time as numpy scalars, which
+    # calls libm pow; an array's ** 2 multiplies instead, and the two
+    # differ in the last bit now and then. One ulp can flip a near-tie
+    # split, so the scalar form keeps fitted forests, and compare.csv,
+    # reproducible across releases.
+    total_sq = np.array([total ** 2 for total in csum[:, -1]])
+    total_sse = csq[:, -1] - total_sq / m
+    p = np.arange(min_leaf, m - min_leaf + 1)          # left-side counts
+    left_sse = csq[:, left] - csum[:, left] ** 2 / p
+    right_sum = csum[:, -1:] - csum[:, left]
+    right_sse = (csq[:, -1:] - csq[:, left]) - right_sum ** 2 / (m - p)
+    gain = np.where(distinct, total_sse[:, None] - left_sse - right_sse, -np.inf)
+    at = gain.argmax(axis=1)
+    best = gain[np.arange(gain.shape[0]), at]
+    column = int(best.argmax())
+    split = p[at[column]]
+    return float(best[column]), column, float((xs[column, split - 1] + xs[column, split]) / 2.0)
 
 
 class RegressionTree:
@@ -192,14 +207,12 @@ class RegressionTree:
         node = _Node(float(y.mean()))
         if depth >= self.max_depth or y.size < 2 * self.min_leaf or np.all(y == y[0]):
             return node
-        best = None
-        for feat in self._candidate_features():
-            found = best_split(x[:, feat], y, self.min_leaf)
-            if found is not None and (best is None or found[0] > best[0]):
-                best = (found[0], int(feat), found[1])
-        if best is None or best[0] <= 0.0:
+        feats = self._candidate_features()
+        found = best_split(x[:, feats], y, self.min_leaf)
+        if found is None or found[0] <= 0.0:
             return node
-        _, node.feature, node.threshold = best
+        _, column, node.threshold = found
+        node.feature = int(feats[column])
         mask = x[:, node.feature] <= node.threshold
         node.left = self._grow(x[mask], y[mask], depth + 1)
         node.right = self._grow(x[~mask], y[~mask], depth + 1)

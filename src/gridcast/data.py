@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -221,15 +222,16 @@ def load_csv(path, on_missing: str = "reject") -> Table:
         if idx not in known:
             warnings.warn(f"{path}: ignoring unknown column {name!r}")
 
-    features = []
+    features = np.empty((len(rows) - 1, len(SCHEMA)))
     timestamps = [] if ts_col is not None else None
     dropped = 0
+    kept = 0
     prev = None
     for row_idx, row in enumerate(rows[1:]):
         line = row_idx + 2
         if len(row) != len(header):
             raise RowError(line, f"expected {len(header)} cells, got {len(row)}")
-        values = np.empty(len(SCHEMA))
+        values = []
         gap = False
         for j, name in enumerate(SCHEMA):
             text = row[col_of[name]].strip()
@@ -237,29 +239,31 @@ def load_csv(path, on_missing: str = "reject") -> Table:
                 gap = True
                 if on_missing == "reject" or prev is None:
                     break
-                values[j] = prev[j]
+                values.append(prev[j])
                 continue
             try:
-                values[j] = float(text)
+                value = float(text)
             except ValueError:
                 raise RowError(line, f"cannot parse {text!r} in column {name}") from None
-            if not np.isfinite(values[j]):
+            if not math.isfinite(value):
                 raise RowError(line, f"non-finite value in column {name}")
+            values.append(value)
         if gap and (on_missing == "reject" or prev is None):
             dropped += 1
             continue
         if values[TARGET_INDEX] < 0:
             raise RowError(line, f"{TARGET_COLUMN} must be >= 0, got {values[TARGET_INDEX]}")
-        features.append(values)
+        features[kept] = values
+        kept += 1
         prev = values
         if timestamps is not None:
             timestamps.append(row[ts_col].strip())
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} row(s) with missing cells")
-    if not features:
+    if not kept:
         warnings.warn(f"{path}: no data rows")
         return Table(np.empty((0, len(SCHEMA))), timestamps)
-    table = Table(np.array(features), timestamps)
+    table = Table(features[:kept], timestamps)
     log.info("%s: loaded %d rows", path, len(table))
     return table
 
@@ -283,7 +287,9 @@ def make_windows(table: Table, window: int, horizon: int = 1, *,
     """Slide a length-``window`` input over the rows; target sits ``horizon`` after.
 
     With ``trailing`` the last ``horizon`` windows, whose target row lies
-    past the data, are kept too and get NaN targets.
+    past the data, are kept too and get NaN targets. ``inputs`` is a
+    read-only view of ``table.features``, so windowing a table again
+    copies nothing.
     """
     if window < 1 or horizon < 1:
         raise ParameterError(f"window and horizon must be >= 1, got {window}, {horizon}")
@@ -292,7 +298,8 @@ def make_windows(table: Table, window: int, horizon: int = 1, *,
     if n < need:
         raise DataError(f"need at least {need} rows to window, got {n}")
     count = n - need + 1
-    inputs = np.stack([table.features[i:i + window] for i in range(count)])
+    inputs = np.lib.stride_tricks.sliding_window_view(
+        table.features, window, axis=0).transpose(0, 2, 1)[:count]
     targets = np.full(count, np.nan)
     known = table.features[window + horizon - 1:, TARGET_INDEX]
     targets[:len(known)] = known

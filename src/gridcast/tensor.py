@@ -104,14 +104,19 @@ class RngState:
         return (self.raw(n) % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
+        """Fisher-Yates permutation of range(n).
+
+        Draw t picks the swap partner of position n-1-t from
+        [0, n-1-t]; the swaps run on a Python list because per-element
+        numpy indexing costs several times more.
+        """
+        perm = list(range(n))
         if n > 1:
-            draws = self.raw(n - 1)
+            draws = self.raw(n - 1).tolist()
             for i in range(n - 1, 0, -1):
-                j = int(draws[n - 1 - i] % np.uint64(i + 1))
+                j = draws[n - 1 - i] % (i + 1)
                 perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def spawn(self, tag: int) -> "RngState":
         """Independent child stream determined by (this stream's key, tag)."""

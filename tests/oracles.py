@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own computation paths: gradients
 come from central finite differences, nearest neighbours from a full
-sort, ridge weights from raw normal equations, and tree splits from
-exhaustive threshold enumeration.
+sort, ridge weights from raw normal equations, tree splits from
+exhaustive threshold enumeration, and permutations from an
+element-by-element Fisher-Yates loop.
 """
 
 import numpy as np
@@ -110,6 +111,20 @@ def exhaustive_best_split(x_col, y, min_leaf):
         if best is None or gain > best[0]:
             best = (gain, thr)
     return best
+
+
+def fisher_yates_reference(draws):
+    """Permutation of range(len(draws) + 1), swapping numpy elements one at a time.
+
+    Draw t picks the partner of position n-1-t from [0, n-1-t] by
+    modulo, as ``RngState.permutation(n)`` does with ``raw(n - 1)``.
+    """
+    n = len(draws) + 1
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = int(draws[n - 1 - i] % np.uint64(i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def enumerate_shapley(model, x, background, d):

@@ -147,7 +147,65 @@ class TestTree:
             assert (mine is None) == (oracle is None)
             if mine is not None:
                 assert abs(mine[0] - oracle[0]) < 1e-9
-                assert abs(mine[1] - oracle[1]) < 1e-12
+                assert mine[1] == 0
+                assert abs(mine[2] - oracle[1]) < 1e-12
+
+    @staticmethod
+    def columns_with_ties(rng, m, k):
+        """(m, k) draws; odd columns rounded to a coarse grid so values tie."""
+        x = rng.uniform(-2, 2, (m, k))
+        x[:, 1::2] = np.round(x[:, 1::2] * 2) / 2
+        return x
+
+    def test_each_column_of_a_batch_matches_exhaustive_enumeration(self):
+        rng = RngState(16)
+        for trial in range(10):
+            min_leaf = 1 + trial % 3
+            x = self.columns_with_ties(rng, 25 + trial, 6)
+            y = rng.uniform(-1, 1, x.shape[0])
+            for c in range(x.shape[1]):
+                mine = best_split(x[:, [c]], y, min_leaf)
+                oracle = exhaustive_best_split(x[:, c], y, min_leaf)
+                assert (mine is None) == (oracle is None)
+                if mine is not None:
+                    assert abs(mine[0] - oracle[0]) < 1e-9
+                    assert mine[1] == 0
+                    assert abs(mine[2] - oracle[1]) < 1e-12
+
+    def test_batch_result_is_the_best_single_column_result(self):
+        rng = RngState(17)
+        for trial in range(15):
+            x = self.columns_with_ties(rng, 40, 7)
+            y = rng.uniform(-1, 1, 40)
+            singles = [best_split(x[:, c], y, min_leaf=2) for c in range(7)]
+            expected = None
+            for c, found in enumerate(singles):
+                if found is not None and (expected is None or found[0] > expected[0]):
+                    expected = (found[0], c, found[2])
+            assert best_split(x, y, min_leaf=2) == expected
+
+    def test_duplicated_column_lower_index_wins(self):
+        rng = RngState(18)
+        strong = rng.uniform(-1, 1, 30)
+        weak = rng.uniform(-1, 1, 30)
+        y = np.where(strong > 0.1, 1.0, -1.0) + 0.01 * rng.normals(30)
+        gain, column, thr = best_split(np.stack([weak, strong, strong], axis=1), y, 2)
+        assert column == 1
+        assert best_split(np.stack([strong, weak, strong], axis=1), y, 2) == (gain, 0, thr)
+
+    def test_gain_tie_within_a_column_takes_the_smallest_left_count(self):
+        x = np.arange(6.0)
+        y = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])     # left counts 2 and 4 tie exactly
+        assert best_split(x, y, min_leaf=1)[1:] == (0, 1.5)
+        assert best_split(np.stack([x[::-1], x], axis=1), y, min_leaf=1)[1:] == (0, 1.5)
+
+    def test_no_splittable_column_gives_none(self):
+        y = np.arange(6.0)
+        assert best_split(np.ones((6, 3)), y, min_leaf=1) is None
+        x = np.ones((6, 2))
+        x[0, 1] = 0.0           # distinct only at a split leaving one row left
+        assert best_split(x, y, min_leaf=2) is None
+        assert best_split(np.arange(6.0).reshape(-1, 2), y[:3], min_leaf=2) is None
 
     def test_min_leaf_respected(self):
         x = np.arange(10, dtype=float).reshape(-1, 1)

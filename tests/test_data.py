@@ -105,6 +105,27 @@ class TestLoadCsv:
         assert len(table) == 2
         assert column(table, "pv_kw")[1] == column(table, "pv_kw")[0]
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_cell_cites_file_line(self, tmp_path, text):
+        rows = [simple_row() for _ in range(3)]
+        rows[2][SCHEMA.index("fuel_cost")] = text
+        with pytest.raises(RowError, match="line 4.*non-finite value in column fuel_cost"):
+            load_csv(rows_csv(tmp_path, rows))
+
+    def test_dropped_rows_leave_kept_rows_in_file_order(self, tmp_path):
+        rows = [simple_row(gen=float(g), base=float(g + 1)) for g in range(6)]
+        for i in (0, 3, 5):
+            rows[i][4] = ""
+        with pytest.warns(UserWarning, match="dropped 3"):
+            table = load_csv(rows_csv(tmp_path, rows))
+        assert np.array_equal(table.features, np.array([rows[i] for i in (1, 2, 4)]))
+        # ffill still drops a gap before the first kept row
+        with pytest.warns(UserWarning, match="dropped 1"):
+            filled = load_csv(rows_csv(tmp_path, rows), on_missing="ffill")
+        assert np.array_equal(filled.features[:2], table.features[:2])
+        assert filled.features[2, 4] == rows[2][4]       # file row 3 filled from row 2
+        assert len(filled) == 5
+
     def test_negative_generator_rejected(self, tmp_path):
         rows = [simple_row(gen=-1.0)]
         with pytest.raises(RowError, match="generator_kw"):
@@ -150,6 +171,17 @@ class TestMakeWindows:
         assert np.array_equal(trailing.inputs[-1], feats[6:10])
         assert np.array_equal(trailing.indices, np.arange(7))
         assert len(make_windows(Table(feats[:4]), window=4, trailing=True)) == 1
+
+    @pytest.mark.parametrize("trailing", [False, True])
+    def test_inputs_are_a_read_only_view_of_stacked_slices(self, trailing):
+        feats = np.random.default_rng(3).normal(size=(20, 13))
+        sset = make_windows(Table(feats), window=5, horizon=3, trailing=trailing)
+        stacked = np.stack([feats[i:i + 5] for i in range(len(sset))])
+        assert np.array_equal(sset.inputs, stacked)
+        assert np.shares_memory(sset.inputs, feats)
+        assert not sset.inputs.flags.writeable
+        with pytest.raises(ValueError):
+            sset.inputs[0, 0, 0] = 1.0
 
 
 class TestSplitAndScale:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from gridcast.errors import DimensionError
 from gridcast.tensor import RngState, sigmoid, softmax_rows
 
+from oracles import fisher_yates_reference
+
 
 class TestActivate:
     def test_sigmoid_symmetry_point(self):
@@ -96,6 +98,16 @@ class TestRngState:
     def test_permutation_is_permutation(self):
         p = RngState(5).permutation(100)
         assert sorted(p.tolist()) == list(range(100))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 13, 104, 5000])
+    def test_permutation_equals_element_swap_fisher_yates(self, n):
+        for seed in (0, 1, 7, 2**63 + 5):
+            rng, ref = RngState(seed), RngState(seed)
+            perm = rng.permutation(n)
+            expected = fisher_yates_reference(ref.raw(n - 1)) if n else np.arange(0)
+            assert perm.dtype == np.int64
+            assert np.array_equal(perm, expected)
+            assert np.array_equal(rng.raw(3), ref.raw(3))      # same draws consumed
 
     def test_spawn_streams_independent_and_reproducible(self):
         root = RngState(9)
