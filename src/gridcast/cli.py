@@ -393,32 +393,26 @@ def cmd_predict(args) -> int:
     raw = predict_all(net, scaler.scale_inputs(inputs))
     has_real = ~np.isnan(reals)
     ts = table.timestamps
+    if task == "regression":
+        preds = scaler.unscale_targets(raw)
+        columns = ["real", "predicted"]
+        real_cells = [repr(float(r)) for r in reals]
+    else:
+        preds = raw
+        columns = ["real_label", "probability", "predicted_label"]
+        real_cells = [str(int(label)) for label in dat.label_zero_state(reals)]
     path = out_dir / "predictions.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if task == "regression":
-            preds = scaler.unscale_targets(raw)
-            fh.write("index,timestamp,real,predicted\n" if ts else "index,real,predicted\n")
-            for i in range(len(preds)):
-                row = [str(int(target_rows[i]))]
-                if ts:
-                    row.append(ts[target_rows[i]] if has_real[i] else "")
-                row.append(repr(float(reals[i])) if has_real[i] else "")
-                row.append(repr(float(preds[i])))
-                fh.write(",".join(row) + "\n")
-        else:
-            preds = raw
-            header = "index,timestamp,real_label,probability,predicted_label" if ts \
-                else "index,real_label,probability,predicted_label"
-            fh.write(header + "\n")
-            for i in range(len(preds)):
-                row = [str(int(target_rows[i]))]
-                if ts:
-                    row.append(ts[target_rows[i]] if has_real[i] else "")
-                label = dat.label_zero_state(np.array([reals[i]]))[0] if has_real[i] else None
-                row.append("" if label is None else str(int(label)))
-                row.append(repr(float(preds[i])))
+        fh.write(",".join(["index"] + (["timestamp"] if ts else []) + columns) + "\n")
+        for i in range(len(preds)):
+            row = [str(int(target_rows[i]))]
+            if ts:
+                row.append(ts[target_rows[i]] if has_real[i] else "")
+            row.append(real_cells[i] if has_real[i] else "")
+            row.append(repr(float(preds[i])))
+            if task == "classification":
                 row.append(str(int(preds[i] >= 0.5)))
-                fh.write(",".join(row) + "\n")
+            fh.write(",".join(row) + "\n")
     print(f"wrote {len(preds)} predictions to {path}")
     if has_real.sum() >= 2 and task == "regression":
         rep = regression_metrics(preds[has_real], reals[has_real])

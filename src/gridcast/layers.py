@@ -1,12 +1,10 @@
 """Network layers with explicit forward and backward passes.
 
 Every layer runs on a batch. The sequence layers (``Conv1d``, ``Gru``,
-``Attention``) take windows shaped (B, T, F): B windows of T steps with
-F features each. A single (T, F) window is a batch of 1: it is viewed
-as (1, T, F) on entry and its result is squeezed back on exit, so both
-shapes run the same code. The row-wise layers (``LayerNorm``,
-``Dense``, ``Dropout``, ``Relu``) act on the last axis and accept any
-leading axes.
+``Attention``) take and return windows shaped (B, T, F): B windows of
+T steps with F features each; one window is a batch of 1. The row-wise
+layers (``LayerNorm``, ``Dense``, ``Dropout``, ``Relu``) act on the
+last axis and accept any leading axes.
 
 Each layer caches the activations its backward pass needs during
 ``forward`` and releases them when ``backward`` consumes them, so a
@@ -33,13 +31,12 @@ def glorot_uniform(rng: RngState, fan_in: int, fan_out: int, shape) -> np.ndarra
     return rng.uniform(-limit, limit, shape)
 
 
-def _as_batch(x, width: int, name: str):
-    """``x`` as a (B, T, width) batch, plus whether it was a single (T, width) window."""
+def _as_batch(x, width: int, name: str) -> np.ndarray:
+    """``x`` checked to be a (B, T, width) batch."""
     x = as_tensor(x)
-    if x.ndim not in (2, 3) or x.shape[-1] != width:
-        raise DimensionError(f"{name} expects (T, {width}) or (B, T, {width}) input, got {x.shape}")
-    single = x.ndim == 2
-    return (x[np.newaxis] if single else x), single
+    if x.ndim != 3 or x.shape[-1] != width:
+        raise DimensionError(f"{name} expects (B, T, {width}) input, got {x.shape}")
+    return x
 
 
 def _rows(x, width: int, name: str) -> np.ndarray:
@@ -102,7 +99,7 @@ class Conv1d(_Layer):
 
     def forward(self, x) -> np.ndarray:
         out_ch, in_ch, k = self.kernels.shape
-        x, single = _as_batch(x, in_ch, "conv1d")
+        x = _as_batch(x, in_ch, "conv1d")
         batch, t_len, _ = x.shape
         pad = k // 2
         xp = np.zeros((batch, t_len + 2 * pad, in_ch))
@@ -114,13 +111,12 @@ class Conv1d(_Layer):
         cols = cols.reshape(batch * t_len, in_ch * k)
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
         self._cache = (cols, x.shape)
-        out = (cols @ w_mat.T + self.bias).reshape(batch, t_len, out_ch)
-        return out[0] if single else out
+        return (cols @ w_mat.T + self.bias).reshape(batch, t_len, out_ch)
 
     def backward(self, upstream):
         cols, (batch, t_len, in_ch) = self._take_cache()
         out_ch, _, k = self.kernels.shape
-        upstream, single = _as_batch(upstream, out_ch, "conv1d backward")
+        upstream = _as_batch(upstream, out_ch, "conv1d backward")
         upstream = upstream.reshape(batch * t_len, out_ch)
         pad = k // 2
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
@@ -132,8 +128,7 @@ class Conv1d(_Layer):
         dxp = np.zeros((batch, t_len + 2 * pad, in_ch))
         for j in range(k):
             dxp[:, j:j + t_len] += dcols[:, :, :, j]
-        dx = dxp[:, pad:pad + t_len]
-        return dx[0] if single else dx
+        return dxp[:, pad:pad + t_len]
 
 
 class Gru(_Layer):
@@ -150,10 +145,9 @@ class Gru(_Layer):
     B windows together: each step is one (B, hidden) @ (hidden, hidden)
     product per matrix, and the per-step states are stored time-major,
     (T, B, hidden), so every step reads one contiguous slice. ``h0`` is
-    (B, hidden) for a batch and (hidden,) for a single window; zeros if
-    omitted. The backward pass is full backpropagation through time
-    across all steps, including the gradient on h0 (kept in
-    ``h0_grad``, shaped like h0).
+    (B, hidden), zeros if omitted. The backward pass is full
+    backpropagation through time across all steps, including the
+    gradient on h0 (kept in ``h0_grad``, also (B, hidden)).
     """
 
     def __init__(self, W_r, W_z, W, U_r, U_z, U, b_r, b_z, b):
@@ -189,12 +183,11 @@ class Gru(_Layer):
 
     def forward(self, x, h0=None) -> np.ndarray:
         in_dim, hidden = self.W_r.shape
-        x, single = _as_batch(x, in_dim, "gru")
+        x = _as_batch(x, in_dim, "gru")
         batch, t_len, _ = x.shape
-        h0_shape = (hidden,) if single else (batch, hidden)
-        h0 = np.zeros(h0_shape) if h0 is None else as_tensor(h0)
-        if h0.shape != h0_shape:
-            raise DimensionError(f"h0 shape {h0.shape} != {h0_shape}")
+        h0 = np.zeros((batch, hidden)) if h0 is None else as_tensor(h0)
+        if h0.shape != (batch, hidden):
+            raise DimensionError(f"h0 shape {h0.shape} != {(batch, hidden)}")
         # time-major input; projections for every step in one shot
         x = np.ascontiguousarray(x.transpose(1, 0, 2))
         xr = x @ self.W_r + self.b_r
@@ -215,13 +208,12 @@ class Gru(_Layer):
                 cs[t] = np.tanh(xh[t] + (rs[t] * h_prev) @ self.U)
                 hs[t + 1] = (1.0 - zs[t]) * h_prev + zs[t] * cs[t]
         self._cache = (x, hs, rs, zs, cs)
-        out = hs[1:].transpose(1, 0, 2).copy()
-        return out[0] if single else out
+        return hs[1:].transpose(1, 0, 2).copy()
 
     def backward(self, upstream):
         x, hs, rs, zs, cs = self._take_cache()
         t_len, batch, hidden = rs.shape
-        upstream, single = _as_batch(upstream, hidden, "gru backward")
+        upstream = _as_batch(upstream, hidden, "gru backward")
         if upstream.shape != (batch, t_len, hidden):
             raise DimensionError(f"upstream batch shape {upstream.shape} != {(batch, t_len, hidden)}")
         upstream = upstream.transpose(1, 0, 2)
@@ -256,9 +248,8 @@ class Gru(_Layer):
             "W_z": x_rows.T @ daz_rows, "U_z": h_rows.T @ daz_rows, "b_z": daz_rows.sum(axis=0),
             "W": x_rows.T @ dah_rows, "U": rh_rows.T @ dah_rows, "b": dah_rows.sum(axis=0),
         }
-        self.h0_grad = carry[0] if single else carry
-        dx = (dar_seq @ self.W_r.T + daz_seq @ self.W_z.T + dah_seq @ self.W.T).transpose(1, 0, 2)
-        return dx[0] if single else dx
+        self.h0_grad = carry
+        return (dar_seq @ self.W_r.T + daz_seq @ self.W_z.T + dah_seq @ self.W.T).transpose(1, 0, 2)
 
 
 class Attention(_Layer):
@@ -294,7 +285,7 @@ class Attention(_Layer):
 
     def forward(self, x) -> np.ndarray:
         d, d_attn = self.K_w.shape
-        x, single = _as_batch(x, d, "attention")
+        x = _as_batch(x, d, "attention")
         batch, t_len, _ = x.shape
         keys = x @ self.K_w
         queries = x @ self.Q_w
@@ -302,13 +293,12 @@ class Attention(_Layer):
         # cached as (B*T, T): one softmax row per (window, query step)
         weights = softmax_rows(scores.reshape(batch * t_len, t_len))
         self._cache = (x, keys, queries, weights)
-        out = weights.reshape(batch, t_len, t_len) @ x
-        return out[0] if single else out
+        return weights.reshape(batch, t_len, t_len) @ x
 
     def backward(self, upstream):
         x, keys, queries, weights = self._take_cache()
         batch, t_len, d = x.shape
-        upstream, single = _as_batch(upstream, d, "attention backward")
+        upstream = _as_batch(upstream, d, "attention backward")
         weights = weights.reshape(batch, t_len, t_len)
         scale = 1.0 / np.sqrt(self.K_w.shape[1])
         dweights = upstream @ x.transpose(0, 2, 1)
@@ -321,9 +311,8 @@ class Attention(_Layer):
             "K_w": x_rows.T @ dkeys.reshape(batch * t_len, -1),
             "Q_w": x_rows.T @ dqueries.reshape(batch * t_len, -1),
         }
-        dx = (weights.transpose(0, 2, 1) @ upstream
-              + dqueries @ self.Q_w.T + dkeys @ self.K_w.T)
-        return dx[0] if single else dx
+        return (weights.transpose(0, 2, 1) @ upstream
+                + dqueries @ self.Q_w.T + dkeys @ self.K_w.T)
 
 
 class Dense(_Layer):

@@ -82,7 +82,14 @@ class _Block:
 
 
 class Network:
-    """Layer states for all blocks plus the head; single-owner while training."""
+    """Layer states for all blocks plus the head; single-owner while training.
+
+    Every parameter lives in one float64 ``vector``: each layer attribute
+    named by its ``params()`` (``kernels``, ``W_r``, ``gain``, ...) is a
+    view into it, in ``params()`` key order. ``backward`` leaves the
+    matching flat gradient in ``grad``, so an optimizer or a finiteness
+    check can act on two arrays without knowing the layout.
+    """
 
     def __init__(self, config: NetworkConfig, blocks, head_hidden, head_drop, head_out):
         self.config = config
@@ -90,9 +97,25 @@ class Network:
         self.head_hidden = head_hidden
         self.head_drop = head_drop
         self.head_out = head_out
+        parts = [(f"block{i}.{name}", getattr(block, name))
+                 for i, block in enumerate(blocks) for name in ("conv", "gru", "attn", "norm")]
+        parts += [("head.hidden", head_hidden), ("head.out", head_out)]
+        # (dotted key, layer, attribute, start, stop, shape) per parameter,
+        # in vector order
+        self._layout = []
+        stop = 0
+        for prefix, layer in parts:
+            for name, arr in layer.params().items():
+                self._layout.append((f"{prefix}.{name}", layer, name, stop, stop + arr.size, arr.shape))
+                stop += arr.size
+        self.vector = np.concatenate([getattr(layer, name).ravel()
+                                      for _, layer, name, *_ in self._layout])
+        for _, layer, name, start, stop, shape in self._layout:
+            setattr(layer, name, self.vector[start:stop].reshape(shape))
         # shape of the last forward's input; backward gives ``input_grad`` in it
         self._input_shape = None
         self.input_grad = None
+        self.grad = None
 
     @classmethod
     def build(cls, config: NetworkConfig, rng: RngState) -> "Network":
@@ -116,21 +139,21 @@ class Network:
 
     # --- parameters -------------------------------------------------------
 
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """``flat`` cut into per-parameter views keyed by dotted path."""
+        return {key: flat[start:stop].reshape(shape)
+                for key, _, _, start, stop, shape in self._layout}
+
     def params(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays keyed by a stable dotted path."""
-        out = {}
-        for i, block in enumerate(self.blocks):
-            for part_name, part in (("conv", block.conv), ("gru", block.gru),
-                                    ("attn", block.attn), ("norm", block.norm)):
-                for name, arr in part.params().items():
-                    out[f"block{i}.{part_name}.{name}"] = arr
-        for part_name, part in (("hidden", self.head_hidden), ("out", self.head_out)):
-            for name, arr in part.params().items():
-                out[f"head.{part_name}.{name}"] = arr
-        return out
+        """Live parameter arrays keyed by a stable dotted path; views of ``vector``."""
+        return self._views(self.vector)
 
     def param_count(self) -> int:
-        return sum(arr.size for arr in self.params().values())
+        return self.vector.size
+
+    def param_key(self, index: int) -> str:
+        """Dotted key of the parameter at flat ``vector`` (or ``grad``) position ``index``."""
+        return next(key for key, _, _, _, stop, _ in self._layout if index < stop)
 
     def set_params(self, values: dict[str, np.ndarray]):
         params = self.params()
@@ -138,9 +161,6 @@ class Network:
             raise ParameterError("parameter keys do not match this architecture")
         for key, arr in params.items():
             np.copyto(arr, values[key])
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {key: arr.copy() for key, arr in self.params().items()}
 
     # --- forward / backward -----------------------------------------------
 
@@ -168,8 +188,10 @@ class Network:
     def backward(self, loss_grad) -> dict[str, np.ndarray]:
         """Gradients of every parameter for the cached forward pass.
 
-        ``loss_grad`` holds one value per window, shape (B,). The input
-        gradient is left in ``input_grad``, shaped like the forward input.
+        ``loss_grad`` holds one value per window, shape (B,). The flat
+        gradient is left in ``grad`` and the input gradient in
+        ``input_grad``, shaped like the forward input; the returned dict
+        holds views of ``grad`` keyed like ``params()``.
         """
         loss_grad = as_tensor(loss_grad).reshape(-1, 1)
         up = self.head_hidden.backward(self.head_drop.backward(self.head_out.backward(loss_grad)))
@@ -186,16 +208,10 @@ class Network:
             dx_gru = block.gru.backward(block.attn.backward(g_attn))
             grad_seq = dx_conv + dx_gru
         self.input_grad = grad_seq.reshape(self._input_shape)
-        grads = {}
-        for i, block in enumerate(self.blocks):
-            for part_name, part in (("conv", block.conv), ("gru", block.gru),
-                                    ("attn", block.attn), ("norm", block.norm)):
-                for name, arr in part.grads.items():
-                    grads[f"block{i}.{part_name}.{name}"] = arr
-        for part_name, part in (("hidden", self.head_hidden), ("out", self.head_out)):
-            for name, arr in part.grads.items():
-                grads[f"head.{part_name}.{name}"] = arr
-        return grads
+        # a fresh buffer per call: callers may keep an earlier call's views
+        self.grad = np.concatenate([layer.grads[name].ravel()
+                                    for _, layer, name, *_ in self._layout])
+        return self._views(self.grad)
 
     # --- serialization ------------------------------------------------------
 

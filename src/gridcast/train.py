@@ -116,31 +116,28 @@ def loss(head: str, pred, target):
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators shaped like the parameter vector."""
 
-    def __init__(self, params: dict[str, np.ndarray]):
-        self.m = {key: np.zeros_like(arr) for key, arr in params.items()}
-        self.v = {key: np.zeros_like(arr) for key, arr in params.items()}
+    def __init__(self, param: np.ndarray):
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
 
 
-def adam_step(params, grads, state: AdamState, lr: float, t: int,
+def adam_step(param, grad, state: AdamState, lr: float, t: int,
               beta1=0.9, beta2=0.999, epsilon=1e-8):
-    """One in-place Adam update with bias correction; ``t`` is 1-based."""
+    """One in-place Adam update of ``param`` with bias correction; ``t`` is 1-based."""
     if t < 1:
         raise ParameterError(f"step index must be >= 1, got {t}")
+    if grad.shape != param.shape:
+        raise DimensionError(f"grad shape {grad.shape} != param shape {param.shape}")
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise DimensionError(f"grad shape {g.shape} != param shape {p.shape} for {key}")
-        m = state.m[key]
-        v = state.v[key]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
 
 
 # --- schedule ----------------------------------------------------------------
@@ -233,11 +230,10 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
     shuffle_rng = rng.spawn(1)
     dropout_rng = rng.spawn(2)
 
-    params = net.params()
-    adam = AdamState(params)
+    adam = AdamState(net.vector)
     sched = LrSchedule(cfg)
     log = TrainLog()
-    best_snapshot = net.snapshot()
+    best = net.vector.copy()
     step = 0
 
     # overflow and invalid values only ever reach a non-finite loss or
@@ -258,21 +254,21 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
                 )
                 _require_finite(value, epoch, "training loss")
                 loss_sum += value * len(batch)
-                grads = net.backward(grad)
-                for key, g in grads.items():
-                    if not np.isfinite(g).all():
-                        raise NumericError(
-                            f"epoch {epoch}: non-finite gradient for parameter {key}")
+                net.backward(grad)
+                finite = np.isfinite(net.grad)
+                if not finite.all():
+                    key = net.param_key(int(np.argmin(finite)))
+                    raise NumericError(f"epoch {epoch}: non-finite gradient for parameter {key}")
                 if not cfg.freeze_params:
                     step += 1
-                    adam_step(params, grads, adam, lr, step,
+                    adam_step(net.vector, net.grad, adam, lr, step,
                               cfg.beta1, cfg.beta2, cfg.adam_epsilon)
             train_loss = loss_sum / n
             val_loss = evaluate_loss(net, val_x, val_y, head)
             _require_finite(val_loss, epoch, "validation loss")
             improved, stop = sched.update(val_loss)
             if improved:
-                best_snapshot = net.snapshot()
+                best = net.vector.copy()
             log.epochs.append(EpochRecord(epoch, train_loss, val_loss, lr,
                                           time.perf_counter() - t0))
             if stop:
@@ -281,5 +277,5 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
         else:
             log.stop_reason = "max_epochs"
 
-    net.set_params(best_snapshot)
+    net.vector[:] = best
     return net, log

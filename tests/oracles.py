@@ -3,8 +3,9 @@
 These deliberately avoid the library's own computation paths: gradients
 come from central finite differences, nearest neighbours from a full
 sort, ridge weights from raw normal equations, tree splits from
-exhaustive threshold enumeration, and permutations from an
-element-by-element Fisher-Yates loop.
+exhaustive threshold enumeration, permutations from an
+element-by-element Fisher-Yates loop, and Adam from a loop over
+per-parameter arrays.
 """
 
 import numpy as np
@@ -125,6 +126,22 @@ def fisher_yates_reference(draws):
         j = int(draws[n - 1 - i] % np.uint64(i + 1))
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+def adam_reference(params, grads, m, v, lr, t, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """One in-place Adam step applied key by key to dicts of arrays.
+
+    ``m`` and ``v`` are dicts of moment arrays keyed like ``params``.
+    """
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for key, p in params.items():
+        g = grads[key]
+        m[key] *= beta1
+        m[key] += (1.0 - beta1) * g
+        v[key] *= beta2
+        v[key] += (1.0 - beta2) * g * g
+        p -= lr * (m[key] / bc1) / (np.sqrt(v[key] / bc2) + epsilon)
 
 
 def enumerate_shapley(model, x, background, d):

@@ -33,39 +33,39 @@ def naive_conv1d(kernels, bias, x):
 class TestConv1dForward:
     def test_identity_kernel(self):
         layer = Conv1d(np.array([[[1.0]]]), np.zeros(1))
-        x = np.array([[1.0], [2.0], [3.0]])
+        x = np.array([[[1.0], [2.0], [3.0]]])
         assert np.array_equal(layer.forward(x), x)
 
     def test_zero_kernel_bias_constant(self):
         layer = Conv1d(np.zeros((1, 1, 3)), np.array([4.5]))
-        out = layer.forward(np.array([[1.0], [2.0], [3.0]]))
-        assert np.array_equal(out, np.full((3, 1), 4.5))
+        out = layer.forward(np.array([[[1.0], [2.0], [3.0]]]))
+        assert np.array_equal(out, np.full((1, 3, 1), 4.5))
 
     def test_box_kernel_hand_case(self):
         layer = Conv1d(np.ones((1, 1, 3)), np.zeros(1))
-        out = layer.forward(np.array([[1.0], [2.0], [3.0]]))
+        out = layer.forward(np.array([[[1.0], [2.0], [3.0]]]))
         assert np.array_equal(out.ravel(), [3.0, 6.0, 5.0])
 
     def test_matches_naive_loop(self):
         rng = RngState(21)
         kernels = rng.uniform(-1, 1, (3, 2, 5))
         bias = rng.uniform(-1, 1, 3)
-        x = rng.uniform(-2, 2, (7, 2))
+        x = rng.uniform(-2, 2, (1, 7, 2))
         layer = Conv1d(kernels, bias)
-        assert np.allclose(layer.forward(x), naive_conv1d(kernels, bias, x), atol=1e-12)
+        assert np.allclose(layer.forward(x)[0], naive_conv1d(kernels, bias, x[0]), atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_time_length_preserved(self, k):
         rng = RngState(k)
         layer = Conv1d.init(2, 3, k, rng)
         for t_len in (1, 2, 5, 11):
-            x = rng.uniform(-1, 1, (t_len, 2))
-            assert layer.forward(x).shape == (t_len, 3)
+            x = rng.uniform(-1, 1, (1, t_len, 2))
+            assert layer.forward(x).shape == (1, t_len, 3)
 
     def test_channel_mismatch(self):
         layer = Conv1d.init(2, 3, 3, RngState(0))
         with pytest.raises(DimensionError):
-            layer.forward(np.ones((4, 5)))
+            layer.forward(np.ones((1, 4, 5)))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ParameterError):
@@ -77,8 +77,8 @@ class TestGruForward:
         layer = Gru(*[np.zeros((2, 3)) for _ in range(3)],
                     *[np.zeros((3, 3)) for _ in range(3)],
                     *[np.zeros(3) for _ in range(3)])
-        out = layer.forward(np.ones((4, 2)))
-        assert np.array_equal(out, np.zeros((4, 3)))
+        out = layer.forward(np.ones((1, 4, 2)))
+        assert np.array_equal(out, np.zeros((1, 4, 3)))
 
     def test_zero_params_halving_recursion(self):
         # with all weights zero: z = 0.5 and the candidate is 0, so the
@@ -86,10 +86,10 @@ class TestGruForward:
         layer = Gru(*[np.zeros((2, 3)) for _ in range(3)],
                     *[np.zeros((3, 3)) for _ in range(3)],
                     *[np.zeros(3) for _ in range(3)])
-        h0 = np.array([1.0, -2.0, 4.0])
-        out = layer.forward(np.ones((3, 2)), h0)
+        h0 = np.array([[1.0, -2.0, 4.0]])
+        out = layer.forward(np.ones((1, 3, 2)), h0)
         for t in range(3):
-            assert np.allclose(out[t], h0 * 0.5 ** (t + 1), atol=1e-15)
+            assert np.allclose(out[0, t], h0[0] * 0.5 ** (t + 1), atol=1e-15)
 
     def test_scalar_hand_case(self):
         # in=hidden=1, only the candidate input weight is 1:
@@ -97,17 +97,17 @@ class TestGruForward:
         layer = Gru(W_r=[[0.0]], W_z=[[0.0]], W=[[1.0]],
                     U_r=[[0.0]], U_z=[[0.0]], U=[[0.0]],
                     b_r=[0.0], b_z=[0.0], b=[0.0])
-        out = layer.forward(np.array([[1.0]]))
+        out = layer.forward(np.array([[[1.0]]]))
         expected = 0.5 * math.tanh(1.0)
-        assert abs(out[0, 0] - expected) < 1e-12
+        assert abs(out[0, 0, 0] - expected) < 1e-12
         assert abs(expected - 0.380797) < 1e-6
 
     def test_bounded_by_max_of_h0_and_one(self):
         rng = RngState(17)
         for case in range(20):
             layer = Gru.init(3, 4, rng)
-            h0 = rng.uniform(-3, 3, 4)
-            x = rng.uniform(-5, 5, (6, 3))
+            h0 = rng.uniform(-3, 3, (1, 4))
+            x = rng.uniform(-5, 5, (1, 6, 3))
             out = layer.forward(x, h0)
             bound = max(np.abs(h0).max(), 1.0) + 1e-12
             assert (np.abs(out) <= bound).all()
@@ -115,19 +115,19 @@ class TestGruForward:
     def test_width_mismatch(self):
         layer = Gru.init(3, 4, RngState(0))
         with pytest.raises(DimensionError):
-            layer.forward(np.ones((5, 2)))
+            layer.forward(np.ones((1, 5, 2)))
 
 
 class TestAttentionForward:
     def test_single_timestep_passthrough(self):
         layer = Attention.init(3, 2, RngState(1))
-        x = np.array([[0.3, -1.2, 2.0]])
+        x = np.array([[[0.3, -1.2, 2.0]]])
         assert np.allclose(layer.forward(x), x, atol=1e-15)
 
     def test_identical_rows_average_to_common_row(self):
         layer = Attention.init(3, 2, RngState(2))
         row = np.array([0.5, -0.25, 1.5])
-        x = np.tile(row, (4, 1))
+        x = np.tile(row, (1, 4, 1))
         out = layer.forward(x)
         assert np.allclose(out, x, atol=1e-12)
 
@@ -136,24 +136,24 @@ class TestAttentionForward:
         # row 2 scores are [0, (ln 3)^2], weights follow a two-way softmax
         layer = Attention(K_w=[[1.0]], Q_w=[[1.0]])
         ln3 = math.log(3.0)
-        out = layer.forward(np.array([[0.0], [ln3]]))
+        out = layer.forward(np.array([[[0.0], [ln3]]]))
         # row 1: scores [0, 0] -> weights [.5, .5]
-        assert abs(out[0, 0] - 0.5 * ln3) < 1e-12
+        assert abs(out[0, 0, 0] - 0.5 * ln3) < 1e-12
         w2 = math.exp(ln3 * ln3)
         alpha = np.array([1.0, w2]) / (1.0 + w2)
-        assert abs(out[1, 0] - alpha[1] * ln3) < 1e-12
+        assert abs(out[0, 1, 0] - alpha[1] * ln3) < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = RngState(5)
         layer = Attention.init(4, 3, rng)
-        layer.forward(rng.uniform(-2, 2, (6, 4)))
+        layer.forward(rng.uniform(-2, 2, (1, 6, 4)))
         _, _, _, weights = layer._cache
         assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
     def test_width_mismatch(self):
         layer = Attention.init(4, 3, RngState(0))
         with pytest.raises(DimensionError):
-            layer.forward(np.ones((5, 3)))
+            layer.forward(np.ones((1, 5, 3)))
 
 
 class TestDenseForward:
@@ -264,9 +264,9 @@ class TestBackwardContracts:
     def test_zero_upstream_zero_gradients(self):
         rng = RngState(8)
         layer = Gru.init(3, 4, rng)
-        x = rng.uniform(-1, 1, (5, 3))
+        x = rng.uniform(-1, 1, (1, 5, 3))
         layer.forward(x)
-        dx = layer.backward(np.zeros((5, 4)))
+        dx = layer.backward(np.zeros((1, 5, 4)))
         assert np.array_equal(dx, np.zeros_like(x))
         for g in layer.grads.values():
             assert np.array_equal(g, np.zeros_like(g))
@@ -283,7 +283,7 @@ class TestGradientChecks:
             out_ch = 1 + (case + 1) % 3
             k = (1, 3, 5)[case % 3]
             layer = Conv1d.init(in_ch, out_ch, k, rng)
-            x = rng.uniform(-1, 1, (t_len, in_ch))
+            x = rng.uniform(-1, 1, (1, t_len, in_ch))
             arrays = {"x": x, **layer.params()}
 
             def backward_fn(up, layer=layer, x=x):
@@ -300,8 +300,8 @@ class TestGradientChecks:
             in_dim = 1 + case % 3
             hidden = 1 + (case + 1) % 4
             layer = Gru.init(in_dim, hidden, rng)
-            x = rng.uniform(-1, 1, (t_len, in_dim))
-            h0 = rng.uniform(-1, 1, hidden)
+            x = rng.uniform(-1, 1, (1, t_len, in_dim))
+            h0 = rng.uniform(-1, 1, (1, hidden))
             arrays = {"x": x, "h0": h0, **layer.params()}
 
             def backward_fn(up, layer=layer):
@@ -318,7 +318,7 @@ class TestGradientChecks:
             d = 1 + case % 4
             d_attn = 1 + (case + 2) % 3
             layer = Attention.init(d, d_attn, rng)
-            x = rng.uniform(-1, 1, (t_len, d))
+            x = rng.uniform(-1, 1, (1, t_len, d))
             arrays = {"x": x, **layer.params()}
 
             def backward_fn(up, layer=layer):
@@ -500,9 +500,19 @@ def _layer_and_input(kind: str, rng: RngState):
     return layer, rng.uniform(-1, 1, (BATCH, 5, width))
 
 
+@pytest.mark.parametrize("kind", ["conv1d", "gru", "attention"])
+def test_sequence_layers_reject_a_2d_window(kind):
+    layer, x = _layer_and_input(kind, RngState(1700))
+    with pytest.raises(DimensionError, match=r"\(B, T, \d+\)"):
+        layer.forward(x[0])
+    out = layer.forward(x)
+    with pytest.raises(DimensionError, match=r"\(B, T, \d+\)"):
+        layer.backward(np.zeros_like(out[0]))
+
+
 @pytest.mark.parametrize("kind", ["conv1d", "gru", "attention", "layernorm", "dense"])
 def test_batch_matches_stacked_single_windows(kind):
-    """A batch gives each window's single-window output and input gradient,
+    """A batch gives each window's batch-of-1 output and input gradient,
     and parameter gradients equal to the sum over its windows."""
     rng = RngState(1600)
     layer, x = _layer_and_input(kind, rng)
@@ -512,10 +522,10 @@ def test_batch_matches_stacked_single_windows(kind):
     grads = dict(layer.grads)
     summed = {key: np.zeros_like(g) for key, g in grads.items()}
     for i in range(BATCH):
-        single_out = layer.forward(x[i])
-        assert single_out.shape == out[i].shape
-        assert rel_norm_err(out[i], single_out) <= 1e-12
-        assert rel_norm_err(dx[i], layer.backward(up[i])) <= 1e-12
+        single_out = layer.forward(x[i:i + 1])
+        assert single_out.shape == out[i:i + 1].shape
+        assert rel_norm_err(out[i:i + 1], single_out) <= 1e-12
+        assert rel_norm_err(dx[i:i + 1], layer.backward(up[i:i + 1])) <= 1e-12
         for key, g in layer.grads.items():
             summed[key] += g
     for key, g in grads.items():

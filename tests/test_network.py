@@ -57,6 +57,22 @@ class TestBuild:
         assert net.param_count() == sum(v.size for v in net.params().values())
         assert net.param_count() > 0
 
+    def test_every_parameter_is_a_view_of_the_vector(self):
+        built = Network.build(NetworkConfig(window=4, features=3), RngState(3))
+        loaded = Network.from_dict(json.loads(json.dumps(built.to_dict())))
+        for net in (built, loaded):
+            params = net.params()
+            for key, arr in params.items():
+                assert np.shares_memory(net.vector, arr), key
+            layers = [part for block in net.blocks
+                      for part in (block.conv, block.gru, block.attn, block.norm)]
+            for layer in layers + [net.head_hidden, net.head_out]:
+                for name, arr in layer.params().items():
+                    assert np.shares_memory(net.vector, arr), (type(layer).__name__, name)
+            assert np.array_equal(net.vector,
+                                  np.concatenate([arr.ravel() for arr in params.values()]))
+        assert np.array_equal(loaded.vector, built.vector)
+
     def test_invalid_config_lists_all_violations(self):
         cfg = NetworkConfig(window=0, features=3, kernel=4, dropout_rate=1.5)
         with pytest.raises(ParameterError) as err:
@@ -148,6 +164,22 @@ class TestBackward:
         grads = net.backward(np.zeros(1))
         for key, g in grads.items():
             assert np.array_equal(g, np.zeros_like(g)), key
+
+    def test_gradients_are_views_of_a_fresh_flat_grad(self):
+        net = Network.build(NetworkConfig(window=4, features=3), RngState(1))
+        x = RngState(2).uniform(-1, 1, (2, 4, 3))
+        net.forward(x)
+        first = net.backward(np.ones(2))
+        first_flat = net.grad
+        assert first_flat.shape == net.vector.shape
+        for key, g in first.items():
+            assert np.shares_memory(first_flat, g), key
+            assert g.shape == net.params()[key].shape, key
+        kept = first_flat.copy()
+        net.forward(x)
+        net.backward(np.full(2, 3.0))
+        assert not np.shares_memory(net.grad, first_flat)
+        assert np.array_equal(first_flat, kept)
 
     def test_gradients_deterministic_under_fixed_seed(self):
         cfg = NetworkConfig(window=4, features=3, dropout_rate=0.5)

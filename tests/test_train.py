@@ -11,7 +11,7 @@ from gridcast.train import (AdamState, LrSchedule, TrainConfig, adam_step,
                             bce_loss, evaluate_loss, fit, loss, mse_loss,
                             predict_all)
 
-from oracles import numeric_grad, max_rel_err
+from oracles import adam_reference, max_rel_err, numeric_grad
 
 
 class TestLosses:
@@ -61,42 +61,62 @@ class TestLosses:
 
 class TestAdam:
     def test_zero_grad_keeps_params(self):
-        params = {"w": np.array([1.0, -2.0])}
-        state = AdamState(params)
-        adam_step(params, {"w": np.zeros(2)}, state, lr=0.1, t=1)
-        assert np.array_equal(params["w"], [1.0, -2.0])
+        param = np.array([1.0, -2.0])
+        state = AdamState(param)
+        adam_step(param, np.zeros(2), state, lr=0.1, t=1)
+        assert np.array_equal(param, [1.0, -2.0])
 
     def test_first_step_is_lr_times_sign(self):
         # bias-corrected m/sqrt(v) equals g/|g| on step one
-        params = {"w": np.array([1.0, 1.0, 1.0])}
-        state = AdamState(params)
+        param = np.array([1.0, 1.0, 1.0])
+        state = AdamState(param)
         g = np.array([0.3, -7.0, 1e-3])
-        adam_step(params, {"w": g}, state, lr=0.01, t=1)
-        update = params["w"] - 1.0
+        adam_step(param, g, state, lr=0.01, t=1)
+        update = param - 1.0
         assert np.allclose(update, -0.01 * np.sign(g), rtol=1e-4)
         assert (np.abs(update) <= 0.01 * (1 + 1e-6)).all()
 
     def test_two_steps_shrink_quadratic(self):
         # f(w) = w^2 from w=1: both steps must move toward 0
-        params = {"w": np.array([1.0])}
-        state = AdamState(params)
+        param = np.array([1.0])
+        state = AdamState(param)
         trace = [1.0]
         for t in (1, 2):
-            g = {"w": 2.0 * params["w"]}
-            adam_step(params, g, state, lr=0.1, t=t)
-            trace.append(float(params["w"][0]))
+            adam_step(param, 2.0 * param, state, lr=0.1, t=t)
+            trace.append(float(param[0]))
         assert trace[0] > trace[1] > trace[2] > 0.0
 
     def test_shape_mismatch(self):
-        params = {"w": np.zeros((2, 2))}
-        state = AdamState(params)
+        param = np.zeros(4)
+        state = AdamState(param)
         with pytest.raises(DimensionError):
-            adam_step(params, {"w": np.zeros(3)}, state, lr=0.1, t=1)
+            adam_step(param, np.zeros(3), state, lr=0.1, t=1)
 
     def test_step_index_must_be_positive(self):
-        params = {"w": np.zeros(2)}
+        param = np.zeros(2)
         with pytest.raises(ParameterError):
-            adam_step(params, {"w": np.zeros(2)}, AdamState(params), lr=0.1, t=0)
+            adam_step(param, np.zeros(2), AdamState(param), lr=0.1, t=0)
+
+    def test_flat_step_equals_per_key_reference_bit_for_bit(self):
+        # real gradients of a real network, 200 steps; the per-key loop is
+        # the reference, so the flat update must not change a single bit
+        x, y = linear_problem(n=64)
+        net = tiny_net(dropout=0.2)
+        reference = {key: arr.copy() for key, arr in net.params().items()}
+        m = {key: np.zeros_like(arr) for key, arr in reference.items()}
+        v = {key: np.zeros_like(arr) for key, arr in reference.items()}
+        state = AdamState(net.vector)
+        dropout_rng = RngState(8)
+        for t in range(1, 201):
+            batch = slice(16 * (t % 4), 16 * (t % 4) + 16)
+            _, grad = mse_loss(net.forward(x[batch], training=True, rng=dropout_rng), y[batch])
+            grads = net.backward(grad)
+            adam_step(net.vector, net.grad, state, lr=0.01, t=t)
+            adam_reference(reference, grads, m, v, lr=0.01, t=t)
+            for key, arr in net.params().items():
+                assert np.array_equal(arr, reference[key]), (t, key)
+        assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+        assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
 
 
 class TestSchedule:
@@ -286,3 +306,26 @@ class TestNonFinite:
                                                r"block0\.gru\.U_r"):
             fit(net, (x[:32], y[:32]), (x[32:], y[32:]),
                 TrainConfig(max_epochs=5, batch_size=16, seed=1))
+
+    @pytest.mark.parametrize("key,position", [
+        (None, 0),                    # first element of the first key
+        ("head.out.bias", -1),        # last element of the vector
+        ("block0.gru.W", -1),         # last element before an interior boundary
+        ("block0.gru.U_r", 0),        # first element after it
+    ])
+    def test_poisoned_gradient_element_names_its_key(self, monkeypatch, key, position):
+        x, y = linear_problem(n=40)
+        net = tiny_net()
+        key = key or next(iter(net.params()))
+        backward = net.backward
+
+        def poisoned(loss_grad):
+            grads = backward(loss_grad)
+            grads[key].flat[position] = np.inf
+            return grads
+
+        monkeypatch.setattr(net, "backward", poisoned)
+        with pytest.raises(NumericError) as err:
+            fit(net, (x[:32], y[:32]), (x[32:], y[32:]),
+                TrainConfig(max_epochs=2, batch_size=16, seed=1))
+        assert str(err.value) == f"epoch 1: non-finite gradient for parameter {key}"
