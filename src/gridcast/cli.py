@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as dat
 from .baselines import BayesianRidge, ForestConfig, RandomForest, flatten_windows, knn_predict_batch
-from .errors import DataError, GridcastError, NumericError, ParameterError, SchemaError, SizeError
+from .errors import DataError, GridcastError, NumericError, ParameterError, SchemaError
 from .explain import attribute, write_attribution_csv
 from .metrics import (ClassificationReport, RegressionReport, classification_metrics,
                       regression_metrics, write_comparison_csv, write_roc_csv)
@@ -84,6 +84,8 @@ class RunConfig:
             problems.append("exactly one data source required: set csv or synth_rows")
         if self.task not in ("regression", "classification"):
             problems.append(f"task must be regression or classification, got {self.task!r}")
+        if self.explain_windows < 1:
+            problems.append(f"explain_windows must be >= 1, got {self.explain_windows}")
         if problems:
             raise ParameterError("invalid run config: " + "; ".join(problems))
 
@@ -426,19 +428,11 @@ def cmd_explain(args) -> int:
 
     train, _, test = build_splits(cfg, load_table(cfg))
     d = len(dat.SCHEMA)
-    if cfg.explain_exact and d > 12:
-        raise SizeError(
-            f"exact enumeration supports at most 12 feature columns, data has {d}; "
-            "drop --exact to use the permutation-sampling estimator"
-        )
     background = train.inputs.reshape(-1, d).mean(axis=0)
 
-    if task == "regression":
-        def model_fn(window):
-            return float(scaler.unscale_targets(net.forward(np.asarray(window)))[0])
-    else:
-        def model_fn(window):
-            return float(net.forward(np.asarray(window))[0])
+    def model_fn(windows):
+        raw = predict_all(net, windows)
+        return scaler.unscale_targets(raw) if task == "regression" else raw
 
     picker = RngState(cfg.seed).spawn(30)
     count = min(cfg.explain_windows, len(test))

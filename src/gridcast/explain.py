@@ -2,10 +2,13 @@
 
 Each of the window's named feature columns is one player; masking a
 player replaces its values with the background value across all
-timesteps jointly. Exact enumeration covers up to 12 players; beyond
-that the permutation-sampling estimator applies. By construction every
-sampled permutation's marginals sum to f(x) - f(background), so the
-sampling estimator satisfies the efficiency axiom exactly as well.
+timesteps jointly. The model maps a (n, T, d) stack of windows to (n,)
+outputs, and both estimators score all the coalitions they need in one
+model call per window. Exact enumeration covers up to 13 players, the
+full schema; beyond that the permutation-sampling estimator applies.
+By construction every sampled permutation's marginals sum to
+f(x) - f(background), so the sampling estimator satisfies the
+efficiency axiom exactly as well.
 """
 
 from __future__ import annotations
@@ -18,12 +21,10 @@ import numpy as np
 from .errors import ParameterError, SizeError
 from .tensor import RngState
 
-EXACT_LIMIT = 12
-
-
-def _as_window(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x.reshape(1, -1) if x.ndim == 1 else x
+# Exact enumeration up to the schema's 13 columns: 2^13 = 8,192 coalitions
+# per window. At window 8 their mixed-input stack is 0.85 M float64 values
+# (6.8 MB), and one window takes 0.29-0.44 s with the default network on 2 CPUs.
+EXACT_LIMIT = 13
 
 
 def _expand_background(background, window_shape) -> np.ndarray:
@@ -37,65 +38,68 @@ def _expand_background(background, window_shape) -> np.ndarray:
     return background.copy()
 
 
-def _masked_eval(model, x, background, d):
-    """Value function over column subsets, memoized by bitmask."""
-    cache: dict[int, float] = {}
+def _mask_bits(masks, d) -> np.ndarray:
+    """(n, d) booleans: bit j of each integer mask."""
+    return ((np.asarray(masks)[:, None] >> np.arange(d)) & 1).astype(bool)
 
-    def value(mask: int) -> float:
-        if mask not in cache:
-            mixed = background.copy()
-            for j in range(d):
-                if mask >> j & 1:
-                    mixed[:, j] = x[:, j]
-            cache[mask] = float(model(mixed))
-        return cache[mask]
+
+def _masked_eval(model, x, background, d):
+    """Value function over an array of column-subset bitmasks.
+
+    ``value(masks)`` keeps column j of ``x`` where bit j of a mask is
+    set and takes ``background`` elsewhere, then scores the whole
+    (n_masks, T, d) stack with one ``model`` call; returns (n_masks,).
+    """
+
+    def value(masks) -> np.ndarray:
+        mixed = np.where(_mask_bits(masks, d)[:, None, :], x, background)
+        return np.asarray(model(mixed), dtype=np.float64)
 
     return value
 
 
 def shapley_exact(model, x, background) -> np.ndarray:
-    """Exact Shapley values by coalition enumeration (d <= 12 columns)."""
-    x = _as_window(x)
+    """Exact Shapley values from all 2^d coalitions (d <= EXACT_LIMIT columns)."""
+    x = np.asarray(x, dtype=np.float64)
     d = x.shape[1]
     if d > EXACT_LIMIT:
         raise SizeError(
             f"{d} columns need 2^{d} evaluations; use shapley_sample instead"
         )
     background = _expand_background(background, x.shape)
-    value = _masked_eval(model, x, background, d)
-    fact = [math.factorial(i) for i in range(d + 1)]
-    phi = np.zeros(d)
+    masks = np.arange(1 << d)
+    v = _masked_eval(model, x, background, d)(masks)
+    bits = _mask_bits(masks, d)
+    fact = np.array([math.factorial(i) for i in range(d + 1)], dtype=np.float64)
+    weight = fact[:d] * fact[d - 1::-1] / fact[d]       # by coalition size |S| < d
+    size = bits.sum(axis=1)
+    phi = np.empty(d)
     for i in range(d):
-        others = [j for j in range(d) if j != i]
-        for sub in range(1 << (d - 1)):
-            mask = 0
-            for bit, j in enumerate(others):
-                if sub >> bit & 1:
-                    mask |= 1 << j
-            size = bin(mask).count("1")
-            weight = fact[size] * fact[d - size - 1] / fact[d]
-            phi[i] += weight * (value(mask | (1 << i)) - value(mask))
+        without = masks[~bits[:, i]]
+        phi[i] = weight[size[without]] @ (v[without | 1 << i] - v[without])
     return phi
 
 
 def shapley_sample(model, x, background, n_perms: int, rng: RngState):
-    """Permutation-sampling Shapley estimate; returns (values, std errors)."""
+    """Permutation-sampling Shapley estimate; returns (values, std errors).
+
+    The d+1 prefix coalitions of every permutation are collected first,
+    so each distinct coalition is scored once, in one batch.
+    """
     if n_perms < 1:
         raise ParameterError(f"n_perms must be >= 1, got {n_perms}")
-    x = _as_window(x)
+    x = np.asarray(x, dtype=np.float64)
     d = x.shape[1]
+    if d > 63:
+        raise SizeError(f"{d} columns do not fit a 64-bit coalition mask")
     background = _expand_background(background, x.shape)
-    value = _masked_eval(model, x, background, d)
-    marginals = np.zeros((n_perms, d))
-    for p in range(n_perms):
-        perm = rng.permutation(d)
-        mask = 0
-        prev = value(0)
-        for j in perm:
-            mask |= 1 << int(j)
-            nxt = value(mask)
-            marginals[p, j] = nxt - prev
-            prev = nxt
+    perms = np.array([rng.permutation(d) for _ in range(n_perms)])
+    prefixes = np.zeros((n_perms, d + 1), dtype=np.int64)
+    np.cumsum(1 << perms, axis=1, out=prefixes[:, 1:])
+    masks, inverse = np.unique(prefixes.ravel(), return_inverse=True)
+    v = _masked_eval(model, x, background, d)(masks)[inverse].reshape(n_perms, d + 1)
+    marginals = np.empty((n_perms, d))
+    np.put_along_axis(marginals, perms, np.diff(v, axis=1), axis=1)
     phi = marginals.mean(axis=0)
     if n_perms > 1:
         stderr = marginals.std(axis=0, ddof=1) / np.sqrt(n_perms)
@@ -155,11 +159,10 @@ def attribute(model, windows, background, feature_names, n_perms: int = 50,
     rng = RngState(seed)
     values = np.zeros((windows.shape[0], d))
     errors = None if exact else np.zeros((windows.shape[0], d))
-    preds = np.zeros(windows.shape[0])
+    preds = np.asarray(model(windows), dtype=np.float64)
     bg_full = _expand_background(background, windows.shape[1:])
-    baseline = float(model(bg_full))
+    baseline = float(model(bg_full[None])[0])
     for i in range(windows.shape[0]):
-        preds[i] = float(model(windows[i]))
         if exact:
             values[i] = shapley_exact(model, windows[i], background)
         else:

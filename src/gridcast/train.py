@@ -73,9 +73,6 @@ class TrainLog:
             for rec in self.epochs:
                 fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r},{rec.lr!r}\n")
 
-    def lr_trace(self) -> list[float]:
-        return [rec.lr for rec in self.epochs]
-
 
 # --- losses ----------------------------------------------------------------
 

@@ -4,8 +4,9 @@ These deliberately avoid the library's own computation paths: gradients
 come from central finite differences, nearest neighbours from a full
 sort, ridge weights from raw normal equations, tree splits from
 exhaustive threshold enumeration, permutations from an
-element-by-element Fisher-Yates loop, and Adam from a loop over
-per-parameter arrays.
+element-by-element Fisher-Yates loop, Adam from a loop over
+per-parameter arrays, and Shapley values from subset enumeration or a
+permutation loop that scores one coalition per model call.
 """
 
 import numpy as np
@@ -166,6 +167,40 @@ def enumerate_shapley(model, x, background, d):
                 weight = math.factorial(size) * math.factorial(d - size - 1) / math.factorial(d)
                 phi[i] += weight * (v(combo + (i,)) - v(combo))
     return phi
+
+
+def shapley_sample_reference(model, x, background, n_perms, rng):
+    """Permutation-sampling Shapley estimate, one window per model call.
+
+    Walks each ``rng.permutation(d)`` in order, scoring every new
+    coalition by itself (memoized by bitmask); returns (values, std errors).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[1]
+    bg = np.broadcast_to(np.asarray(background, dtype=np.float64), x.shape)
+    cache = {}
+
+    def value(mask):
+        if mask not in cache:
+            mixed = bg.copy()
+            for j in range(d):
+                if mask >> j & 1:
+                    mixed[:, j] = x[:, j]
+            cache[mask] = float(model(mixed))
+        return cache[mask]
+
+    marginals = np.zeros((n_perms, d))
+    for p in range(n_perms):
+        mask = 0
+        prev = value(0)
+        for j in rng.permutation(d):
+            mask |= 1 << int(j)
+            nxt = value(mask)
+            marginals[p, j] = nxt - prev
+            prev = nxt
+    stderr = (marginals.std(axis=0, ddof=1) / np.sqrt(n_perms) if n_perms > 1
+              else np.zeros(d))
+    return marginals.mean(axis=0), stderr
 
 
 def trapezoid_auc(points):

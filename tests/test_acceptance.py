@@ -192,7 +192,7 @@ def test_criterion_4_training_protocol():
         net, log = fit(net, (x[:8], y[:8]), (x[8:], y[8:]), cfg)
         assert log.stop_reason == "early_stop"
         assert len(log.epochs) == 301            # 1 improvement + 300 flat epochs
-        lrs = log.lr_trace()
+        lrs = [rec.lr for rec in log.epochs]
         assert lrs[:101] == [0.001] * 101
         assert lrs[101:201] == [0.001 / 3] * 100
         assert lrs[201:301] == [0.001 / 9] * 100
@@ -265,9 +265,9 @@ def test_criterion_7_shapley_soundness():
         w1 = rng.uniform(-1, 1, (5, 4))
         w2 = rng.uniform(-1, 1, 4)
 
-        def model(window):
-            pooled = np.asarray(window).mean(axis=0)
-            return float(np.tanh(pooled @ w1) @ w2)
+        def model(windows):
+            pooled = np.asarray(windows).mean(axis=-2)
+            return np.tanh(pooled @ w1) @ w2
 
         x = rng.uniform(-1, 1, (3, 5))
         bg = rng.uniform(-0.5, 0.5, 5)
@@ -284,9 +284,9 @@ def test_criterion_7_shapley_soundness():
         dead = rng.uniform(-1, 1, (5, 4))
         dead[2, :] = 0.0   # column 2 cannot influence the output
 
-        def dummy_model(window):
-            pooled = np.asarray(window).mean(axis=0)
-            return float(np.tanh(pooled @ dead) @ w2)
+        def dummy_model(windows):
+            pooled = np.asarray(windows).mean(axis=-2)
+            return np.tanh(pooled @ dead) @ w2
 
         assert shapley_exact(dummy_model, x, bg)[2] == 0.0
 

@@ -264,12 +264,28 @@ class TestExplain:
         assert len(payload["feature_names"]) == 13
         assert max(abs(g) for g in payload["efficiency_gaps"]) < 1e-6
 
-    def test_exact_on_thirteen_features_errors_with_guidance(self, tmp_path, synth_csv, trained, capsys):
+    def test_exact_on_thirteen_features(self, tmp_path, synth_csv, trained):
+        out = tmp_path / "x"
         code = main(["explain", "--model", str(trained / "model.json"),
-                     "--csv", str(synth_csv), "--exact",
-                     "--out-dir", str(tmp_path / "x")])
-        assert code == 5
-        assert "sampling" in capsys.readouterr().err
+                     "--csv", str(synth_csv), "--exact", "--windows", "2",
+                     "--out-dir", str(out)])
+        assert code == 0
+        payload = json.loads((out / "shapley.json").read_text())
+        assert payload["method"] == "exact"
+        assert payload["stderr"] is None
+        assert len(payload["feature_names"]) == 13
+        assert max(abs(g) for g in payload["efficiency_gaps"]) <= 1e-9
+
+    @pytest.mark.parametrize("windows", ["0", "-1"])
+    def test_windows_below_one_rejected_before_out_dir(self, tmp_path, synth_csv, trained,
+                                                        capsys, windows):
+        out = tmp_path / "none"
+        code = main(["explain", "--model", str(trained / "model.json"),
+                     "--csv", str(synth_csv), "--windows", windows,
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "explain_windows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path, synth_csv, trained):
         out = tmp_path / "expdet"

@@ -6,15 +6,15 @@ from gridcast.explain import (attribute, shapley_exact, shapley_sample,
                               write_attribution_csv)
 from gridcast.tensor import RngState
 
-from oracles import enumerate_shapley
+from oracles import enumerate_shapley, shapley_sample_reference
 
 
 def additive_model(coeffs):
-    """f(x) = sum_j c_j * mean over the window of column j."""
+    """f(x) = sum_j c_j * mean over the window of column j, per window."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
 
-    def f(window):
-        return float(coeffs @ np.asarray(window).mean(axis=0))
+    def f(windows):
+        return np.asarray(windows).mean(axis=-2) @ coeffs
 
     return f
 
@@ -24,9 +24,9 @@ def random_nonlinear_model(d, seed):
     w1 = rng.uniform(-1, 1, (d, 6))
     w2 = rng.uniform(-1, 1, 6)
 
-    def f(window):
-        pooled = np.asarray(window).mean(axis=0)
-        return float(np.tanh(pooled @ w1) @ w2)
+    def f(windows):
+        pooled = np.asarray(windows).mean(axis=-2)
+        return np.tanh(pooled @ w1) @ w2
 
     return f
 
@@ -82,11 +82,41 @@ class TestShapleyExact:
         bg = rng.uniform(-1, 1, 4)
         assert shapley_exact(f, x, bg)[2] == 0.0
 
+    def test_matches_independent_enumeration_at_eight_features(self):
+        f = random_nonlinear_model(8, seed=25)
+        rng = RngState(26)
+        x = rng.uniform(-1, 1, (3, 8))
+        bg = rng.uniform(-1, 1, 8)
+        phi = shapley_exact(f, x, bg)
+        oracle = enumerate_shapley(f, x, bg, 8)
+        assert np.abs(phi - oracle).max() < 1e-12
+
+    def test_thirteen_features_additive_closed_form(self):
+        coeffs = RngState(27).uniform(-2, 2, 13)
+        f = additive_model(coeffs)
+        rng = RngState(28)
+        x = rng.uniform(-1, 1, (4, 13))
+        bg = rng.uniform(-1, 1, 13)
+        phi = shapley_exact(f, x, bg)
+        expected = coeffs * (x.mean(axis=0) - bg)
+        assert np.abs(phi - expected).max() < 1e-12
+
+    def test_one_model_call_scores_every_coalition(self):
+        f = additive_model([1.0, -1.0, 2.0])
+        stacks = []
+
+        def counted(windows):
+            stacks.append(np.asarray(windows).shape)
+            return f(windows)
+
+        shapley_exact(counted, np.ones((2, 3)), np.zeros(3))
+        assert stacks == [(8, 2, 3)]
+
     def test_too_many_columns_routes_to_sampling(self):
-        f = additive_model(np.ones(13))
-        x = np.ones((2, 13))
+        f = additive_model(np.ones(14))
+        x = np.ones((2, 14))
         with pytest.raises(SizeError, match="shapley_sample"):
-            shapley_exact(f, x, np.zeros(13))
+            shapley_exact(f, x, np.zeros(14))
 
 
 class TestShapleySample:
@@ -126,6 +156,24 @@ class TestShapleySample:
         phi, _ = shapley_sample(f, x, bg, n_perms=7, rng=RngState(20))
         gap = phi.sum() - (f(x) - f(np.broadcast_to(bg, x.shape)))
         assert abs(gap) < 1e-10
+
+    @pytest.mark.parametrize("d, n_perms", [(1, 3), (5, 1), (6, 40), (13, 50)])
+    def test_batched_equals_per_coalition_reference(self, d, n_perms):
+        f = random_nonlinear_model(d, seed=29)
+        rng = RngState(30)
+        x = rng.uniform(-1, 1, (3, d))
+        bg = rng.uniform(-1, 1, d)
+        batched_rng, reference_rng = RngState(31), RngState(31)
+        phi, stderr = shapley_sample(f, x, bg, n_perms, batched_rng)
+        ref_phi, ref_stderr = shapley_sample_reference(f, x, bg, n_perms, reference_rng)
+        assert np.abs(phi - ref_phi).max() < 1e-12
+        assert np.abs(stderr - ref_stderr).max() < 1e-12
+        assert batched_rng._counter == reference_rng._counter
+
+    def test_columns_beyond_a_64_bit_mask_rejected(self):
+        with pytest.raises(SizeError, match="64-bit"):
+            shapley_sample(additive_model(np.ones(64)), np.ones((2, 64)), np.zeros(64),
+                           n_perms=2, rng=RngState(0))
 
     def test_bad_n_perms(self):
         with pytest.raises(ParameterError):

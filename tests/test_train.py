@@ -241,7 +241,7 @@ class TestFit:
         net, log = fit(net, (x[:16], y[:16]), (x[16:], y[16:]), cfg)
         assert log.stop_reason == "early_stop"
         assert len(log.epochs) == 1 + 7
-        lrs = log.lr_trace()
+        lrs = [rec.lr for rec in log.epochs]
         assert lrs[:4] == [0.009] * 4
         assert lrs[4:7] == [0.009 / 3] * 3
         assert lrs[7] == 0.009 / 9
@@ -251,7 +251,7 @@ class TestFit:
         cfg = TrainConfig(max_epochs=40, initial_lr=0.01, lr_patience=2,
                           early_stop_patience=12, seed=11, freeze_params=True)
         _, log = fit(tiny_net(), (x[:16], y[:16]), (x[16:], y[16:]), cfg)
-        lrs = log.lr_trace()
+        lrs = [rec.lr for rec in log.epochs]
         changes = sum(1 for a, b in zip(lrs, lrs[1:]) if a != b)
         for a, b in zip(lrs, lrs[1:]):
             assert b <= a                     # non-increasing
