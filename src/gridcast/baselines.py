@@ -28,11 +28,10 @@ def flatten_windows(inputs: np.ndarray) -> np.ndarray:
 # --- KNN ---------------------------------------------------------------------
 
 
-def knn_predict(train_x, train_y, query, k: int, classify: bool = False) -> float:
-    """Mean (or majority vote) of the k nearest training targets.
+def knn_predict_batch(train_x, train_y, queries, k: int) -> np.ndarray:
+    """Mean of the k nearest training targets for each (n, d) query row.
 
-    Distance ties break toward the lower training index; vote ties
-    toward label 0.
+    Distance ties break toward the lower training index.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64)
@@ -40,20 +39,14 @@ def knn_predict(train_x, train_y, query, k: int, classify: bool = False) -> floa
         raise DataError("knn needs a non-empty training set")
     if not 1 <= k <= train_x.shape[0]:
         raise ParameterError(f"k must be in [1, {train_x.shape[0]}], got {k}")
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    diff = train_x - query
-    dists = (diff * diff).sum(axis=1)
-    nearest = np.argsort(dists, kind="stable")[:k]
-    targets = train_y[nearest]
-    if classify:
-        return 1.0 if (targets == 1.0).sum() > k / 2.0 else 0.0
-    return float(targets.mean())
-
-
-def knn_predict_batch(train_x, train_y, queries, k: int, classify: bool = False) -> np.ndarray:
-    return np.array([
-        knn_predict(train_x, train_y, q, k, classify) for q in np.asarray(queries, dtype=np.float64)
-    ])
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, train_x.shape[1])
+    out = np.empty(queries.shape[0])
+    # one query at a time: a (q, n) distance matrix would hold q * n floats
+    for i, query in enumerate(queries):
+        diff = train_x - query
+        dists = (diff * diff).sum(axis=1)
+        out[i] = train_y[np.argsort(dists, kind="stable")[:k]].mean()
+    return out
 
 
 # --- Bayesian ridge ------------------------------------------------------------
@@ -102,20 +95,19 @@ class BayesianRidge:
 # --- random forest --------------------------------------------------------------
 
 
+MIN_LEAF = 2
+
+
 @dataclass
 class ForestConfig:
     n_trees: int = 100
     max_depth: int = 12
-    min_leaf: int = 2
-    feature_subsample: int | None = None    # None -> round(sqrt(d))
-    bootstrap: bool = True
     seed: int = 0
 
     def validate(self):
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
+        if self.n_trees < 1 or self.max_depth < 1:
             raise ParameterError(
-                f"n_trees, max_depth, min_leaf must be >= 1, got "
-                f"{self.n_trees}, {self.max_depth}, {self.min_leaf}"
+                f"n_trees, max_depth must be >= 1, got {self.n_trees}, {self.max_depth}"
             )
 
 
@@ -176,13 +168,16 @@ def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
 
 
 class RegressionTree:
-    """Greedy CART regressor with mean-valued leaves."""
+    """Greedy CART regressor with mean-valued leaves.
 
-    def __init__(self, max_depth: int = 12, min_leaf: int = 2,
-                 feature_subsample: int | None = None, rng: RngState | None = None):
+    Each node searches round(sqrt(d)) columns drawn from ``rng``, or
+    every column when ``rng`` is None.
+    """
+
+    def __init__(self, max_depth: int = 12, min_leaf: int = MIN_LEAF,
+                 rng: RngState | None = None):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.feature_subsample = feature_subsample
         self.rng = rng
         self.root = None
 
@@ -197,8 +192,7 @@ class RegressionTree:
 
     def _candidate_features(self) -> np.ndarray:
         d = self._d
-        m = self.feature_subsample or max(1, round(np.sqrt(d)))
-        m = min(m, d)
+        m = min(max(1, round(np.sqrt(d))), d)
         if m == d or self.rng is None:
             return np.arange(d)
         return self.rng.permutation(d)[:m]
@@ -247,14 +241,9 @@ class RandomForest:
         self.trees = []
         for i in range(self.config.n_trees):
             tree_rng = master.spawn(i)
-            if self.config.bootstrap:
-                idx = tree_rng.integers(n, n)
-                bx, by = x[idx], y[idx]
-            else:
-                bx, by = x, y
-            tree = RegressionTree(self.config.max_depth, self.config.min_leaf,
-                                  self.config.feature_subsample, tree_rng)
-            self.trees.append(tree.fit(bx, by))
+            idx = tree_rng.integers(n, n)
+            tree = RegressionTree(self.config.max_depth, rng=tree_rng)
+            self.trees.append(tree.fit(x[idx], y[idx]))
         return self
 
     def predict(self, x) -> np.ndarray:

@@ -30,7 +30,7 @@ from .network import Network, NetworkConfig
 from .tensor import RngState
 from .train import TrainConfig, fit, predict_all
 
-MODEL_FORMAT = "gridcast-model-v1"
+MODEL_FORMAT = "gridcast-model-v2"
 NOT_REPRODUCED = ("SVR", "XGB")
 
 
@@ -86,6 +86,8 @@ class RunConfig:
             problems.append(f"task must be regression or classification, got {self.task!r}")
         if self.explain_windows < 1:
             problems.append(f"explain_windows must be >= 1, got {self.explain_windows}")
+        if self.explain_perms < 1:
+            problems.append(f"explain_perms must be >= 1, got {self.explain_perms}")
         if problems:
             raise ParameterError("invalid run config: " + "; ".join(problems))
 

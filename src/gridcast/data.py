@@ -196,9 +196,10 @@ def _normalize(name: str) -> str:
 def load_csv(path, on_missing: str = "reject") -> Table:
     """Read a schema-conformant CSV into a Table.
 
-    Header matching is case/whitespace-insensitive. Rows with empty
-    cells are dropped (``reject``) or forward-filled (``ffill``); any
-    other unparsable cell raises a RowError citing the file line.
+    Header matching is case/whitespace-insensitive, and a known column
+    named twice raises a SchemaError. Rows with empty cells are dropped
+    (``reject``) or forward-filled (``ffill``); any other unparsable
+    cell raises a RowError citing the file line.
     """
     if on_missing not in ("reject", "ffill"):
         raise ParameterError(f"on_missing must be reject or ffill, got {on_missing!r}")
@@ -212,6 +213,9 @@ def load_csv(path, on_missing: str = "reject") -> Table:
         raise DataError(f"{path}: empty file")
     header = [_normalize(cell) for cell in rows[0]]
     col_of = {}
+    for name in SCHEMA + ["timestamp"]:
+        if header.count(name) > 1:
+            raise SchemaError(f"{path}: column {name!r} appears {header.count(name)} times")
     for name in SCHEMA:
         if name not in header:
             raise SchemaError(f"{path}: missing column {name!r}")

@@ -138,118 +138,103 @@ class Gru(_Layer):
 
         r_t = sigmoid(x_t W_r + h_{t-1} U_r + b_r)
         z_t = sigmoid(x_t W_z + h_{t-1} U_z + b_z)
-        c_t = tanh(x_t W + (r_t * h_{t-1}) U + b)
+        c_t = tanh(x_t W_c + (r_t * h_{t-1}) U + b_c)
         h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
-    so z_t gates the candidate in. A (B, T, in_dim) batch advances all
-    B windows together: each step is one (B, hidden) @ (hidden, hidden)
-    product per matrix, and the per-step states are stored time-major,
-    (T, B, hidden), so every step reads one contiguous slice. ``h0`` is
-    (B, hidden), zeros if omitted. The backward pass is full
-    backpropagation through time across all steps, including the
-    gradient on h0 (kept in ``h0_grad``, also (B, hidden)).
+    so z_t gates the candidate in. The gate weights are stacked in
+    reset/update/candidate order: ``W`` is (3, in_dim, hidden) holding
+    W_r, W_z, W_c; ``U_rz`` is (2, hidden, hidden) holding U_r, U_z;
+    ``U`` is the candidate's (hidden, hidden); ``b`` is (3, hidden)
+    holding b_r, b_z, b_c. A (B, T, in_dim) batch advances all B
+    windows together: each step is one stacked (B, hidden) product for
+    both gates and one for the candidate, and the per-step states are
+    stored time-major, (T, B, hidden), so every step reads one
+    contiguous slice. ``h0`` is (B, hidden), zeros if omitted. The
+    backward pass is full backpropagation through time across all
+    steps, including the gradient on h0 (kept in ``h0_grad``, also
+    (B, hidden)).
     """
 
-    def __init__(self, W_r, W_z, W, U_r, U_z, U, b_r, b_z, b):
+    def __init__(self, W, U_rz, U, b):
         super().__init__()
-        self.W_r, self.W_z, self.W = (as_tensor(m) for m in (W_r, W_z, W))
-        self.U_r, self.U_z, self.U = (as_tensor(m) for m in (U_r, U_z, U))
-        self.b_r, self.b_z, self.b = (as_tensor(v) for v in (b_r, b_z, b))
-        hidden = self.W_r.shape[1]
-        for name, m in (("W_z", self.W_z), ("W", self.W)):
-            if m.shape != self.W_r.shape:
-                raise ParameterError(f"{name} shape {m.shape} != W_r shape {self.W_r.shape}")
-        for name, m in (("U_r", self.U_r), ("U_z", self.U_z), ("U", self.U)):
-            if m.shape != (hidden, hidden):
-                raise ParameterError(f"{name} shape {m.shape} != ({hidden}, {hidden})")
-        for name, v in (("b_r", self.b_r), ("b_z", self.b_z), ("b", self.b)):
-            if v.shape != (hidden,):
-                raise ParameterError(f"{name} shape {v.shape} != ({hidden},)")
+        self.W, self.U_rz, self.U, self.b = (as_tensor(m) for m in (W, U_rz, U, b))
+        if self.W.ndim != 3 or self.W.shape[0] != 3:
+            raise ParameterError(f"W must be (3, in_dim, hidden), got {self.W.shape}")
+        hidden = self.W.shape[2]
+        for name, m, shape in (("U_rz", self.U_rz, (2, hidden, hidden)),
+                               ("U", self.U, (hidden, hidden)), ("b", self.b, (3, hidden))):
+            if m.shape != shape:
+                raise ParameterError(f"{name} shape {m.shape} != {shape}")
         self.h0_grad = None
 
     @classmethod
     def init(cls, in_dim: int, hidden: int, rng: RngState) -> "Gru":
         w = [glorot_uniform(rng, in_dim, hidden, (in_dim, hidden)) for _ in range(3)]
         u = [glorot_uniform(rng, hidden, hidden, (hidden, hidden)) for _ in range(3)]
-        b = [np.zeros(hidden) for _ in range(3)]
-        return cls(w[0], w[1], w[2], u[0], u[1], u[2], b[0], b[1], b[2])
+        return cls(np.stack(w), np.stack(u[:2]), u[2], np.zeros((3, hidden)))
 
     def params(self):
-        return {
-            "W_r": self.W_r, "W_z": self.W_z, "W": self.W,
-            "U_r": self.U_r, "U_z": self.U_z, "U": self.U,
-            "b_r": self.b_r, "b_z": self.b_z, "b": self.b,
-        }
+        return {"W": self.W, "U_rz": self.U_rz, "U": self.U, "b": self.b}
 
     def forward(self, x, h0=None) -> np.ndarray:
-        in_dim, hidden = self.W_r.shape
+        _, in_dim, hidden = self.W.shape
         x = _as_batch(x, in_dim, "gru")
         batch, t_len, _ = x.shape
         h0 = np.zeros((batch, hidden)) if h0 is None else as_tensor(h0)
         if h0.shape != (batch, hidden):
             raise DimensionError(f"h0 shape {h0.shape} != {(batch, hidden)}")
-        # time-major input; projections for every step in one shot
+        # time-major input; (3, T, B, hidden) gate projections in one shot
         x = np.ascontiguousarray(x.transpose(1, 0, 2))
-        xr = x @ self.W_r + self.b_r
-        xz = x @ self.W_z + self.b_z
-        xh = x @ self.W + self.b
+        a = x @ self.W[:, None] + self.b[:, None, None]
         hs = np.empty((t_len + 1, batch, hidden))
         hs[0] = h0
-        rs = np.empty((t_len, batch, hidden))
-        zs = np.empty((t_len, batch, hidden))
+        rzs = np.empty((2, t_len, batch, hidden))
         cs = np.empty((t_len, batch, hidden))
         # gates inlined (same math as tensor.sigmoid) to keep the step
         # loop free of per-call overhead
         with np.errstate(over="ignore"):
             for t in range(t_len):
                 h_prev = hs[t]
-                rs[t] = 1.0 / (1.0 + np.exp(-(xr[t] + h_prev @ self.U_r)))
-                zs[t] = 1.0 / (1.0 + np.exp(-(xz[t] + h_prev @ self.U_z)))
-                cs[t] = np.tanh(xh[t] + (rs[t] * h_prev) @ self.U)
-                hs[t + 1] = (1.0 - zs[t]) * h_prev + zs[t] * cs[t]
-        self._cache = (x, hs, rs, zs, cs)
+                rzs[:, t] = 1.0 / (1.0 + np.exp(-(a[:2, t] + h_prev @ self.U_rz)))
+                r, z = rzs[0, t], rzs[1, t]
+                cs[t] = np.tanh(a[2, t] + (r * h_prev) @ self.U)
+                hs[t + 1] = (1.0 - z) * h_prev + z * cs[t]
+        self._cache = (x, hs, rzs, cs)
         return hs[1:].transpose(1, 0, 2).copy()
 
     def backward(self, upstream):
-        x, hs, rs, zs, cs = self._take_cache()
-        t_len, batch, hidden = rs.shape
+        x, hs, rzs, cs = self._take_cache()
+        t_len, batch, hidden = cs.shape
         upstream = _as_batch(upstream, hidden, "gru backward")
         if upstream.shape != (batch, t_len, hidden):
             raise DimensionError(f"upstream batch shape {upstream.shape} != {(batch, t_len, hidden)}")
         upstream = upstream.transpose(1, 0, 2)
-        # pre-activation gradients per step; weight gradients batch into
-        # single matmuls afterwards
-        dar_seq = np.empty((t_len, batch, hidden))
-        daz_seq = np.empty((t_len, batch, hidden))
-        dah_seq = np.empty((t_len, batch, hidden))
-        u_t, ur_t, uz_t = self.U.T, self.U_r.T, self.U_z.T
+        # pre-activation gradients per gate and step; weight gradients
+        # batch into stacked matmuls afterwards
+        da = np.empty((3, t_len, batch, hidden))
+        u_t, urz_t = self.U.T, self.U_rz.transpose(0, 2, 1)
         carry = np.zeros((batch, hidden))
         for t in range(t_len - 1, -1, -1):
             delta = upstream[t] + carry
-            h_prev, r, z, c = hs[t], rs[t], zs[t], cs[t]
-            daz = delta * (c - h_prev) * z * (1.0 - z)
-            dah = delta * z * (1.0 - c * c)
-            drh = dah @ u_t               # grad w.r.t. (r * h_prev)
-            dar = drh * h_prev * r * (1.0 - r)
-            dar_seq[t] = dar
-            daz_seq[t] = daz
-            dah_seq[t] = dah
-            carry = delta * (1.0 - z) + dar @ ur_t + daz @ uz_t + drh * r
+            h_prev, r, z, c = hs[t], rzs[0, t], rzs[1, t], cs[t]
+            da[1, t] = delta * (c - h_prev) * z * (1.0 - z)
+            da[2, t] = delta * z * (1.0 - c * c)
+            drh = da[2, t] @ u_t              # grad w.r.t. (r * h_prev)
+            da[0, t] = drh * h_prev * r * (1.0 - r)
+            back = da[:2, t] @ urz_t
+            carry = delta * (1.0 - z) + back[0] + back[1] + drh * r
         # every (step, window) pair is one row of the weight-gradient sums
         rows = t_len * batch
-        x_rows = x.reshape(rows, -1)
-        h_rows = hs[:-1].reshape(rows, hidden)
-        rh_rows = (rs * hs[:-1]).reshape(rows, hidden)
-        dar_rows = dar_seq.reshape(rows, hidden)
-        daz_rows = daz_seq.reshape(rows, hidden)
-        dah_rows = dah_seq.reshape(rows, hidden)
+        da_rows = da.reshape(3, rows, hidden)
         self.grads = {
-            "W_r": x_rows.T @ dar_rows, "U_r": h_rows.T @ dar_rows, "b_r": dar_rows.sum(axis=0),
-            "W_z": x_rows.T @ daz_rows, "U_z": h_rows.T @ daz_rows, "b_z": daz_rows.sum(axis=0),
-            "W": x_rows.T @ dah_rows, "U": rh_rows.T @ dah_rows, "b": dah_rows.sum(axis=0),
+            "W": x.reshape(rows, -1).T @ da_rows,
+            "U_rz": hs[:-1].reshape(rows, hidden).T @ da_rows[:2],
+            "U": (rzs[0] * hs[:-1]).reshape(rows, hidden).T @ da_rows[2],
+            "b": da_rows.sum(axis=1),
         }
         self.h0_grad = carry
-        return (dar_seq @ self.W_r.T + daz_seq @ self.W_z.T + dah_seq @ self.W.T).transpose(1, 0, 2)
+        dx = da @ self.W.transpose(0, 2, 1)[:, None]
+        return (dx[0] + dx[1] + dx[2]).transpose(1, 0, 2)
 
 
 class Attention(_Layer):

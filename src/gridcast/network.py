@@ -85,7 +85,7 @@ class Network:
     """Layer states for all blocks plus the head; single-owner while training.
 
     Every parameter lives in one float64 ``vector``: each layer attribute
-    named by its ``params()`` (``kernels``, ``W_r``, ``gain``, ...) is a
+    named by its ``params()`` (``kernels``, ``U_rz``, ``gain``, ...) is a
     view into it, in ``params()`` key order. ``backward`` leaves the
     matching flat gradient in ``grad``, so an optimizer or a finiteness
     check can act on two arrays without knowing the layout.

@@ -1,11 +1,12 @@
 """Losses, Adam, the learning-rate schedule, and the epoch loop.
 
 The schedule follows the training protocol used throughout this
-artifact: learning rate is cut threefold after ``lr_patience`` epochs
-without validation improvement, training stops after
-``early_stop_patience`` such epochs, and the best-validation parameter
-snapshot is restored at the end. Improvement means the validation loss
-dropped by more than ``improvement_threshold`` below the best seen.
+artifact: learning rate is cut ``LR_REDUCE_FACTOR``-fold after
+``lr_patience`` epochs without validation improvement, training stops
+after ``early_stop_patience`` such epochs, and the best-validation
+parameter snapshot is restored at the end. Improvement means the
+validation loss dropped by more than ``IMPROVEMENT_THRESHOLD`` below
+the best seen.
 """
 
 from __future__ import annotations
@@ -20,18 +21,20 @@ from .network import Network
 from .tensor import RngState, as_tensor
 
 
+LR_REDUCE_FACTOR = 3.0
+IMPROVEMENT_THRESHOLD = 1e-9
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class TrainConfig:
     max_epochs: int = 10000
     early_stop_patience: int = 300
     initial_lr: float = 0.001
-    lr_reduce_factor: float = 3.0
     lr_patience: int = 100
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    improvement_threshold: float = 1e-9
     seed: int = 0
     # dry-run switch: keep parameters frozen (no optimizer updates); used to
     # verify the schedule/stopping machinery against a flat loss curve
@@ -120,21 +123,20 @@ class AdamState:
         self.v = np.zeros_like(param)
 
 
-def adam_step(param, grad, state: AdamState, lr: float, t: int,
-              beta1=0.9, beta2=0.999, epsilon=1e-8):
+def adam_step(param, grad, state: AdamState, lr: float, t: int):
     """One in-place Adam update of ``param`` with bias correction; ``t`` is 1-based."""
     if t < 1:
         raise ParameterError(f"step index must be >= 1, got {t}")
     if grad.shape != param.shape:
         raise DimensionError(f"grad shape {grad.shape} != param shape {param.shape}")
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 # --- schedule ----------------------------------------------------------------
@@ -158,11 +160,11 @@ class LrSchedule:
 
     @property
     def lr(self) -> float:
-        return self.cfg.initial_lr / self.cfg.lr_reduce_factor ** self.reductions
+        return self.cfg.initial_lr / LR_REDUCE_FACTOR ** self.reductions
 
     def update(self, val_loss: float):
         """Returns (improved, stop) for one epoch's validation loss."""
-        if val_loss < self.best - self.cfg.improvement_threshold:
+        if val_loss < self.best - IMPROVEMENT_THRESHOLD:
             self.best = val_loss
             self._since_improve_lr = 0
             self._since_improve_stop = 0
@@ -258,8 +260,7 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
                     raise NumericError(f"epoch {epoch}: non-finite gradient for parameter {key}")
                 if not cfg.freeze_params:
                     step += 1
-                    adam_step(net.vector, net.grad, adam, lr, step,
-                              cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+                    adam_step(net.vector, net.grad, adam, lr, step)
             train_loss = loss_sum / n
             val_loss = evaluate_loss(net, val_x, val_y, head)
             _require_finite(val_loss, epoch, "validation loss")

@@ -5,7 +5,8 @@ come from central finite differences, nearest neighbours from a full
 sort, ridge weights from raw normal equations, tree splits from
 exhaustive threshold enumeration, permutations from an
 element-by-element Fisher-Yates loop, Adam from a loop over
-per-parameter arrays, and Shapley values from subset enumeration or a
+per-parameter arrays, the GRU from one matrix per gate, and Shapley
+values from subset enumeration or a
 permutation loop that scores one coalition per model call.
 """
 
@@ -73,15 +74,11 @@ def check_gradients(forward_fn, backward_fn, arrays, seed=0, tol=1e-4):
     return worst
 
 
-def brute_force_knn(train_x, train_y, query, k, classify=False):
+def brute_force_knn(train_x, train_y, query, k):
     """KNN by an explicit (distance, index) sort."""
     dists = [(float(((row - query) ** 2).sum()), i) for i, row in enumerate(train_x)]
     dists.sort()
-    picked = [train_y[i] for _, i in dists[:k]]
-    if classify:
-        ones = sum(1 for v in picked if v == 1.0)
-        return 1.0 if ones > k / 2.0 else 0.0
-    return sum(picked) / k
+    return sum(train_y[i] for _, i in dists[:k]) / k
 
 
 def normal_equations_ridge(x, y, alpha, lam):
@@ -143,6 +140,54 @@ def adam_reference(params, grads, m, v, lr, t, beta1=0.9, beta2=0.999, epsilon=1
         v[key] *= beta2
         v[key] += (1.0 - beta2) * g * g
         p -= lr * (m[key] / bc1) / (np.sqrt(v[key] / bc2) + epsilon)
+
+
+def gru_reference(W, U_rz, U, b, x, h0, upstream):
+    """GRU forward and backward with a separate matrix and product per gate.
+
+    Takes ``Gru``'s stacked parameters, a (B, T, in) batch, a (B, hidden)
+    ``h0`` and a (B, T, hidden) upstream gradient, and returns (output,
+    input gradient, h0 gradient, {key: gradient stacked like ``Gru``}).
+    """
+    (W_r, W_z, W_c), (U_r, U_z), (b_r, b_z, b_c) = W, U_rz, b
+    batch, t_len, _ = x.shape
+    hidden = U.shape[0]
+    x = np.ascontiguousarray(x.transpose(1, 0, 2))
+    xr, xz, xh = x @ W_r + b_r, x @ W_z + b_z, x @ W_c + b_c
+    hs = np.empty((t_len + 1, batch, hidden))
+    hs[0] = h0
+    rs, zs, cs = (np.empty((t_len, batch, hidden)) for _ in range(3))
+    for t in range(t_len):
+        h_prev = hs[t]
+        rs[t] = 1.0 / (1.0 + np.exp(-(xr[t] + h_prev @ U_r)))
+        zs[t] = 1.0 / (1.0 + np.exp(-(xz[t] + h_prev @ U_z)))
+        cs[t] = np.tanh(xh[t] + (rs[t] * h_prev) @ U)
+        hs[t + 1] = (1.0 - zs[t]) * h_prev + zs[t] * cs[t]
+    upstream = upstream.transpose(1, 0, 2)
+    dar_seq, daz_seq, dah_seq = (np.empty((t_len, batch, hidden)) for _ in range(3))
+    carry = np.zeros((batch, hidden))
+    for t in range(t_len - 1, -1, -1):
+        delta = upstream[t] + carry
+        h_prev, r, z, c = hs[t], rs[t], zs[t], cs[t]
+        daz = delta * (c - h_prev) * z * (1.0 - z)
+        dah = delta * z * (1.0 - c * c)
+        drh = dah @ U.T
+        dar = drh * h_prev * r * (1.0 - r)
+        dar_seq[t], daz_seq[t], dah_seq[t] = dar, daz, dah
+        carry = delta * (1.0 - z) + dar @ U_r.T + daz @ U_z.T + drh * r
+    rows = t_len * batch
+    x_rows = x.reshape(rows, -1)
+    h_rows = hs[:-1].reshape(rows, hidden)
+    rh_rows = (rs * hs[:-1]).reshape(rows, hidden)
+    dar_rows, daz_rows, dah_rows = (a.reshape(rows, hidden) for a in (dar_seq, daz_seq, dah_seq))
+    grads = {
+        "W": np.stack([x_rows.T @ dar_rows, x_rows.T @ daz_rows, x_rows.T @ dah_rows]),
+        "U_rz": np.stack([h_rows.T @ dar_rows, h_rows.T @ daz_rows]),
+        "U": rh_rows.T @ dah_rows,
+        "b": np.stack([dar_rows.sum(axis=0), daz_rows.sum(axis=0), dah_rows.sum(axis=0)]),
+    }
+    dx = dar_seq @ W_r.T + daz_seq @ W_z.T + dah_seq @ W_c.T
+    return hs[1:].transpose(1, 0, 2), dx.transpose(1, 0, 2), carry, grads
 
 
 def enumerate_shapley(model, x, background, d):

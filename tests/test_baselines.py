@@ -3,7 +3,7 @@ import pytest
 
 from gridcast.baselines import (BayesianRidge, ForestConfig, RandomForest,
                                 RegressionTree, best_split, flatten_windows,
-                                knn_predict, knn_predict_batch)
+                                knn_predict_batch)
 from gridcast.errors import DataError, NumericError, ParameterError
 from gridcast.tensor import RngState
 
@@ -23,18 +23,18 @@ class TestKnn:
     def test_exact_match_with_k1(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         y = np.array([10.0, 20.0, 30.0])
-        assert knn_predict(x, y, x[1], k=1) == 20.0
+        assert knn_predict_batch(x, y, x[1:2], k=1)[0] == 20.0
 
     def test_k_equals_n_gives_global_mean(self):
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([3.0, 6.0, 9.0])
-        assert knn_predict(x, y, [0.5], k=3) == 6.0
+        assert knn_predict_batch(x, y, [[0.5]], k=3)[0] == 6.0
 
     def test_three_point_hand_case(self):
         x = np.array([[0.0], [1.0], [10.0]])
         y = np.array([1.0, 3.0, 100.0])
         # query 0.4: nearest two are rows 0 and 1
-        assert knn_predict(x, y, [0.4], k=2) == 2.0
+        assert knn_predict_batch(x, y, [[0.4]], k=2)[0] == 2.0
 
     def test_matches_brute_force_on_200_random_queries(self):
         rng = RngState(5)
@@ -57,19 +57,13 @@ class TestKnn:
         x = np.array([[1.0], [-1.0], [3.0]])
         y = np.array([5.0, 7.0, 9.0])
         # rows 0 and 1 are equidistant from 0; k=1 must pick row 0
-        assert knn_predict(x, y, [0.0], k=1) == 5.0
-
-    def test_classification_majority_and_tie_to_zero(self):
-        x = np.array([[0.0], [0.1], [0.2], [0.3]])
-        y = np.array([1.0, 1.0, 0.0, 0.0])
-        assert knn_predict(x, y, [0.0], k=3, classify=True) == 1.0
-        assert knn_predict(x, y, [0.15], k=4, classify=True) == 0.0
+        assert knn_predict_batch(x, y, [[0.0]], k=1)[0] == 5.0
 
     def test_empty_train_and_bad_k(self):
         with pytest.raises(DataError):
-            knn_predict(np.empty((0, 2)), np.empty(0), [0.0, 0.0], k=1)
+            knn_predict_batch(np.empty((0, 2)), np.empty(0), [[0.0, 0.0]], k=1)
         with pytest.raises(ParameterError):
-            knn_predict(np.ones((3, 2)), np.ones(3), [0.0, 0.0], k=4)
+            knn_predict_batch(np.ones((3, 2)), np.ones(3), [[0.0, 0.0]], k=4)
 
 
 class TestBayesianRidge:

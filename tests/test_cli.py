@@ -145,6 +145,16 @@ class TestExitCodes:
         assert code == 4
         assert "numeric error: epoch 1: training loss is nan" in capsys.readouterr().err
 
+    def test_model_of_the_previous_format_is_schema_error(self, tmp_path, synth_csv, trained,
+                                                           capsys):
+        payload = json.loads((trained / "model.json").read_text())
+        payload["format"] = "gridcast-model-v1"
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(old), "--csv", str(synth_csv),
+                     "--out-dir", str(tmp_path / "x")]) == 3
+        assert "not a gridcast-model-v2 file" in capsys.readouterr().err
+
     def test_bad_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -276,15 +286,21 @@ class TestExplain:
         assert len(payload["feature_names"]) == 13
         assert max(abs(g) for g in payload["efficiency_gaps"]) <= 1e-9
 
-    @pytest.mark.parametrize("windows", ["0", "-1"])
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--windows", "0", id="0"),
+        pytest.param("--windows", "-1", id="-1"),
+        pytest.param("--perms", "0", id="perms-0"),
+        pytest.param("--perms", "-1", id="perms--1"),
+    ])
     def test_windows_below_one_rejected_before_out_dir(self, tmp_path, synth_csv, trained,
-                                                        capsys, windows):
+                                                        capsys, flag, value):
         out = tmp_path / "none"
         code = main(["explain", "--model", str(trained / "model.json"),
-                     "--csv", str(synth_csv), "--windows", windows,
+                     "--csv", str(synth_csv), flag, value,
                      "--out-dir", str(out)])
         assert code == 2
-        assert "explain_windows" in capsys.readouterr().err
+        field = {"--windows": "explain_windows", "--perms": "explain_perms"}[flag]
+        assert f"{field} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path, synth_csv, trained):

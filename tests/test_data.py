@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -5,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcast import data as dat
+from gridcast.cli import main
 from gridcast.data import (SCHEMA, TABLE_STATS, Table, fit_scaler,
                            label_zero_state, load_csv, make_windows,
                            moment_report, split_and_scale, synth_generate,
@@ -58,6 +63,13 @@ class TestLoadCsv:
         header = [c for c in SCHEMA if c != "fuel_cost"]
         path = rows_csv(tmp_path, [[1.0] * len(header)], header=header)
         with pytest.raises(SchemaError, match="fuel_cost"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("name", ["pv_kw", "generator_kw", "timestamp"])
+    def test_column_named_twice_is_schema_error(self, tmp_path, name):
+        header = ["timestamp"] + SCHEMA + [f" {name.upper()}"]
+        path = rows_csv(tmp_path, [["t0"] + simple_row() + [1.0]], header=header)
+        with pytest.raises(SchemaError, match=f"column '{name}' appears 2 times"):
             load_csv(path)
 
     def test_empty_file_errors(self, tmp_path):
@@ -356,3 +368,66 @@ class TestScalerEdge:
         with pytest.warns(UserWarning, match="constant training target"):
             scaler = fit_scaler(inputs, np.full(10, 3.0))
         assert scaler.target_std == 1.0
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+def _train_exit_code(path: Path) -> tuple[int, str]:
+    """``gridcast train`` exit code and stderr on the CSV at ``path``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["train", "--csv", str(path), "--out-dir", str(path.parent / "out")])
+    return code, err.getvalue()
+
+
+_valid_rows = st.lists(st.floats(0.0, 100.0).map(lambda g: simple_row(gen=g)),
+                       min_size=1, max_size=6)
+
+
+class TestLoadCsvProperties:
+    """Every malformed CSV fails ``train`` with the data exit code 3."""
+
+    @given(rows=_valid_rows, data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_ragged_row(self, scratch, rows, data):
+        bad = data.draw(st.integers(0, len(rows) - 1))
+        width = data.draw(st.integers(0, 2 * len(SCHEMA)).filter(lambda w: w != len(SCHEMA)))
+        rows[bad] = (rows[bad] * 2)[:width]
+        code, err = _train_exit_code(rows_csv(scratch, rows))
+        assert code == 3
+        assert f"line {bad + 2}: expected {len(SCHEMA)} cells, got {width}" in err
+
+    @given(text=st.sampled_from(["", "\n", "\r\n", ",".join(SCHEMA) + "\n"]),
+           blank_lines=st.integers(0, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_empty(self, scratch, text, blank_lines):
+        path = scratch / "data.csv"
+        path.write_text(text + "\n" * blank_lines)
+        code, err = _train_exit_code(path)
+        assert code == 3
+        assert err.startswith("data error:")
+
+    @given(rows=_valid_rows, data=st.data(),
+           value=st.sampled_from(["inf", "-inf", "nan", "NaN", "1e400", "-1e999", "Infinity"]))
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_cell(self, scratch, rows, data, value):
+        bad = data.draw(st.integers(0, len(rows) - 1))
+        col = data.draw(st.integers(0, len(SCHEMA) - 1))
+        rows[bad][col] = value
+        code, err = _train_exit_code(rows_csv(scratch, rows))
+        assert code == 3
+        assert f"line {bad + 2}: non-finite value in column {SCHEMA[col]}" in err
+
+    @given(rows=_valid_rows, data=st.data(), name=st.sampled_from(SCHEMA))
+    @settings(max_examples=30, deadline=None)
+    def test_duplicate_header(self, scratch, rows, data, name):
+        at = data.draw(st.integers(0, len(SCHEMA)))
+        spelled = data.draw(st.sampled_from([name, name.upper(), f" {name} "]))
+        header = SCHEMA[:at] + [spelled] + SCHEMA[at:]
+        rows = [row[:at] + [row[SCHEMA.index(name)]] + row[at:] for row in rows]
+        code, err = _train_exit_code(rows_csv(scratch, rows, header=header))
+        assert code == 3
+        assert f"column {name!r} appears 2 times" in err

@@ -7,7 +7,7 @@ from gridcast.errors import DimensionError, ParameterError, StateError
 from gridcast.layers import Attention, Conv1d, Dense, Dropout, Gru, LayerNorm, Relu
 from gridcast.tensor import RngState
 
-from oracles import check_gradients, max_rel_err, numeric_grad, rel_norm_err
+from oracles import check_gradients, gru_reference, max_rel_err, numeric_grad, rel_norm_err
 
 BATCH = 3
 
@@ -74,18 +74,14 @@ class TestConv1dForward:
 
 class TestGruForward:
     def test_zero_params_zero_state(self):
-        layer = Gru(*[np.zeros((2, 3)) for _ in range(3)],
-                    *[np.zeros((3, 3)) for _ in range(3)],
-                    *[np.zeros(3) for _ in range(3)])
+        layer = Gru(np.zeros((3, 2, 3)), np.zeros((2, 3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
         out = layer.forward(np.ones((1, 4, 2)))
         assert np.array_equal(out, np.zeros((1, 4, 3)))
 
     def test_zero_params_halving_recursion(self):
         # with all weights zero: z = 0.5 and the candidate is 0, so the
         # state halves every step
-        layer = Gru(*[np.zeros((2, 3)) for _ in range(3)],
-                    *[np.zeros((3, 3)) for _ in range(3)],
-                    *[np.zeros(3) for _ in range(3)])
+        layer = Gru(np.zeros((3, 2, 3)), np.zeros((2, 3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
         h0 = np.array([[1.0, -2.0, 4.0]])
         out = layer.forward(np.ones((1, 3, 2)), h0)
         for t in range(3):
@@ -94,9 +90,8 @@ class TestGruForward:
     def test_scalar_hand_case(self):
         # in=hidden=1, only the candidate input weight is 1:
         # r=z=0.5, candidate tanh(1), h1 = 0.5*tanh(1)
-        layer = Gru(W_r=[[0.0]], W_z=[[0.0]], W=[[1.0]],
-                    U_r=[[0.0]], U_z=[[0.0]], U=[[0.0]],
-                    b_r=[0.0], b_z=[0.0], b=[0.0])
+        layer = Gru(W=[[[0.0]], [[0.0]], [[1.0]]], U_rz=[[[0.0]], [[0.0]]], U=[[0.0]],
+                    b=[[0.0], [0.0], [0.0]])
         out = layer.forward(np.array([[[1.0]]]))
         expected = 0.5 * math.tanh(1.0)
         assert abs(out[0, 0, 0] - expected) < 1e-12
@@ -116,6 +111,37 @@ class TestGruForward:
         layer = Gru.init(3, 4, RngState(0))
         with pytest.raises(DimensionError):
             layer.forward(np.ones((1, 5, 2)))
+
+    def test_params_are_four_stacked_arrays(self):
+        layer = Gru.init(3, 4, RngState(0))
+        assert {key: arr.shape for key, arr in layer.params().items()} == {
+            "W": (3, 3, 4), "U_rz": (2, 4, 4), "U": (4, 4), "b": (3, 4)}
+
+    @pytest.mark.parametrize("name, shape", [("W", (2, 3, 4)), ("U_rz", (3, 4, 4)),
+                                             ("U", (4, 3)), ("b", (3,))])
+    def test_bad_stacked_shape_rejected(self, name, shape):
+        params = dict(Gru.init(3, 4, RngState(0)).params())
+        params[name] = np.zeros(shape)
+        with pytest.raises(ParameterError, match=name):
+            Gru(**params)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 32])
+@pytest.mark.parametrize("in_dim, hidden, t_len", [(1, 1, 1), (3, 4, 5), (13, 16, 8)])
+def test_gru_matches_per_gate_reference_bit_for_bit(batch, in_dim, hidden, t_len):
+    rng = RngState(1800 + batch)
+    layer = Gru.init(in_dim, hidden, rng)
+    layer.b += rng.uniform(-0.5, 0.5, layer.b.shape)
+    x = rng.uniform(-1, 1, (batch, t_len, in_dim))
+    h0 = rng.uniform(-1, 1, (batch, hidden))
+    up = rng.uniform(-1, 1, (batch, t_len, hidden))
+    out, dx, h0_grad, grads = gru_reference(layer.W, layer.U_rz, layer.U, layer.b, x, h0, up)
+    assert np.array_equal(layer.forward(x, h0), out)
+    assert np.array_equal(layer.backward(up), dx)
+    assert np.array_equal(layer.h0_grad, h0_grad)
+    assert layer.grads.keys() == grads.keys()
+    for key, g in grads.items():
+        assert np.array_equal(layer.grads[key], g), key
 
 
 class TestAttentionForward:

@@ -298,12 +298,12 @@ class TestNonFinite:
             grads = backward(loss_grad)
             calls.append(None)
             if len(calls) == 3:       # first batch of epoch 2 (two batches per epoch)
-                grads["block0.gru.U_r"][0, 0] = np.nan
+                grads["block0.gru.U_rz"][0, 0, 0] = np.nan
             return grads
 
         monkeypatch.setattr(net, "backward", poisoned)
         with pytest.raises(NumericError, match=r"epoch 2: non-finite gradient for parameter "
-                                               r"block0\.gru\.U_r"):
+                                               r"block0\.gru\.U_rz"):
             fit(net, (x[:32], y[:32]), (x[32:], y[32:]),
                 TrainConfig(max_epochs=5, batch_size=16, seed=1))
 
@@ -311,7 +311,7 @@ class TestNonFinite:
         (None, 0),                    # first element of the first key
         ("head.out.bias", -1),        # last element of the vector
         ("block0.gru.W", -1),         # last element before an interior boundary
-        ("block0.gru.U_r", 0),        # first element after it
+        ("block0.gru.U_rz", 0),       # first element after it
     ])
     def test_poisoned_gradient_element_names_its_key(self, monkeypatch, key, position):
         x, y = linear_problem(n=40)
