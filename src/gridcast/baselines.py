@@ -55,15 +55,14 @@ def knn_predict_batch(train_x, train_y, queries, k: int) -> np.ndarray:
 class BayesianRidge:
     """Posterior-mean linear regression with a Gaussian weight prior.
 
-    With centered X and y, weights solve (lam X'X + alpha I) w = lam X'y;
-    the intercept re-attaches the training means.
+    With centered X and y, weights solve (X'X + alpha I) w = X'y, a unit
+    noise precision; the intercept re-attaches the training means.
     """
 
-    def __init__(self, alpha: float = 1e-6, lam: float = 1.0):
-        if alpha < 0 or lam <= 0:
-            raise ParameterError(f"need alpha >= 0 and lam > 0, got {alpha}, {lam}")
+    def __init__(self, alpha: float = 1e-6):
+        if alpha < 0:
+            raise ParameterError(f"need alpha >= 0, got {alpha}")
         self.alpha = alpha
-        self.lam = lam
         self.weights = None
         self.intercept = None
         self._x_mean = None
@@ -77,9 +76,9 @@ class BayesianRidge:
         y_mean = y.mean()
         xc = x - self._x_mean
         yc = y - y_mean
-        gram = self.lam * (xc.T @ xc) + self.alpha * np.eye(x.shape[1])
+        gram = xc.T @ xc + self.alpha * np.eye(x.shape[1])
         try:
-            self.weights = np.linalg.solve(gram, self.lam * (xc.T @ yc))
+            self.weights = np.linalg.solve(gram, xc.T @ yc)
         except np.linalg.LinAlgError:
             raise NumericError(
                 "singular system; use a prior precision alpha > 0"

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import data as dat
 from .baselines import BayesianRidge, ForestConfig, RandomForest, flatten_windows, knn_predict_batch
-from .errors import DataError, GridcastError, NumericError, ParameterError, SchemaError
+from .errors import (DataError, DimensionError, GridcastError, NumericError, ParameterError,
+                     SchemaError)
 from .explain import attribute, write_attribution_csv
 from .metrics import (ClassificationReport, RegressionReport, classification_metrics,
                       regression_metrics, write_comparison_csv, write_roc_csv)
@@ -82,12 +83,14 @@ class RunConfig:
         problems = []
         if (self.csv is None) == (self.synth_rows is None):
             problems.append("exactly one data source required: set csv or synth_rows")
-        if self.task not in ("regression", "classification"):
-            problems.append(f"task must be regression or classification, got {self.task!r}")
-        if self.explain_windows < 1:
-            problems.append(f"explain_windows must be >= 1, got {self.explain_windows}")
-        if self.explain_perms < 1:
-            problems.append(f"explain_perms must be >= 1, got {self.explain_perms}")
+        if not (0.0 < self.train_frac < 1.0 and 0.0 < self.val_frac < 1.0):
+            problems.append(f"train_frac and val_frac must lie in (0, 1), "
+                            f"got {self.train_frac}, {self.val_frac}")
+        for name in ("horizon", "explain_windows", "explain_perms", "knn_k", "n_trees",
+                     "forest_depth"):
+            if getattr(self, name) < 1:
+                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        problems += self.network_config().violations() + self.train_config().violations()
         if problems:
             raise ParameterError("invalid run config: " + "; ".join(problems))
 
@@ -226,63 +229,72 @@ def load_model(path):
             f"model was trained on columns {payload['feature_names']}, "
             f"expected {list(dat.SCHEMA)}"
         )
-    net = Network.from_dict(payload["network"])
+    try:
+        net = Network.from_dict(payload["network"])
+    except (DimensionError, ParameterError) as err:
+        raise SchemaError(f"{path}: {err}") from None
     scaler = dat.Scaler.from_dict(payload["scaler"])
     return net, scaler, payload
 
 
-def evaluate_on_test(net: Network, test: dat.SupervisedSet, task: str
-                     ) -> tuple[dict, RegressionReport | ClassificationReport, np.ndarray]:
-    """Metric payload, report and predictions on the held-out split.
+def forecast(net: Network, scaler: dat.Scaler, windows: np.ndarray) -> np.ndarray:
+    """The model's outputs for raw (n, window, 13) windows.
 
-    Regression predictions are in original kW units; classification
-    ones are the head's probabilities.
+    ``windows`` are scaled with the model's own ``scaler``; regression
+    outputs come back in kW, classification ones are the head's
+    zero-state probabilities.
     """
-    raw = predict_all(net, test.inputs)
+    raw = predict_all(net, scaler.scale_inputs(windows))
+    return scaler.unscale_targets(raw) if net.config.head == "regression" else raw
+
+
+def evaluate_on_test(preds: np.ndarray, test: dat.SupervisedSet, task: str
+                     ) -> tuple[dict, RegressionReport | ClassificationReport]:
+    """Metric payload and report for ``forecast`` outputs on the held-out split."""
     payload: dict = {"n_test": len(test)}
     if task == "regression":
-        preds_kw = test.scaler.unscale_targets(raw)
-        rep = regression_metrics(preds_kw, test.targets_raw)
+        rep = regression_metrics(preds, test.targets_raw)
         payload.update(rep.to_dict())
-        return payload, rep, preds_kw
+        return payload, rep
     labels = test.labels()
-    cls = classification_metrics(raw, labels)
+    cls = classification_metrics(preds, labels)
     payload.update(cls.to_dict())
     # probability-vs-label regression view of the same scores
     try:
-        payload.update(regression_metrics(raw, labels).to_dict())
+        payload.update(regression_metrics(preds, labels).to_dict())
     except NumericError:
         payload.update({"mae": None, "rmse": None, "r2": None})
-    return payload, cls, raw
+    return payload, cls
 
 
 def _prepare_run(args, regression_only: bool = False):
     """The preamble every modelling command shares.
 
-    Resolves and validates the run config, loads ``--model`` (if the
-    command has one) and adopts its window and horizon, makes the
-    out-dir and dumps the effective config into it. Returns
-    ``(cfg, out_dir, model)`` with ``model`` the ``load_model`` triple
-    or None. ``regression_only`` rejects a classification config or
-    model head.
+    Resolves the run config, loads ``--model`` (if the command has one)
+    and adopts its window and horizon, validates the result and loads
+    the data table; only then makes the out-dir and dumps the effective
+    config into it, so a bad setting, model file or CSV leaves no
+    out-dir. Returns ``(cfg, out_dir, model, table)`` with ``model`` the
+    ``load_model`` triple or None. ``regression_only`` rejects a
+    classification config or model head.
     """
     cfg = resolve_config(args)
     if regression_only and cfg.task != "regression":
         raise ParameterError(f"{args.command} reports the regression benchmark; "
                              "use --task regression")
-    cfg.validate()
     model = None
     if getattr(args, "model", None):
         model = load_model(args.model)
-        meta = model[2]
-        if regression_only and meta["task"] != "regression":
-            raise ParameterError(f"model {args.model} has head {meta['task']!r}")
-        cfg.window = meta["window"]
-        cfg.horizon = meta["horizon"]
+        net, _, meta = model
+        if regression_only and net.config.head != "regression":
+            raise ParameterError(f"model {args.model} has head {net.config.head!r}")
+        cfg.window, cfg.horizon = meta["window"], meta["horizon"]
+    cfg.validate()
+    table = load_table(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_effective_config(cfg, out_dir)
-    return cfg, out_dir, model
+    return cfg, out_dir, model, table
 
 
 # --- commands -------------------------------------------------------------------
@@ -304,8 +316,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_pipeline(cfg: RunConfig, out_dir: Path):
-    splits = build_splits(cfg, load_table(cfg))
+def _train_pipeline(cfg: RunConfig, table: dat.Table, out_dir: Path):
+    splits = build_splits(cfg, table)
     train, val, test = splits
     net = Network.build(cfg.network_config(), RngState(cfg.seed).spawn(10))
     print(f"training {cfg.task} network: {net.param_count()} parameters, "
@@ -322,9 +334,10 @@ def _train_pipeline(cfg: RunConfig, out_dir: Path):
 
 
 def cmd_train(args) -> int:
-    cfg, out_dir, _ = _prepare_run(args)
-    net, log, (train, val, test) = _train_pipeline(cfg, out_dir)
-    payload, report, _ = evaluate_on_test(net, test, cfg.task)
+    cfg, out_dir, _, table = _prepare_run(args)
+    net, log, (train, _, test) = _train_pipeline(cfg, table, out_dir)
+    windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs[test.indices]
+    payload, report = evaluate_on_test(forecast(net, train.scaler, windows), test, cfg.task)
     payload["stop_reason"] = log.stop_reason
     payload["epochs_run"] = len(log.epochs)
     _write_json(payload, out_dir / "metrics.json")
@@ -341,18 +354,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg, out_dir, model = _prepare_run(args, regression_only=True)
+    cfg, out_dir, model, table = _prepare_run(args, regression_only=True)
     if model:
-        net, model_scaler, _ = model
-        table = load_table(cfg)
-        raw_windows = dat.make_windows(table, cfg.window, cfg.horizon)
+        net, scaler, _ = model
         train, val, test = build_splits(cfg, table)
-        # the network sees inputs in ITS training scale, not this run's
-        net_inputs = model_scaler.scale_inputs(raw_windows.inputs[test.indices])
-        net_pred = model_scaler.unscale_targets(predict_all(net, net_inputs))
     else:
-        net, _, (train, val, test) = _train_pipeline(cfg, out_dir)
-        net_pred = test.scaler.unscale_targets(predict_all(net, test.inputs))
+        net, _, (train, val, test) = _train_pipeline(cfg, table, out_dir)
+        scaler = train.scaler
+    windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs[test.indices]
+    net_pred = forecast(net, scaler, windows)
     flat_train = flatten_windows(train.inputs)
     flat_test = flatten_windows(test.inputs)
     targets = train.targets_raw
@@ -382,9 +392,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg, out_dir, (net, scaler, meta) = _prepare_run(args)
-    task = meta["task"]
-    table = load_table(cfg)
+    cfg, out_dir, (net, scaler, _), table = _prepare_run(args)
+    task = net.config.head
     # trailing windows predict past the data; their real value is NaN
     windows = dat.make_windows(table, cfg.window, cfg.horizon, trailing=True)
     inputs, reals, keep = windows.inputs, windows.targets_raw, windows.indices
@@ -394,15 +403,13 @@ def cmd_predict(args) -> int:
         inputs, reals = inputs[keep], reals[keep]
     target_rows = keep + cfg.window + cfg.horizon - 1
 
-    raw = predict_all(net, scaler.scale_inputs(inputs))
+    preds = forecast(net, scaler, inputs)
     has_real = ~np.isnan(reals)
     ts = table.timestamps
     if task == "regression":
-        preds = scaler.unscale_targets(raw)
         columns = ["real", "predicted"]
         real_cells = [repr(float(r)) for r in reals]
     else:
-        preds = raw
         columns = ["real_label", "probability", "predicted_label"]
         real_cells = [str(int(label)) for label in dat.label_zero_state(reals)]
     path = out_dir / "predictions.csv"
@@ -425,22 +432,15 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    cfg, out_dir, (net, scaler, meta) = _prepare_run(args)
-    task = meta["task"]
-
-    train, _, test = build_splits(cfg, load_table(cfg))
-    d = len(dat.SCHEMA)
-    background = train.inputs.reshape(-1, d).mean(axis=0)
-
-    def model_fn(windows):
-        raw = predict_all(net, windows)
-        return scaler.unscale_targets(raw) if task == "regression" else raw
-
+    cfg, out_dir, (net, scaler, _), table = _prepare_run(args)
+    _, _, test = build_splits(cfg, table)
     picker = RngState(cfg.seed).spawn(30)
     count = min(cfg.explain_windows, len(test))
     chosen = picker.permutation(len(test))[:count]
-    report = attribute(model_fn, test.inputs[chosen], background, dat.SCHEMA,
-                       n_perms=cfg.explain_perms, seed=cfg.seed,
+    windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs[test.indices[chosen]]
+    # the reference input is the model's mean training row
+    report = attribute(lambda w: forecast(net, scaler, w), windows, scaler.feature_mean,
+                       dat.SCHEMA, n_perms=cfg.explain_perms, seed=cfg.seed,
                        exact=cfg.explain_exact)
     gaps = report.efficiency_gaps()
     for i in range(count):

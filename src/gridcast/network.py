@@ -156,9 +156,17 @@ class Network:
         return next(key for key, _, _, _, stop, _ in self._layout if index < stop)
 
     def set_params(self, values: dict[str, np.ndarray]):
+        """Copy ``values`` into the live parameters; keys and shapes must match exactly."""
         params = self.params()
         if set(values) != set(params):
-            raise ParameterError("parameter keys do not match this architecture")
+            raise ParameterError(
+                "parameter keys do not match this architecture: "
+                f"missing {sorted(set(params) - set(values))}, "
+                f"unexpected {sorted(set(values) - set(params))}")
+        for key, arr in params.items():
+            if np.shape(values[key]) != arr.shape:
+                raise DimensionError(f"parameter {key} has shape {list(np.shape(values[key]))}, "
+                                     f"this architecture needs {list(arr.shape)}")
         for key, arr in params.items():
             np.copyto(arr, values[key])
 

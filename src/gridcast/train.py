@@ -40,7 +40,7 @@ class TrainConfig:
     # verify the schedule/stopping machinery against a flat loss curve
     freeze_params: bool = False
 
-    def validate(self):
+    def violations(self) -> list[str]:
         problems = []
         if self.max_epochs < 1:
             problems.append(f"max_epochs must be >= 1, got {self.max_epochs}")
@@ -52,6 +52,10 @@ class TrainConfig:
             problems.append(f"initial_lr must be positive, got {self.initial_lr}")
         if self.batch_size < 1:
             problems.append(f"batch_size must be >= 1, got {self.batch_size}")
+        return problems
+
+    def validate(self):
+        problems = self.violations()
         if problems:
             raise ParameterError("invalid train config: " + "; ".join(problems))
 

@@ -241,7 +241,7 @@ def test_criterion_6_baseline_oracles():
             y = rng.uniform(-2, 2, 30)
             alpha = 10.0 ** -(trial % 5)
             model = BayesianRidge(alpha=alpha).fit(x, y)
-            oracle_w, _, _ = normal_equations_ridge(x, y, alpha, 1.0)
+            oracle_w, _, _ = normal_equations_ridge(x, y, alpha)
             assert np.abs(model.weights - oracle_w).max() < 1e-8
 
         train_x = rng.uniform(-1, 1, (50, 6))

@@ -80,9 +80,9 @@ class TestBayesianRidge:
         for trial in range(10):
             x = rng.uniform(-1, 1, (40, 5))
             y = rng.uniform(-3, 3, 40)
-            alpha, lam = 10.0 ** -(trial % 4), 1.0 + trial % 2
-            model = BayesianRidge(alpha=alpha, lam=lam).fit(x, y)
-            w_oracle, y_mean, x_mean = normal_equations_ridge(x, y, alpha, lam)
+            alpha = 10.0 ** -(trial % 4)
+            model = BayesianRidge(alpha=alpha).fit(x, y)
+            w_oracle, y_mean, x_mean = normal_equations_ridge(x, y, alpha)
             assert np.abs(model.weights - w_oracle).max() < 1e-8
             queries = rng.uniform(-1, 1, (5, 5))
             oracle_pred = (queries - x_mean) @ w_oracle + y_mean

@@ -1,10 +1,13 @@
+import base64
+import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridcast.cli import main
+from gridcast.cli import forecast, load_model, main
 
 FAST_NET = ["--blocks", "1", "--conv-filters", "3", "--gru-units", "3",
             "--attn-dim", "3", "--mlp-hidden", "4", "--window", "6"]
@@ -115,6 +118,18 @@ class TestConfigFile:
                      "--window", "7"]) == 0
         assert "window = 7" in (out2 / "effective_config.txt").read_text()
 
+    @pytest.mark.parametrize("entry", ["train_frac = 1.0", "val_frac = 0", "horizon = 0",
+                                       "forest_depth = 0"],
+                             ids=["train_frac", "val_frac", "horizon", "forest_depth"])
+    def test_file_setting_rejected_before_out_dir(self, tmp_path, synth_csv, capsys, entry):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(entry + "\n")
+        out = tmp_path / "none"
+        assert main(["train", "--config", str(cfg), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 2
+        assert entry.split()[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("banana = 3\n")
@@ -130,8 +145,59 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "x")]) == 2
 
     def test_missing_csv_is_data_error(self, tmp_path):
+        out = tmp_path / "x"
         assert main(["train", "--csv", str(tmp_path / "nope.csv"),
-                     "--out-dir", str(tmp_path / "x")]) == 3
+                     "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["compare", "--knn-k", "0"], "knn_k must be >= 1, got 0", id="knn-k-0"),
+        pytest.param(["compare", "--trees", "0"], "n_trees must be >= 1, got 0", id="trees-0"),
+        pytest.param(["train", "--blocks", "0"], "blocks must be >= 1, got 0", id="blocks-0"),
+        pytest.param(["train", "--batch-size", "0"], "batch_size must be >= 1, got 0",
+                     id="batch-size-0"),
+        pytest.param(["train", "--max-epochs", "0"], "max_epochs must be >= 1, got 0",
+                     id="max-epochs-0"),
+        pytest.param(["train", "--window", "0"], "window must be >= 1, got 0", id="window-0"),
+        pytest.param(["train", "--dropout", "1.0"], "dropout_rate must be in [0, 1), got 1.0",
+                     id="dropout-1.0"),
+        pytest.param(["train", "--kernel", "2"], "kernel must be a positive odd integer, got 2",
+                     id="kernel-2"),
+        pytest.param(["train", "--lr", "-1"], "initial_lr must be positive, got -1.0",
+                     id="lr--1"),
+    ])
+    def test_bad_setting_rejected_before_any_work(self, tmp_path, synth_csv, capsys, argv,
+                                                  message):
+        out = tmp_path / "none"
+        # the flag under test comes last, so it overrides the fast defaults
+        code = main([argv[0], "--csv", str(synth_csv), "--out-dir", str(out),
+                     "--max-epochs", "1", *FAST_NET, *argv[1:]])
+        assert code == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert message in printed.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["broadcastable-shape", "wrong-shape", "missing-key"])
+    def test_model_parameters_must_match_the_architecture(self, tmp_path, synth_csv, trained,
+                                                          capsys, case):
+        payload = json.loads((trained / "model.json").read_text())
+        params = payload["network"]["params"]
+        if case == "missing-key":
+            key = "head.out.bias"
+            del params[key]
+        else:
+            key = "block0.norm.gain"
+            n = 1 if case == "broadcastable-shape" else 2
+            data = base64.b64encode(np.full(n, 0.5, dtype="<f8").tobytes()).decode("ascii")
+            params[key] = {"shape": [n], "data": data}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        assert main(["predict", "--model", str(bad), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_is_data_error(self, tmp_path, synth_csv):
         assert main(["predict", "--model", str(tmp_path / "no.json"),
@@ -302,6 +368,37 @@ class TestExplain:
         field = {"--windows": "explain_windows", "--perms": "explain_perms"}[flag]
         assert f"{field} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scores_windows_like_predict_on_another_regime(self, tmp_path, synth_csv, trained,
+                                                             capsys):
+        # kenya-regime columns sit at other means: scaling them with the
+        # explain CSV's own statistics would disagree with predict
+        kenya = tmp_path / "kenya.csv"
+        assert main(["synth", "--rows", "260", "--seed", "8", "--regime", "kenya",
+                     "--out", str(kenya)]) == 0
+        model = str(trained / "model.json")
+        assert main(["predict", "--model", model, "--csv", str(kenya), "--split", "test",
+                     "--out-dir", str(tmp_path / "pred")]) == 0
+        capsys.readouterr()
+        assert main(["explain", "--model", model, "--csv", str(kenya), "--seed", "4",
+                     "--windows", "3", "--perms", "6", "--out-dir", str(tmp_path / "exp")]) == 0
+        chosen = [int(w) for w in re.findall(r"^window (\d+):", capsys.readouterr().out, re.M)]
+        assert len(chosen) == 3
+        with open(tmp_path / "pred" / "predictions.csv", encoding="utf-8") as fh:
+            predicted = [float(row["predicted"]) for row in csv.DictReader(fh)]
+        payload = json.loads((tmp_path / "exp" / "shapley.json").read_text())
+        for k, i in enumerate(chosen):
+            assert payload["predictions"][k] == pytest.approx(predicted[i], rel=1e-12, abs=0)
+
+        # the background is the model's mean training row, whatever the CSV
+        assert main(["explain", "--model", model, "--csv", str(synth_csv), "--seed", "4",
+                     "--windows", "1", "--perms", "2", "--out-dir", str(tmp_path / "own")]) == 0
+        net, scaler, meta = load_model(model)
+        mean_row = np.broadcast_to(scaler.feature_mean, (1, meta["window"], 13))
+        expected = float(forecast(net, scaler, mean_row)[0])
+        for out in ("exp", "own"):
+            payload = json.loads((tmp_path / out / "shapley.json").read_text())
+            assert payload["baseline_prediction"] == expected
 
     def test_rerun_byte_identical(self, tmp_path, synth_csv, trained):
         out = tmp_path / "expdet"

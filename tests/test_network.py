@@ -73,6 +73,24 @@ class TestBuild:
                                   np.concatenate([arr.ravel() for arr in params.values()]))
         assert np.array_equal(loaded.vector, built.vector)
 
+    @pytest.mark.parametrize("shape, error", [
+        pytest.param((1,), DimensionError, id="broadcastable"),
+        pytest.param((2,), DimensionError, id="wrong"),
+        pytest.param(None, ParameterError, id="missing"),
+    ])
+    def test_set_params_rejects_a_key_or_shape_mismatch(self, shape, error):
+        net = Network.build(NetworkConfig(window=4, features=3), RngState(3))
+        before = net.vector.copy()
+        values = {key: arr + 1.0 for key, arr in net.params().items()}
+        if shape is None:
+            del values["head.out.bias"]
+        else:
+            values["block0.norm.gain"] = np.full(shape, 7.0)
+        with pytest.raises(error) as err:
+            net.set_params(values)
+        assert ("head.out.bias" if shape is None else "block0.norm.gain") in str(err.value)
+        assert np.array_equal(net.vector, before)
+
     def test_invalid_config_lists_all_violations(self):
         cfg = NetworkConfig(window=0, features=3, kernel=4, dropout_rate=1.5)
         with pytest.raises(ParameterError) as err:
