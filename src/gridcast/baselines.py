@@ -3,9 +3,10 @@
 All three consume the same scaled (n, window, 13) inputs as the
 network, flattened time-major/feature-minor, and predict the raw-kW
 target directly. Each is written out in full at small-data scale: KNN
-is a brute-force distance scan, Bayesian ridge a closed-form posterior
-mean, and the forest an ensemble of greedy variance-reduction CART
-trees over bootstrap samples.
+is an exact search (a bounded Gram-matrix prefilter, then the direct
+distance on the few surviving rows), Bayesian ridge a closed-form
+posterior mean, and the forest an ensemble of greedy variance-reduction
+CART trees over bootstrap samples.
 """
 
 from __future__ import annotations
@@ -28,10 +29,25 @@ def flatten_windows(inputs: np.ndarray) -> np.ndarray:
 # --- KNN ---------------------------------------------------------------------
 
 
+# Queries per prefilter chunk: each chunk holds a few (KNN_CHUNK, n)
+# arrays, never a (q, n) distance matrix.
+KNN_CHUNK = 16
+
+
 def knn_predict_batch(train_x, train_y, queries, k: int) -> np.ndarray:
     """Mean of the k nearest training targets for each (n, d) query row.
 
-    Distance ties break toward the lower training index.
+    Distance ties break toward the lower training index. The search is
+    exact in two stages. Stage 1 takes ``KNN_CHUNK`` queries at a time,
+    estimates every squared distance as ``|q|^2 + |x|^2 - 2 q.x`` with
+    one matmul, and keeps as candidates the rows whose estimate, less a
+    rigorous rounding bound, does not exceed the k-th smallest estimate
+    plus its bound. Stage 2 computes the direct distance
+    ``((x - q)**2).sum()`` on the candidates only and takes the first k
+    of a stable sort. Every dropped row's direct distance is strictly
+    above the k-th smallest, and the candidates keep index order, so the
+    chosen rows, their order and the mean are those of a full scan, bit
+    for bit; no Gram value reaches the output.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64)
@@ -40,12 +56,44 @@ def knn_predict_batch(train_x, train_y, queries, k: int) -> np.ndarray:
     if not 1 <= k <= train_x.shape[0]:
         raise ParameterError(f"k must be in [1, {train_x.shape[0]}], got {k}")
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, train_x.shape[1])
+    f = train_x.shape[1]
+    # Rounding bound (Higham, ch. 3; u = 2^-53, gamma_m = m u / (1 - m u)).
+    # With S = |q|^2 + |x|^2, the computed |q|^2, |x|^2 and q.x are each
+    # within gamma_f of their true size (|q| |x| <= S / 2 bounds q.x),
+    # and the two additions that combine them add at most u each on terms
+    # of size <= 2S: the estimate is within 2 gamma_{f+2} S of the true
+    # squared distance D. The stage-2 sum of f rounded squares of rounded
+    # differences is within gamma_{f+2} D <= 2 gamma_{f+2} S of D. So the
+    # estimate is within 4 gamma_{f+2} S of the stage-2 value. The slack
+    # c S is more than twice that, which covers the rounding of the slack
+    # and of estimate +- slack themselves. The absolute term covers
+    # underflow, where the relative model does not hold: each product
+    # loses at most the smallest normal number, even where a BLAS flushes
+    # subnormals to zero.
+    c = 16.0 * (f + 4) * 2.0 ** -53
+    tiny = 16.0 * (f + 4) * np.finfo(np.float64).tiny
+    train_sq = np.einsum("ij,ij->i", train_x, train_x)
     out = np.empty(queries.shape[0])
-    # one query at a time: a (q, n) distance matrix would hold q * n floats
-    for i, query in enumerate(queries):
-        diff = train_x - query
-        dists = (diff * diff).sum(axis=1)
-        out[i] = train_y[np.argsort(dists, kind="stable")[:k]].mean()
+    for start in range(0, queries.shape[0], KNN_CHUNK):
+        chunk = queries[start:start + KNN_CHUNK]
+        query_sq = np.einsum("ij,ij->i", chunk, chunk)[:, None]
+        approx = chunk @ train_x.T
+        approx *= -2.0
+        approx += train_sq
+        approx += query_sq
+        slack = train_sq + query_sq
+        slack *= c
+        slack += tiny
+        upper = approx + slack
+        upper.partition(k - 1, axis=1)
+        kth = upper[:, k - 1:k]
+        # written as a negation so a NaN or inf bound keeps the row
+        keep = ~(approx - slack > kth)
+        for row, query in enumerate(chunk):
+            cand = np.flatnonzero(keep[row])
+            diff = train_x[cand] - query
+            dists = (diff * diff).sum(axis=1)
+            out[start + row] = train_y[cand[np.argsort(dists, kind="stable")[:k]]].mean()
     return out
 
 

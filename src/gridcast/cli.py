@@ -29,9 +29,13 @@ from .metrics import (ClassificationReport, RegressionReport, classification_met
                       regression_metrics, write_comparison_csv, write_roc_csv)
 from .network import Network, NetworkConfig
 from .tensor import RngState
-from .train import TrainConfig, fit, predict_all
+from .train import INFERENCE_CHUNK, TrainConfig, fit, predict_all
 
 MODEL_FORMAT = "gridcast-model-v2"
+MODEL_KEYS = ("feature_names", "horizon", "network", "scaler", "window")
+# windows scaled at a time by ``forecast``; a multiple of INFERENCE_CHUNK,
+# so the network sees the same batches as one whole-array predict_all
+FORECAST_SLICE = 8 * INFERENCE_CHUNK
 NOT_REPRODUCED = ("SVR", "XGB")
 
 
@@ -190,6 +194,13 @@ def load_table(cfg: RunConfig) -> dat.Table:
     return dat.synth_generate(cfg.synth_rows, cfg.seed, cfg.synth_regime)
 
 
+def split_indices(cfg: RunConfig, n: int) -> dict[str, np.ndarray]:
+    """The run's train/val/test positions among ``n`` windows."""
+    return dat.split_indices(n, train_frac=cfg.train_frac, val_frac_of_train=cfg.val_frac,
+                             shuffle=cfg.shuffle_split, seed=cfg.seed,
+                             validate_on_test=cfg.validate_on_test)
+
+
 def build_splits(cfg: RunConfig, table: dat.Table):
     windows = dat.make_windows(table, cfg.window, cfg.horizon)
     return dat.split_and_scale(
@@ -222,8 +233,11 @@ def load_model(path):
         raise DataError(f"model file not found: {path}") from None
     except ValueError:
         raise SchemaError(f"{path} is not valid JSON") from None
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise SchemaError(f"{path} is not a {MODEL_FORMAT} file")
+    for key in MODEL_KEYS:
+        if key not in payload:
+            raise SchemaError(f"{path}: missing key {key!r}")
     if payload["feature_names"] != list(dat.SCHEMA):
         raise SchemaError(
             f"model was trained on columns {payload['feature_names']}, "
@@ -231,20 +245,25 @@ def load_model(path):
         )
     try:
         net = Network.from_dict(payload["network"])
+        scaler = dat.Scaler.from_dict(payload["scaler"])
+    except KeyError as err:
+        raise SchemaError(f"{path}: missing key {err}") from None
     except (DimensionError, ParameterError) as err:
         raise SchemaError(f"{path}: {err}") from None
-    scaler = dat.Scaler.from_dict(payload["scaler"])
     return net, scaler, payload
 
 
 def forecast(net: Network, scaler: dat.Scaler, windows: np.ndarray) -> np.ndarray:
     """The model's outputs for raw (n, window, 13) windows.
 
-    ``windows`` are scaled with the model's own ``scaler``; regression
-    outputs come back in kW, classification ones are the head's
-    zero-state probabilities.
+    ``windows`` are scaled with the model's own ``scaler``,
+    ``FORECAST_SLICE`` at a time; regression outputs come back in kW,
+    classification ones are the head's zero-state probabilities.
     """
-    raw = predict_all(net, scaler.scale_inputs(windows))
+    raw = np.empty(windows.shape[0])
+    for start in range(0, windows.shape[0], FORECAST_SLICE):
+        stop = start + FORECAST_SLICE
+        raw[start:stop] = predict_all(net, scaler.scale_inputs(windows[start:stop]))
     return scaler.unscale_targets(raw) if net.config.head == "regression" else raw
 
 
@@ -398,8 +417,8 @@ def cmd_predict(args) -> int:
     windows = dat.make_windows(table, cfg.window, cfg.horizon, trailing=True)
     inputs, reals, keep = windows.inputs, windows.targets_raw, windows.indices
     if args.split != "all":
-        train, val, test = build_splits(cfg, table)
-        keep = {"train": train, "val": val, "test": test}[args.split].indices
+        # the last `horizon` windows have no target and belong to no split
+        keep = split_indices(cfg, max(len(keep) - cfg.horizon, 0))[args.split]
         inputs, reals = inputs[keep], reals[keep]
     target_rows = keep + cfg.window + cfg.horizon - 1
 
@@ -433,11 +452,12 @@ def cmd_predict(args) -> int:
 
 def cmd_explain(args) -> int:
     cfg, out_dir, (net, scaler, _), table = _prepare_run(args)
-    _, _, test = build_splits(cfg, table)
+    windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs
+    test = split_indices(cfg, len(windows))["test"]
     picker = RngState(cfg.seed).spawn(30)
     count = min(cfg.explain_windows, len(test))
     chosen = picker.permutation(len(test))[:count]
-    windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs[test.indices[chosen]]
+    windows = windows[test[chosen]]
     # the reference input is the model's mean training row
     report = attribute(lambda w: forecast(net, scaler, w), windows, scaler.feature_mean,
                        dat.SCHEMA, n_perms=cfg.explain_perms, seed=cfg.seed,

@@ -327,10 +327,10 @@ def fit_scaler(inputs: np.ndarray, targets: np.ndarray) -> Scaler:
     return Scaler(mean, std, t_mean, t_std)
 
 
-def split_and_scale(samples: SupervisedSet, train_frac: float = 0.8,
-                    val_frac_of_train: float = 0.1, shuffle: bool = False,
-                    seed: int = 0, validate_on_test: bool = False):
-    """Chronological train/val/test split with train-fitted z-scaling.
+def split_indices(n: int, train_frac: float = 0.8, val_frac_of_train: float = 0.1,
+                  shuffle: bool = False, seed: int = 0,
+                  validate_on_test: bool = False) -> dict[str, np.ndarray]:
+    """Chronological train/val/test positions of ``n`` samples.
 
     The first ``train_frac`` of samples trains (its last tenth becomes
     the validation set unless ``validate_on_test`` reuses the test
@@ -340,7 +340,6 @@ def split_and_scale(samples: SupervisedSet, train_frac: float = 0.8,
     """
     if not 0.0 < train_frac < 1.0 or not 0.0 < val_frac_of_train < 1.0:
         raise ParameterError("split fractions must lie in (0, 1)")
-    n = len(samples)
     order = RngState(seed).permutation(n) if shuffle else np.arange(n)
     n_train_total = int(np.floor(train_frac * n))
     if validate_on_test:
@@ -359,6 +358,15 @@ def split_and_scale(samples: SupervisedSet, train_frac: float = 0.8,
     for name, idx in parts.items():
         if idx.size == 0:
             raise DataError(f"{name} split is empty with n={n}")
+    return parts
+
+
+def split_and_scale(samples: SupervisedSet, train_frac: float = 0.8,
+                    val_frac_of_train: float = 0.1, shuffle: bool = False,
+                    seed: int = 0, validate_on_test: bool = False):
+    """``split_indices`` applied to ``samples``, with train-fitted z-scaling."""
+    parts = split_indices(len(samples), train_frac, val_frac_of_train, shuffle, seed,
+                          validate_on_test)
     scaler = fit_scaler(samples.inputs[parts["train"]], samples.targets_raw[parts["train"]])
     out = []
     for name in ("train", "val", "test"):

@@ -4,7 +4,8 @@ These deliberately avoid the library's own computation paths: gradients
 come from central finite differences, nearest neighbours from a full
 sort, ridge weights from raw normal equations, tree splits from
 exhaustive threshold enumeration, permutations from an
-element-by-element Fisher-Yates loop, Adam from a loop over
+element-by-element Fisher-Yates loop, bit-exact KNN from a per-query
+full scan, Adam from a loop over
 per-parameter arrays, the GRU from one matrix per gate, and Shapley
 values from subset enumeration or a
 permutation loop that scores one coalition per model call.
@@ -79,6 +80,23 @@ def brute_force_knn(train_x, train_y, query, k):
     dists = [(float(((row - query) ** 2).sum()), i) for i, row in enumerate(train_x)]
     dists.sort()
     return sum(train_y[i] for _, i in dists[:k]) / k
+
+
+def knn_reference(train_x, train_y, queries, k):
+    """KNN as one full distance scan and stable argsort per query.
+
+    The same arithmetic as the prefiltered search's exact stage, so the
+    two must agree bit for bit.
+    """
+    train_x = np.asarray(train_x, dtype=np.float64)
+    train_y = np.asarray(train_y, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, train_x.shape[1])
+    out = np.empty(queries.shape[0])
+    for i, query in enumerate(queries):
+        diff = train_x - query
+        dists = (diff * diff).sum(axis=1)
+        out[i] = train_y[np.argsort(dists, kind="stable")[:k]].mean()
+    return out
 
 
 def normal_equations_ridge(x, y, alpha):

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gridcast import data as dat
 from gridcast.baselines import (BayesianRidge, ForestConfig, RandomForest,
                                 RegressionTree, best_split, flatten_windows,
                                 knn_predict_batch)
 from gridcast.errors import DataError, NumericError, ParameterError
 from gridcast.tensor import RngState
 
-from oracles import brute_force_knn, exhaustive_best_split, normal_equations_ridge
+from oracles import (brute_force_knn, exhaustive_best_split, knn_reference,
+                     normal_equations_ridge)
 
 
 class TestFlatten:
@@ -17,6 +21,32 @@ class TestFlatten:
         assert flat.shape == (2, 12)
         # first window: row 0 of timestep 0, then timestep 1, ...
         assert np.array_equal(flat[0], np.arange(12, dtype=float))
+
+
+def knn_case(name):
+    """(train_x, train_y, queries, ks) for one bit-exactness case."""
+    if name == "synth-windows":
+        # flattened scaled windows of a 2,000-row synthetic table
+        windows = dat.make_windows(dat.synth_generate(2000, 3), 8)
+        train, _, test = dat.split_and_scale(windows)
+        return (flatten_windows(train.inputs), train.targets_raw,
+                flatten_windows(test.inputs), (1, 5, 9, 17))
+    rng = RngState(17)
+    if name == "duplicated-rows":
+        x = np.repeat(rng.uniform(-1, 1, (150, 9)), 3, axis=0)
+        return x, rng.uniform(0, 10, 450), rng.uniform(-1, 1, (60, 9)), (1, 5, 7)
+    if name == "integer-grid-ties":
+        x = np.floor(rng.uniform(0, 3, (400, 5)))
+        return x, rng.uniform(0, 10, 400), np.floor(rng.uniform(0, 3, (80, 5))), (1, 5, 9)
+    if name == "k-equals-n":
+        x, q = rng.uniform(-1, 1, (40, 6)), rng.uniform(-1, 1, (37, 6))
+        return x, rng.uniform(0, 10, 40), q, (40,)
+    # scaled copies of one random case: rounding far above the distances,
+    # overflow to inf, and squares in the subnormal range
+    x, y, q = rng.uniform(-1, 1, (300, 12)), rng.uniform(0, 10, 300), rng.uniform(-1, 1, (50, 12))
+    shift, scale = {"offset-1e9": (1e9, 1.0), "magnitude-1e200": (0.0, 1e200),
+                    "magnitude-1e-161": (0.0, 1e-161)}[name]
+    return x * scale + shift, y, q * scale + shift, (1, 5)
 
 
 class TestKnn:
@@ -58,6 +88,27 @@ class TestKnn:
         y = np.array([5.0, 7.0, 9.0])
         # rows 0 and 1 are equidistant from 0; k=1 must pick row 0
         assert knn_predict_batch(x, y, [[0.0]], k=1)[0] == 5.0
+
+    @pytest.mark.parametrize("name", ["synth-windows", "duplicated-rows", "integer-grid-ties",
+                                      "k-equals-n", "offset-1e9", "magnitude-1e200",
+                                      "magnitude-1e-161"])
+    def test_matches_per_query_reference_bit_for_bit(self, name):
+        x, y, q, ks = knn_case(name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in ks:
+                assert np.array_equal(knn_predict_batch(x, y, q, k), knn_reference(x, y, q, k)), k
+
+    def test_never_holds_a_query_by_train_distance_matrix(self):
+        rng = RngState(2)
+        train_x, train_y = rng.uniform(-1, 1, (1434, 104)), rng.uniform(0, 10, 1434)
+        queries = rng.uniform(-1, 1, (399, 104))
+        tracemalloc.start()
+        try:
+            knn_predict_batch(train_x, train_y, queries, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 399 * 1434 * 8 / 2
 
     def test_empty_train_and_bad_k(self):
         with pytest.raises(DataError):

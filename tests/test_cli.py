@@ -2,12 +2,15 @@ import base64
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridcast.cli import forecast, load_model, main
+from gridcast.cli import FORECAST_SLICE, forecast, load_model, main
+from gridcast.tensor import RngState
+from gridcast.train import predict_all
 
 FAST_NET = ["--blocks", "1", "--conv-filters", "3", "--gru-units", "3",
             "--attn-dim", "3", "--mlp-hidden", "4", "--window", "6"]
@@ -203,6 +206,29 @@ class TestExitCodes:
         assert main(["predict", "--model", str(tmp_path / "no.json"),
                      "--csv", str(synth_csv), "--out-dir", str(tmp_path / "x")]) == 3
 
+    @staticmethod
+    def assert_schema_error_without_key(tmp_path, synth_csv, trained, capsys, outer, key):
+        payload = json.loads((trained / "model.json").read_text())
+        del (payload[outer] if outer else payload)[key]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        assert main(["predict", "--model", str(bad), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert repr(key) in err and str(bad) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["scaler", "feature_names", "horizon", "window", "network"])
+    def test_model_missing_a_top_level_key_is_schema_error(self, tmp_path, synth_csv, trained,
+                                                           capsys, key):
+        self.assert_schema_error_without_key(tmp_path, synth_csv, trained, capsys, None, key)
+
+    @pytest.mark.parametrize("outer, key", [("scaler", "feature_mean"), ("network", "config")])
+    def test_model_missing_a_nested_key_is_schema_error(self, tmp_path, synth_csv, trained,
+                                                        capsys, outer, key):
+        self.assert_schema_error_without_key(tmp_path, synth_csv, trained, capsys, outer, key)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_training_is_numeric_error(self, tmp_path, synth_csv, capsys):
         # an absurd learning rate blows the parameters up after one step
@@ -217,6 +243,11 @@ class TestExitCodes:
         payload["format"] = "gridcast-model-v1"
         old = tmp_path / "v1.json"
         old.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(old), "--csv", str(synth_csv),
+                     "--out-dir", str(tmp_path / "x")]) == 3
+        assert "not a gridcast-model-v2 file" in capsys.readouterr().err
+        # valid JSON that is not an object at all
+        old.write_text("[]")
         assert main(["predict", "--model", str(old), "--csv", str(synth_csv),
                      "--out-dir", str(tmp_path / "x")]) == 3
         assert "not a gridcast-model-v2 file" in capsys.readouterr().err
@@ -266,6 +297,14 @@ class TestPredict:
         assert lines[0] == "index,real_label,probability,predicted_label"
         prob = float(lines[1].split(",")[2])
         assert 0.0 <= prob <= 1.0
+
+
+class TestForecast:
+    def test_slices_give_the_bits_of_one_whole_predict(self, trained):
+        net, scaler, meta = load_model(trained / "model.json")
+        windows = RngState(3).uniform(0, 100, (FORECAST_SLICE * 2 + 45, meta["window"], 13))
+        whole = scaler.unscale_targets(predict_all(net, scaler.scale_inputs(windows)))
+        assert np.array_equal(forecast(net, scaler, windows), whole)
 
 
 class TestCompare:
@@ -399,6 +438,27 @@ class TestExplain:
         for out in ("exp", "own"):
             payload = json.loads((tmp_path / out / "shapley.json").read_text())
             assert payload["baseline_prediction"] == expected
+
+    def test_explain_and_predict_split_do_not_refit_a_scaler(self, tmp_path, synth_csv,
+                                                             trained):
+        # a constant column would make a scaler fitted on this CSV warn;
+        # both commands apply only the model's own scaler
+        with open(synth_csv, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("pv_kw")
+        for row in rows[1:]:
+            row[col] = "5.0"
+        flat = tmp_path / "flat.csv"
+        with open(flat, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        model = str(trained / "model.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["explain", "--model", model, "--csv", str(flat), "--windows", "2",
+                         "--perms", "2", "--out-dir", str(tmp_path / "exp")]) == 0
+            assert main(["predict", "--model", model, "--csv", str(flat), "--split", "test",
+                         "--out-dir", str(tmp_path / "pred")]) == 0
+        assert not [w for w in caught if "constant feature" in str(w.message)]
 
     def test_rerun_byte_identical(self, tmp_path, synth_csv, trained):
         out = tmp_path / "expdet"
