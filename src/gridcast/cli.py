@@ -1,8 +1,9 @@
 """Command-line pipeline: synth | train | compare | predict | explain.
 
-Every command resolves its settings in the same order (dataclass
-defaults, then ``--config`` file entries, then explicit flags), dumps
-the effective configuration next to its outputs, and derives all
+Every command but synth resolves its settings in the same order
+(dataclass defaults, then ``--config`` file entries, then explicit
+flags), typing each value by its ``RunConfig`` field, dumps the
+effective configuration next to its outputs, and derives all
 randomness from ``--seed``, so rerunning a command with the same flags
 reproduces every output byte for byte.
 
@@ -16,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .errors import (DataError, DimensionError, GridcastError, NumericError, Par
 from .explain import attribute, write_attribution_csv
 from .metrics import (ClassificationReport, RegressionReport, classification_metrics,
                       regression_metrics, write_comparison_csv, write_roc_csv)
-from .network import Network, NetworkConfig
+from .network import HEADS, Network, NetworkConfig
 from .tensor import RngState
 from .train import INFERENCE_CHUNK, TrainConfig, fit, predict_all
 
@@ -99,50 +101,37 @@ class RunConfig:
             raise ParameterError("invalid run config: " + "; ".join(problems))
 
     def network_config(self) -> NetworkConfig:
-        return NetworkConfig(
-            window=self.window,
-            features=len(dat.SCHEMA),
-            blocks=self.blocks,
-            conv_filters=self.conv_filters,
-            kernel=self.kernel,
-            gru_units=self.gru_units,
-            attn_dim=self.attn_dim,
-            mlp_hidden=self.mlp_hidden,
-            dropout_rate=self.dropout_rate,
-            head=self.task,
-            conv_activation=self.conv_activation,
-        )
+        return self._shared_with(NetworkConfig, features=len(dat.SCHEMA), head=self.task)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            max_epochs=self.max_epochs,
-            early_stop_patience=self.early_stop_patience,
-            initial_lr=self.initial_lr,
-            lr_patience=self.lr_patience,
-            batch_size=self.batch_size,
-            seed=self.seed,
-        )
+        return self._shared_with(TrainConfig)
+
+    def _shared_with(self, cls, **explicit):
+        """A ``cls`` built from the fields it shares with RunConfig, plus ``explicit``."""
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in _FIELD_TYPES}
+        return cls(**shared, **explicit)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_READERS = {"int": int, "float": float, "str": str, "bool": lambda text: _BOOLS[text.lower()]}
 
 
 def _coerce(name: str, text: str):
+    """The value of RunConfig field ``name`` written as ``text``, in a flag or a config line.
+
+    ``none`` or an empty text reads as None, for ``| None`` fields only.
+    """
     kind = _FIELD_TYPES[name]
-    text = text.strip()
     if text.lower() in ("none", ""):
-        return None
-    if kind in ("bool",):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ParameterError(f"config key {name}: cannot read {text!r} as a boolean")
-    if kind in ("int", "int | None"):
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
+        if kind.endswith(" | None"):
+            return None
+    else:
+        try:
+            return _READERS[kind.removesuffix(" | None")](text)
+        except (KeyError, ValueError):
+            pass
+    raise argparse.ArgumentTypeError(f"{name} must be {kind}, got {text!r}")
 
 
 def read_config_file(path) -> dict:
@@ -157,20 +146,18 @@ def read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ParameterError(f"{path}:{line_no}: unknown config key {key!r}")
-        entries[key] = _coerce(key, value)
+        try:
+            entries[key] = _coerce(key, value)
+        except argparse.ArgumentTypeError as err:
+            raise ParameterError(f"{path}:{line_no}: {err}") from None
     return entries
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for name in _FIELD_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    return cfg
+    """Dataclass defaults, then ``--config`` entries, then the flags given."""
+    entries = read_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {name: value for name, value in vars(args).items() if name in _FIELD_TYPES}
+    return RunConfig(**{**entries, **flags})
 
 
 def dump_effective_config(cfg: RunConfig, out_dir: Path):
@@ -243,13 +230,20 @@ def load_model(path):
             f"model was trained on columns {payload['feature_names']}, "
             f"expected {list(dat.SCHEMA)}"
         )
+    for key in ("window", "horizon"):
+        # a bool is an int to isinstance, so the type is compared exactly
+        if type(payload[key]) is not int or payload[key] < 1:
+            raise SchemaError(f"{path}: {key} must be an int >= 1, got {payload[key]!r}")
     try:
         net = Network.from_dict(payload["network"])
         scaler = dat.Scaler.from_dict(payload["scaler"])
     except KeyError as err:
         raise SchemaError(f"{path}: missing key {err}") from None
-    except (DimensionError, ParameterError) as err:
+    except (DimensionError, ParameterError, SchemaError) as err:
         raise SchemaError(f"{path}: {err}") from None
+    if payload["window"] != net.config.window:
+        raise SchemaError(f"{path}: window {payload['window']} differs from the network's "
+                          f"{net.config.window}")
     return net, scaler, payload
 
 
@@ -478,38 +472,29 @@ def cmd_explain(args) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out-dir", dest="out_dir", default=None)
+# flags named otherwise than their RunConfig field; field ``a_b`` is ``--a-b``
+_FLAG_NAMES = {"dropout_rate": "--dropout", "early_stop_patience": "--patience",
+               "initial_lr": "--lr", "n_trees": "--trees", "explain_windows": "--windows",
+               "explain_perms": "--perms", "explain_exact": "--exact"}
+_CHOICES = {"task": HEADS, "synth_regime": dat.REGIMES}
+_HELP = {"csv": "input CSV path"}
+_DATA_FIELDS = ("csv", "synth_rows", "synth_regime", "window", "shuffle_split",
+                "validate_on_test")
+_NET_FIELDS = ("task", "blocks", "conv_filters", "kernel", "gru_units", "attn_dim",
+               "mlp_hidden", "dropout_rate", "max_epochs", "early_stop_patience",
+               "lr_patience", "initial_lr", "batch_size")
 
 
-def _add_data_source(parser: argparse.ArgumentParser):
-    parser.add_argument("--csv", default=None, help="input CSV path")
-    parser.add_argument("--synth-rows", dest="synth_rows", type=int, default=None)
-    parser.add_argument("--synth-regime", dest="synth_regime", default=None,
-                        choices=("default", "kenya"))
-    parser.add_argument("--window", type=int, default=None)
-    parser.add_argument("--shuffle-split", dest="shuffle_split",
-                        action="store_const", const=True, default=None)
-    parser.add_argument("--validate-on-test", dest="validate_on_test",
-                        action="store_const", const=True, default=None)
-
-
-def _add_net_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--task", default=None, choices=("regression", "classification"))
-    parser.add_argument("--blocks", type=int, default=None)
-    parser.add_argument("--conv-filters", dest="conv_filters", type=int, default=None)
-    parser.add_argument("--kernel", type=int, default=None)
-    parser.add_argument("--gru-units", dest="gru_units", type=int, default=None)
-    parser.add_argument("--attn-dim", dest="attn_dim", type=int, default=None)
-    parser.add_argument("--mlp-hidden", dest="mlp_hidden", type=int, default=None)
-    parser.add_argument("--dropout", dest="dropout_rate", type=float, default=None)
-    parser.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    parser.add_argument("--patience", dest="early_stop_patience", type=int, default=None)
-    parser.add_argument("--lr-patience", dest="lr_patience", type=int, default=None)
-    parser.add_argument("--lr", dest="initial_lr", type=float, default=None)
-    parser.add_argument("--batch-size", dest="batch_size", type=int, default=None)
+def _add_flags(parser: argparse.ArgumentParser, *names: str, **overrides):
+    """One flag per RunConfig field in ``names``, typed by the field."""
+    for name in names:
+        if _FIELD_TYPES[name] == "bool":
+            spec = {"action": "store_const", "const": True}
+        else:
+            spec = {"type": partial(_coerce, name), "choices": _CHOICES.get(name)}
+        spec.update({"help": _HELP.get(name), **overrides})
+        parser.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+                            **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,41 +507,35 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     synth.add_argument("--rows", type=int, required=True)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--regime", default="default", choices=("default", "kenya"))
+    synth.add_argument("--regime", default="default", choices=dat.REGIMES)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 
-    train = sub.add_parser("train", help="train the network and evaluate on the test split")
-    _add_common(train)
-    _add_data_source(train)
-    _add_net_flags(train)
-    train.set_defaults(func=cmd_train)
+    def command(name, func, summary):
+        # unset flags stay out of the namespace, so resolve_config sees only given ones
+        cmd = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--config", help="flat key = value settings file")
+        _add_flags(cmd, "seed", "out_dir")
+        cmd.set_defaults(func=func)
+        return cmd
 
-    compare = sub.add_parser("compare", help="benchmark the network against baselines")
-    _add_common(compare)
-    _add_data_source(compare)
-    _add_net_flags(compare)
-    compare.add_argument("--model", default=None, help="reuse a trained model file")
-    compare.add_argument("--knn-k", dest="knn_k", type=int, default=None)
-    compare.add_argument("--trees", dest="n_trees", type=int, default=None)
-    compare.set_defaults(func=cmd_compare)
+    train = command("train", cmd_train, "train the network and evaluate on the test split")
+    _add_flags(train, *_DATA_FIELDS, *_NET_FIELDS)
 
-    predict = sub.add_parser("predict", help="write per-window predictions for a CSV")
-    _add_common(predict)
+    compare = command("compare", cmd_compare, "benchmark the network against baselines")
+    _add_flags(compare, *_DATA_FIELDS, *_NET_FIELDS)
+    compare.add_argument("--model", help="reuse a trained model file")
+    _add_flags(compare, "knn_k", "n_trees")
+
+    predict = command("predict", cmd_predict, "write per-window predictions for a CSV")
     predict.add_argument("--model", required=True)
-    predict.add_argument("--csv", required=True)
+    _add_flags(predict, "csv", required=True, help=None)
     predict.add_argument("--split", default="all", choices=("all", "train", "val", "test"))
-    predict.set_defaults(func=cmd_predict)
 
-    explain = sub.add_parser("explain", help="Shapley feature attribution for a model")
-    _add_common(explain)
-    _add_data_source(explain)
+    explain = command("explain", cmd_explain, "Shapley feature attribution for a model")
+    _add_flags(explain, *_DATA_FIELDS)
     explain.add_argument("--model", required=True)
-    explain.add_argument("--windows", dest="explain_windows", type=int, default=None)
-    explain.add_argument("--perms", dest="explain_perms", type=int, default=None)
-    explain.add_argument("--exact", dest="explain_exact",
-                         action="store_const", const=True, default=None)
-    explain.set_defaults(func=cmd_explain)
+    _add_flags(explain, "explain_windows", "explain_perms", "explain_exact")
     return parser
 
 

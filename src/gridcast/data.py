@@ -25,6 +25,8 @@ from .tensor import RngState
 
 log = logging.getLogger(__name__)
 
+REGIMES = ("default", "kenya")
+
 SCHEMA = [
     "pv_kw",
     "battery_kw",
@@ -151,12 +153,24 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Scaler":
-        return cls(
-            np.array(payload["feature_mean"], dtype=np.float64),
-            np.array(payload["feature_std"], dtype=np.float64),
-            float(payload["target_mean"]),
-            float(payload["target_std"]),
-        )
+        """Inverse of ``to_dict``; SchemaError unless every value can scale the schema."""
+        if not isinstance(payload, dict):
+            raise SchemaError(f"scaler must be an object, got {type(payload).__name__}")
+        try:
+            mean, std = (np.array(payload[key], dtype=np.float64)
+                         for key in ("feature_mean", "feature_std"))
+            t_mean, t_std = float(payload["target_mean"]), float(payload["target_std"])
+        except (TypeError, ValueError) as err:
+            raise SchemaError(f"scaler values must be numbers: {err}") from None
+        if mean.shape != (len(SCHEMA),) or not np.isfinite(mean).all():
+            raise SchemaError(f"scaler feature_mean must hold {len(SCHEMA)} finite numbers")
+        if std.shape != (len(SCHEMA),) or not (np.isfinite(std) & (std > 0)).all():
+            raise SchemaError(f"scaler feature_std must hold {len(SCHEMA)} finite positive "
+                              "numbers")
+        if not (math.isfinite(t_mean) and math.isfinite(t_std) and t_std > 0):
+            raise SchemaError(f"scaler target_mean must be finite and target_std finite and "
+                              f"positive, got {t_mean!r}, {t_std!r}")
+        return cls(mean, std, t_mean, t_std)
 
 
 @dataclass
@@ -429,7 +443,7 @@ def synth_generate(n: int, seed: int, regime: str = "default") -> Table:
     """Draw ``n`` schema rows with reference moments and a learnable target."""
     if n < 1:
         raise ParameterError(f"row count must be >= 1, got {n}")
-    if regime not in ("default", "kenya"):
+    if regime not in REGIMES:
         raise ParameterError(f"regime must be default or kenya, got {regime!r}")
     rng = RngState(seed)
     persist, shortfall = synth_latent(n, rng)

@@ -234,7 +234,8 @@ class Network:
         known = {f.name for f in fields(NetworkConfig)}
         config = NetworkConfig(**{k: v for k, v in payload["config"].items() if k in known})
         net = cls.build(config, RngState(0))
-        net.set_params({key: _decode_array(entry) for key, entry in payload["params"].items()})
+        net.set_params({key: _decode_array(key, entry)
+                        for key, entry in payload["params"].items()})
         return net
 
 
@@ -245,6 +246,10 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(entry: dict) -> np.ndarray:
-    flat = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-    return flat.reshape(entry["shape"]).copy()
+def _decode_array(key: str, entry: dict) -> np.ndarray:
+    try:
+        flat = np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype="<f8")
+        return flat.reshape(entry["shape"]).copy()
+    except ValueError as err:  # binascii.Error and a byte count off 8 * prod(shape) alike
+        raise DimensionError(f"{key}: data does not decode to shape {entry['shape']}: "
+                             f"{err}") from None

@@ -1,14 +1,16 @@
+import argparse
 import base64
 import csv
 import json
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridcast.cli import FORECAST_SLICE, forecast, load_model, main
+from gridcast.cli import FORECAST_SLICE, RunConfig, build_parser, forecast, load_model, main
 from gridcast.tensor import RngState
 from gridcast.train import predict_all
 
@@ -35,6 +37,57 @@ def trained(tmp_path_factory, synth_csv):
 
 def read_bytes_map(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.is_file()}
+
+
+# text that no value of the field's type reads as; str fields take any text but none
+UNREADABLE = {"int": "1.5", "int | None": "abc", "float": "x", "bool": "maybe"}
+# config values, each pinned by name, that must never escape as a traceback (exit 1)
+TRACEBACK_PROBES = [("window", "abc"), ("window", "none"), ("blocks", "1.5"),
+                    ("max_epochs", "1e3"), ("dropout_rate", "x"), ("seed", "none")]
+BAD_CONFIG_VALUES = list(dict.fromkeys(
+    TRACEBACK_PROBES
+    + [(f.name, UNREADABLE[f.type]) for f in fields(RunConfig) if f.type in UNREADABLE]
+    + [(f.name, "none") for f in fields(RunConfig) if not f.type.endswith(" | None")]))
+
+DATA_OPTIONS = {"--csv", "--synth-rows", "--synth-regime", "--window", "--shuffle-split",
+                "--validate-on-test"}
+NET_OPTIONS = {"--task", "--blocks", "--conv-filters", "--kernel", "--gru-units",
+               "--attn-dim", "--mlp-hidden", "--dropout", "--max-epochs", "--patience",
+               "--lr-patience", "--lr", "--batch-size"}
+RUN_OPTIONS = {"--config", "--seed", "--out-dir"}
+COMMAND_OPTIONS = {
+    "synth": {"--rows", "--seed", "--regime", "--out"},
+    "train": RUN_OPTIONS | DATA_OPTIONS | NET_OPTIONS,
+    "compare": RUN_OPTIONS | DATA_OPTIONS | NET_OPTIONS | {"--model", "--knn-k", "--trees"},
+    "predict": RUN_OPTIONS | {"--model", "--csv", "--split"},
+    "explain": RUN_OPTIONS | DATA_OPTIONS | {"--model", "--windows", "--perms", "--exact"},
+}
+REQUIRED_OPTIONS = {"synth": {"--rows", "--out"}, "train": set(), "compare": set(),
+                    "predict": {"--model", "--csv"}, "explain": {"--model"}}
+RUN_HELP = {"--config": "flat key = value settings file"}
+DATA_HELP = {**RUN_HELP, "--csv": "input CSV path"}
+OPTION_HELP = {"synth": {}, "train": DATA_HELP, "predict": RUN_HELP, "explain": DATA_HELP,
+               "compare": {**DATA_HELP, "--model": "reuse a trained model file"}}
+# (flag, field, value) for two runs that between them set every RunConfig flag;
+# a None value is a switch
+EVERY_FLAG_RUNS = {
+    "compare": [("--seed", "seed", "3"), ("--window", "window", "5"),
+                ("--shuffle-split", "shuffle_split", None),
+                ("--validate-on-test", "validate_on_test", None),
+                ("--task", "task", "regression"), ("--blocks", "blocks", "1"),
+                ("--conv-filters", "conv_filters", "3"), ("--kernel", "kernel", "5"),
+                ("--gru-units", "gru_units", "3"), ("--attn-dim", "attn_dim", "2"),
+                ("--mlp-hidden", "mlp_hidden", "4"), ("--dropout", "dropout_rate", "0.25"),
+                ("--max-epochs", "max_epochs", "1"), ("--patience", "early_stop_patience", "7"),
+                ("--lr-patience", "lr_patience", "6"), ("--lr", "initial_lr", "0.002"),
+                ("--batch-size", "batch_size", "16"), ("--knn-k", "knn_k", "3"),
+                ("--trees", "n_trees", "2")],
+    # the trained fixture's window is 6, and explain adopts the model's window
+    "explain": [("--seed", "seed", "4"), ("--synth-rows", "synth_rows", "120"),
+                ("--synth-regime", "synth_regime", "kenya"), ("--window", "window", "6"),
+                ("--windows", "explain_windows", "1"), ("--perms", "explain_perms", "3"),
+                ("--exact", "explain_exact", None)],
+}
 
 
 class TestSynth:
@@ -133,10 +186,82 @@ class TestConfigFile:
         assert entry.split()[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, text", BAD_CONFIG_VALUES,
+                             ids=[f"{key}={text}" for key, text in BAD_CONFIG_VALUES])
+    def test_unreadable_value_is_config_error(self, tmp_path, synth_csv, capsys, key, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# a comment line\n{key} = {text}\n")
+        out = tmp_path / "none"
+        assert main(["train", "--config", str(cfg), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 2
+        kind = next(f.type for f in fields(RunConfig) if f.name == key)
+        assert f"{cfg}:2: {key} must be {kind}, got {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["train", "--synth-rows", "100", "--window", "abc",
+                  "--out-dir", str(tmp_path / "none")])
+        assert stop.value.code == 2
+        assert "argument --window: window must be int, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
+    def test_optional_fields_read_none_and_empty(self, tmp_path, synth_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"csv = {synth_csv}\nsynth_rows = 50\nsynth_rows = none\n"
+                       "synth_rows =\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--max-epochs", "1", *FAST_NET]) == 0
+        assert "synth_rows = None" in (out / "effective_config.txt").read_text()
+
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("banana = 3\n")
         assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+
+class TestFlags:
+    @staticmethod
+    def commands() -> dict:
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_each_command_keeps_its_options(self):
+        commands = self.commands()
+        assert set(commands) == set(COMMAND_OPTIONS)
+        for name, cmd in commands.items():
+            actions = [a for a in cmd._actions if a.dest != "help"]
+            assert {o for a in actions for o in a.option_strings} == COMMAND_OPTIONS[name]
+            assert {a.option_strings[0] for a in actions if a.required} == \
+                REQUIRED_OPTIONS[name]
+            assert {a.option_strings[0]: a.help for a in actions if a.help} == \
+                OPTION_HELP[name]
+
+    def test_flag_runs_set_every_field_flag(self):
+        names = {f.name for f in fields(RunConfig)}
+        field_flags = {o for name, cmd in self.commands().items() if name != "synth"
+                       for a in cmd._actions if a.dest in names for o in a.option_strings}
+        set_flags = {flag for run in EVERY_FLAG_RUNS.values() for flag, _, _ in run}
+        # the runs give --csv and --out-dir paths of their own
+        assert field_flags == set_flags | {"--csv", "--out-dir"}
+
+    @pytest.mark.parametrize("command", list(EVERY_FLAG_RUNS))
+    def test_every_flag_lands_in_its_field(self, tmp_path, synth_csv, trained, command):
+        out = tmp_path / "run"
+        source = {"compare": ["--csv", str(synth_csv)],
+                  "explain": ["--model", str(trained / "model.json")]}[command]
+        argv = [command, "--out-dir", str(out), *source]
+        for flag, _, value in EVERY_FLAG_RUNS[command]:
+            argv += [flag] if value is None else [flag, value]
+        assert main(argv) == 0
+        lines = set((out / "effective_config.txt").read_text().splitlines())
+        assert f"out_dir = {out}" in lines
+        for _, field, value in EVERY_FLAG_RUNS[command]:
+            assert f"{field} = {True if value is None else value}" in lines
+        if command == "compare":
+            assert f"csv = {synth_csv}" in lines
 
 
 class TestExitCodes:
@@ -181,7 +306,8 @@ class TestExitCodes:
         assert message in printed.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["broadcastable-shape", "wrong-shape", "missing-key"])
+    @pytest.mark.parametrize("case", ["broadcastable-shape", "wrong-shape", "missing-key",
+                                      "not-base64", "stray-character", "byte-count"])
     def test_model_parameters_must_match_the_architecture(self, tmp_path, synth_csv, trained,
                                                           capsys, case):
         payload = json.loads((trained / "model.json").read_text())
@@ -189,6 +315,18 @@ class TestExitCodes:
         if case == "missing-key":
             key = "head.out.bias"
             del params[key]
+        elif case == "not-base64":
+            key = "head.out.bias"
+            params[key]["data"] = "@@@"
+        elif case == "stray-character":
+            # the base64 letters around it still decode to the right byte count
+            key = "head.out.bias"
+            params[key]["data"] = "!" + params[key]["data"]
+        elif case == "byte-count":
+            # one float64 short of the head.out.weight shape
+            key = "head.out.weight"
+            data = base64.b64decode(params[key]["data"])[:-8]
+            params[key]["data"] = base64.b64encode(data).decode("ascii")
         else:
             key = "block0.norm.gain"
             n = 1 if case == "broadcastable-shape" else 2
@@ -228,6 +366,40 @@ class TestExitCodes:
     def test_model_missing_a_nested_key_is_schema_error(self, tmp_path, synth_csv, trained,
                                                         capsys, outer, key):
         self.assert_schema_error_without_key(tmp_path, synth_csv, trained, capsys, outer, key)
+
+    @pytest.mark.parametrize("outer, key, value, message", [
+        pytest.param(None, "window", 8.5, "window must be an int >= 1, got 8.5", id="window-8.5"),
+        pytest.param(None, "window", True, "window must be an int >= 1, got True",
+                     id="window-true"),
+        pytest.param(None, "window", 7, "window 7 differs from the network's 6",
+                     id="window-differs"),
+        pytest.param(None, "horizon", "a", "horizon must be an int >= 1, got 'a'",
+                     id="horizon-a"),
+        pytest.param(None, "horizon", 0, "horizon must be an int >= 1, got 0", id="horizon-0"),
+        pytest.param(None, "scaler", [], "scaler must be an object, got list", id="scaler-list"),
+        pytest.param("scaler", "feature_mean", "x", "could not convert string to float",
+                     id="feature-mean-x"),
+        pytest.param("scaler", "feature_std", [1.0] * 12, "feature_std must hold 13 finite",
+                     id="feature-std-12"),
+        pytest.param("scaler", "feature_std", [0.0] * 13, "feature_std must hold 13 finite",
+                     id="feature-std-zero"),
+        pytest.param("scaler", "target_mean", float("inf"), "target_mean must be finite",
+                     id="target-mean-inf"),
+        pytest.param("scaler", "target_std", 0.0, "target_std finite and positive",
+                     id="target-std-zero"),
+    ])
+    def test_model_value_out_of_range_is_schema_error(self, tmp_path, synth_csv, trained,
+                                                      capsys, outer, key, value, message):
+        payload = json.loads((trained / "model.json").read_text())
+        (payload[outer] if outer else payload)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        assert main(["predict", "--model", str(bad), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_training_is_numeric_error(self, tmp_path, synth_csv, capsys):
