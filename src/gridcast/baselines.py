@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, ParameterError
-from .tensor import RngState
+from .tensor import RngState, permutation_heads
 
 
 def flatten_windows(inputs: np.ndarray) -> np.ndarray:
@@ -169,60 +169,148 @@ class _Node:
         self.value = value
 
 
-def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best split of a node over its candidate columns by sum-of-squares reduction.
+def best_split(x: np.ndarray, y: np.ndarray, sizes, min_leaf: int) -> list:
+    """Best split of each node in a batch by sum-of-squares reduction.
 
-    ``x`` holds the candidate columns as (m, k); a 1-D column is the
-    k=1 case. Returns (gain, column, threshold), ``column`` indexing
-    ``x``'s columns, or None when no column has a split that leaves
-    ``min_leaf`` rows on both sides. Thresholds sit midway between
-    adjacent distinct values; rows with value <= threshold go left.
-    Gain ties resolve to the smallest left-side count within a column
-    and to the lowest column index across columns, so results are
-    order-deterministic.
+    Node b holds ``sizes[b]`` rows. ``x`` is (nodes, k, width): its k
+    candidate columns, padded past the node's rows with +inf, which a
+    stable sort puts after every row, so ``x`` must hold no NaN. ``y``
+    is (nodes, width), its padding any finite value. Returns, per node, (gain, column,
+    threshold) with ``column`` indexing the k columns, or None when no
+    column has a split that leaves ``min_leaf`` rows on both sides.
+    Thresholds sit midway between adjacent distinct values; rows with
+    value <= threshold go left. Gain ties resolve to the smallest
+    left-side count within a column and to the lowest column index
+    across columns, so results are order-deterministic. Sorted prefix
+    sums over a padded row equal the unpadded ones bit for bit, and each
+    node reads its totals at its own last row, so a node's result does
+    not depend on the batch it is in.
     """
-    cols = x.reshape(x.shape[0], -1).T                 # (k, m)
-    m = cols.shape[1]
-    if m < 2 * min_leaf:
-        return None
-    order = np.argsort(cols, axis=1, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=1)
-    ys = y[order]
-    left = slice(min_leaf - 1, m - min_leaf)           # sorted rows p-1 ...
-    right = slice(min_leaf, m - min_leaf + 1)          # ... and p
-    distinct = xs[:, left] != xs[:, right]
-    if not distinct.any():
-        return None
-    csum = np.cumsum(ys, axis=1)
-    csq = np.cumsum(ys * ys, axis=1)
+    nodes, k, width = x.shape
+    if width < 2 * min_leaf:
+        return [None] * nodes
+    order = np.argsort(x, axis=-1, kind="stable")
+    node, col = np.arange(nodes), np.arange(k)
+    ys = y.take(order + (node * width)[:, None, None])
+    xs = x.take(order + (np.arange(nodes * k) * width).reshape(nodes, k, 1))
+    m = np.asarray(sizes)[:, None, None]
+    p = np.arange(min_leaf, width - min_leaf + 1)      # left-side counts
+    left = slice(min_leaf - 1, width - min_leaf)       # sorted rows p-1 ...
+    right = slice(min_leaf, width - min_leaf + 1)      # ... and p
+    distinct = (p <= m - min_leaf) & (xs[..., left] != xs[..., right])
+    csum = np.cumsum(ys, axis=-1)
+    csq = np.cumsum(ys * ys, axis=-1)
+    last = (node[:, None], col, m[..., 0] - 1)
+    total = csum[last][..., None]
+    total_csq = csq[last][..., None]
     # Column totals are squared one at a time as numpy scalars, which
     # calls libm pow; an array's ** 2 multiplies instead, and the two
     # differ in the last bit now and then. One ulp can flip a near-tie
     # split, so the scalar form keeps fitted forests, and compare.csv,
     # reproducible across releases.
-    total_sq = np.array([total ** 2 for total in csum[:, -1]])
-    total_sse = csq[:, -1] - total_sq / m
-    p = np.arange(min_leaf, m - min_leaf + 1)          # left-side counts
-    left_sse = csq[:, left] - csum[:, left] ** 2 / p
-    right_sum = csum[:, -1:] - csum[:, left]
-    right_sse = (csq[:, -1:] - csq[:, left]) - right_sum ** 2 / (m - p)
-    gain = np.where(distinct, total_sse[:, None] - left_sse - right_sse, -np.inf)
-    at = gain.argmax(axis=1)
-    best = gain[np.arange(gain.shape[0]), at]
-    column = int(best.argmax())
-    split = p[at[column]]
-    return float(best[column]), column, float((xs[column, split - 1] + xs[column, split]) / 2.0)
+    total_sq = np.array([t ** 2 for t in total.ravel()]).reshape(total.shape)
+    total_sse = total_csq - total_sq / m
+    left_sse = csq[..., left] - csum[..., left] ** 2 / p
+    right_sum = total - csum[..., left]
+    # past a node's last split the count is clamped; distinct masks it
+    right_sse = (total_csq - csq[..., left]) - right_sum ** 2 / np.maximum(m - p, 1)
+    gain = np.where(distinct, total_sse - left_sse - right_sse, -np.inf)
+    at = gain.argmax(axis=-1)
+    best = gain[node[:, None], col, at]
+    column = best.argmax(axis=-1)
+    split = p[at[node, column]]
+    threshold = (xs[node, column, split - 1] + xs[node, column, split]) / 2.0
+    return [None if g == -np.inf else (g, c, t) for g, c, t in
+            zip(best[node, column].tolist(), column.tolist(), threshold.tolist())]
+
+
+# Nodes of at most SPLIT_BATCH_ROWS rows share one best_split call per
+# round: those of at most SPLIT_SMALL_ROWS rows in one batch, the rest in
+# one batch per power of two, so padding stays small. Larger nodes, where
+# numpy's per-call cost no longer dominates, run as a batch of 1.
+SPLIT_BATCH_ROWS = 128
+SPLIT_SMALL_ROWS = 32
+
+
+def _batch_key(index: int, rows: int) -> int:
+    if rows > SPLIT_BATCH_ROWS:
+        return -1 - index
+    return max(SPLIT_SMALL_ROWS, 1 << (rows - 1).bit_length())
+
+
+def _grow_trees(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
+               max_depth: int, min_leaf: int):
+    """Grows ``trees[i]`` on rows ``roots[i]`` of (x, y), all trees in lockstep.
+
+    A node is an int array of row indices. Each tree's nodes are visited
+    depth first, left before right. A node deeper than ``max_depth``, too
+    small to split or with one target value stays a leaf; any other node
+    draws its round(sqrt(d)) candidate columns from its tree's ``rng``
+    (d - 1 words) and is split when the best gain is positive. Each
+    round takes one such node from every unfinished tree, so the s-th
+    node a tree searches reads the same words however many trees grow
+    beside it, and every tree is the tree grown alone, bit for bit.
+    """
+    n, d = x.shape
+    k = min(max(1, round(np.sqrt(d))), d)
+    # column-major x plus a +inf column n, the row index padding points at
+    padded_x = np.full((d, n + 1), np.inf)
+    padded_x[:, :n] = x.T
+    flat_x = padded_x.ravel()
+    padded_y = np.append(y, 0.0)
+
+    def open_node(rows, depth):
+        """A new node valued at its mean target, as a stack entry."""
+        values = y[rows]
+        # what values.mean() computes, without its per-call overhead
+        return _Node(float(values.sum() / values.size)), rows, values, depth
+
+    stacks = []
+    for tree, rows in zip(trees, roots):
+        root = open_node(rows, 0)
+        tree.root = root[0]
+        stacks.append([root])
+    while True:
+        searched = []     # (tree, node, rows, depth): each tree's next split search
+        for t, stack in enumerate(stacks):
+            while stack:
+                node, rows, values, depth = stack.pop()
+                if (depth < max_depth and rows.size >= 2 * min_leaf
+                        and not (values == values[0]).all()):
+                    searched.append((t, node, rows, depth))
+                    break
+        if not searched:
+            return
+        feats = permutation_heads([trees[t].rng for t, *_ in searched], d, k)
+        batches = {}
+        for i, (_, _, rows, _) in enumerate(searched):
+            batches.setdefault(_batch_key(i, rows.size), []).append(i)
+        for batch in batches.values():
+            sizes = [searched[i][2].size for i in batch]
+            index = np.full((len(batch), max(sizes)), n)
+            for b, i in enumerate(batch):
+                index[b, :sizes[b]] = searched[i][2]
+            cand = flat_x.take(feats[batch][:, :, None] * (n + 1) + index[:, None, :])
+            for i, found in zip(batch, best_split(cand, padded_y[index], sizes, min_leaf)):
+                if found is None or found[0] <= 0.0:
+                    continue
+                t, node, rows, depth = searched[i]
+                node.feature = int(feats[i, found[1]])
+                node.threshold = found[2]
+                go_left = padded_x[node.feature, rows] <= node.threshold
+                left = open_node(rows[go_left], depth + 1)
+                right = open_node(rows[~go_left], depth + 1)
+                node.left, node.right = left[0], right[0]
+                stacks[t] += (right, left)
 
 
 class RegressionTree:
     """Greedy CART regressor with mean-valued leaves.
 
-    Each node searches round(sqrt(d)) columns drawn from ``rng``, or
-    every column when ``rng`` is None.
+    Each node searches round(sqrt(d)) columns drawn from ``rng``.
     """
 
-    def __init__(self, max_depth: int = 12, min_leaf: int = MIN_LEAF,
-                 rng: RngState | None = None):
+    def __init__(self, rng: RngState, max_depth: int = 12, min_leaf: int = MIN_LEAF):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.rng = rng
@@ -233,31 +321,8 @@ class RegressionTree:
         y = np.asarray(y, dtype=np.float64)
         if x.shape[0] < 2:
             raise DataError("tree needs at least two samples")
-        self._d = x.shape[1]
-        self.root = self._grow(x, y, 0)
+        _grow_trees([self], x, y, [np.arange(x.shape[0])], self.max_depth, self.min_leaf)
         return self
-
-    def _candidate_features(self) -> np.ndarray:
-        d = self._d
-        m = min(max(1, round(np.sqrt(d))), d)
-        if m == d or self.rng is None:
-            return np.arange(d)
-        return self.rng.permutation(d)[:m]
-
-    def _grow(self, x, y, depth: int) -> _Node:
-        node = _Node(float(y.mean()))
-        if depth >= self.max_depth or y.size < 2 * self.min_leaf or np.all(y == y[0]):
-            return node
-        feats = self._candidate_features()
-        found = best_split(x[:, feats], y, self.min_leaf)
-        if found is None or found[0] <= 0.0:
-            return node
-        _, column, node.threshold = found
-        node.feature = int(feats[column])
-        mask = x[:, node.feature] <= node.threshold
-        node.left = self._grow(x[mask], y[mask], depth + 1)
-        node.right = self._grow(x[~mask], y[~mask], depth + 1)
-        return node
 
     def predict_one(self, row) -> float:
         node = self.root
@@ -285,12 +350,10 @@ class RandomForest:
             raise DataError("forest needs at least two samples")
         master = RngState(self.config.seed)
         n = x.shape[0]
-        self.trees = []
-        for i in range(self.config.n_trees):
-            tree_rng = master.spawn(i)
-            idx = tree_rng.integers(n, n)
-            tree = RegressionTree(self.config.max_depth, rng=tree_rng)
-            self.trees.append(tree.fit(x[idx], y[idx]))
+        self.trees = [RegressionTree(master.spawn(i), self.config.max_depth)
+                      for i in range(self.config.n_trees)]
+        bootstraps = [tree.rng.integers(n, n) for tree in self.trees]
+        _grow_trees(self.trees, x, y, bootstraps, self.config.max_depth, MIN_LEAF)
         return self
 
     def predict(self, x) -> np.ndarray:

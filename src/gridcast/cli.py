@@ -96,6 +96,10 @@ class RunConfig:
                      "forest_depth"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        # checked here, not only by the loader of the source in use
+        for name, allowed in (("synth_regime", dat.REGIMES), ("on_missing", dat.ON_MISSING)):
+            if getattr(self, name) not in allowed:
+                problems.append(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         problems += self.network_config().violations() + self.train_config().violations()
         if problems:
             raise ParameterError("invalid run config: " + "; ".join(problems))

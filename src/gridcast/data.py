@@ -26,6 +26,7 @@ from .tensor import RngState
 log = logging.getLogger(__name__)
 
 REGIMES = ("default", "kenya")
+ON_MISSING = ("reject", "ffill")
 
 SCHEMA = [
     "pv_kw",
@@ -215,8 +216,8 @@ def load_csv(path, on_missing: str = "reject") -> Table:
     (``reject``) or forward-filled (``ffill``); any other unparsable
     cell raises a RowError citing the file line.
     """
-    if on_missing not in ("reject", "ffill"):
-        raise ParameterError(f"on_missing must be reject or ffill, got {on_missing!r}")
+    if on_missing not in ON_MISSING:
+        raise ParameterError(f"on_missing must be one of {ON_MISSING}, got {on_missing!r}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

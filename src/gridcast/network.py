@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, SchemaError
 from .layers import Attention, Conv1d, Dense, Dropout, Gru, LayerNorm, Relu
 from .tensor import RngState, as_tensor
 
@@ -249,7 +249,10 @@ def _encode_array(arr: np.ndarray) -> dict:
 def _decode_array(key: str, entry: dict) -> np.ndarray:
     try:
         flat = np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype="<f8")
-        return flat.reshape(entry["shape"]).copy()
+        arr = flat.reshape(entry["shape"]).copy()
     except ValueError as err:  # binascii.Error and a byte count off 8 * prod(shape) alike
         raise DimensionError(f"{key}: data does not decode to shape {entry['shape']}: "
                              f"{err}") from None
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{key}: parameter values must be finite")
+    return arr

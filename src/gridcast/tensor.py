@@ -47,11 +47,16 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+_GOLDEN64 = np.uint64(_GOLDEN)
+_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (arrays wrap silently)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _SHIFT1)) * _MUL1
+    z = (z ^ (z >> _SHIFT2)) * _MUL2
+    return z ^ (z >> _SHIFT3)
 
 
 def _mix_int(v: int) -> int:
@@ -69,14 +74,14 @@ class RngState:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self._key = _mix_int(self.seed ^ _GOLDEN)
+        self._key = np.uint64(_mix_int(self.seed ^ _GOLDEN))
         self._counter = 0
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 words."""
         idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
         self._counter += n
-        return _mix64(np.uint64(self._key) + np.uint64(_GOLDEN) * idx)
+        return _mix64(self._key + _GOLDEN64 * idx)
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1) with 53 random bits each."""
@@ -104,24 +109,46 @@ class RngState:
         return (self.raw(n) % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n).
-
-        Draw t picks the swap partner of position n-1-t from
-        [0, n-1-t]; the swaps run on a Python list because per-element
-        numpy indexing costs several times more.
-        """
-        perm = list(range(n))
-        if n > 1:
-            draws = self.raw(n - 1).tolist()
-            for i in range(n - 1, 0, -1):
-                j = draws[n - 1 - i] % (i + 1)
-                perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.int64)
+        """Fisher-Yates permutation of range(n), from the next n - 1 words."""
+        draws = self.raw(max(n - 1, 0)) % _moduli(n)
+        return np.array(_fisher_yates(n, draws), dtype=np.int64)
 
     def spawn(self, tag: int) -> "RngState":
         """Independent child stream determined by (this stream's key, tag)."""
         child = RngState(0)
         child.seed = self.seed
-        child._key = _mix_int(self._key ^ _mix_int((tag & _MASK64) + _GOLDEN))
+        child._key = np.uint64(_mix_int(int(self._key) ^ _mix_int((tag & _MASK64) + _GOLDEN)))
         child._counter = 0
         return child
+
+
+def _moduli(n: int) -> np.ndarray:
+    """Draw t of a Fisher-Yates permutation of range(n) is taken modulo n - t."""
+    return np.arange(n, 1, -1, dtype=np.uint64)
+
+
+def _fisher_yates(n: int, partners: np.ndarray) -> list:
+    """range(n), swapping position n-1-t with ``partners[t]`` for t = 0, 1, ...
+
+    The swaps run on a Python list because per-element numpy indexing
+    costs several times more.
+    """
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), partners.tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def permutation_heads(streams: list, n: int, k: int) -> np.ndarray:
+    """``s.permutation(n)[:k]`` for each stream in ``streams``, as rows.
+
+    The n - 1 words of every stream come from one mix over a counter
+    block, and each stream advances by n - 1, as ``permutation`` would.
+    """
+    keys = np.array([s._key for s in streams], dtype=np.uint64)
+    counters = np.array([s._counter for s in streams], dtype=np.uint64)
+    idx = counters[:, None] + np.arange(max(n - 1, 0), dtype=np.uint64)
+    for s in streams:
+        s._counter += idx.shape[1]
+    partners = _mix64(keys[:, None] + _GOLDEN64 * idx) % _moduli(n)
+    return np.array([_fisher_yates(n, row)[:k] for row in partners], dtype=np.int64)

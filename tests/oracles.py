@@ -3,7 +3,8 @@
 These deliberately avoid the library's own computation paths: gradients
 come from central finite differences, nearest neighbours from a full
 sort, ridge weights from raw normal equations, tree splits from
-exhaustive threshold enumeration, permutations from an
+exhaustive threshold enumeration, trees from a recursive node-by-node
+grower, permutations from an
 element-by-element Fisher-Yates loop, bit-exact KNN from a per-query
 full scan, Adam from a loop over
 per-parameter arrays, the GRU from one matrix per gate, and Shapley
@@ -128,6 +129,67 @@ def exhaustive_best_split(x_col, y, min_leaf):
         if best is None or gain > best[0]:
             best = (gain, thr)
     return best
+
+
+def reference_best_split(x, y, min_leaf):
+    """One node's best split, searched alone: (gain, column, threshold) or None.
+
+    ``x`` holds the candidate columns as (m, k); a 1-D column is k=1.
+    Ties go to the smallest left count, then to the lowest column.
+    """
+    cols = x.reshape(x.shape[0], -1).T
+    m = cols.shape[1]
+    if m < 2 * min_leaf:
+        return None
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=1)
+    ys = y[order]
+    left = slice(min_leaf - 1, m - min_leaf)
+    right = slice(min_leaf, m - min_leaf + 1)
+    distinct = xs[:, left] != xs[:, right]
+    if not distinct.any():
+        return None
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    total_sq = np.array([total ** 2 for total in csum[:, -1]])   # scalar pow, as the library
+    total_sse = csq[:, -1] - total_sq / m
+    p = np.arange(min_leaf, m - min_leaf + 1)
+    left_sse = csq[:, left] - csum[:, left] ** 2 / p
+    right_sum = csum[:, -1:] - csum[:, left]
+    right_sse = (csq[:, -1:] - csq[:, left]) - right_sum ** 2 / (m - p)
+    gain = np.where(distinct, total_sse[:, None] - left_sse - right_sse, -np.inf)
+    at = gain.argmax(axis=1)
+    best = gain[np.arange(gain.shape[0]), at]
+    column = int(best.argmax())
+    split = p[at[column]]
+    return float(best[column]), column, float((xs[column, split - 1] + xs[column, split]) / 2.0)
+
+
+def reference_tree(x, y, rng, max_depth, min_leaf):
+    """A CART tree grown alone by recursion on row copies, as nested tuples.
+
+    A leaf is ``(value,)``, a split ``(value, feature, threshold, left,
+    right)``. Each node that reaches a split search takes the first
+    round(sqrt(d)) entries of ``rng.permutation(d)`` as its candidates.
+    """
+    d = x.shape[1]
+    k = min(max(1, round(np.sqrt(d))), d)
+
+    def grow(x, y, depth):
+        value = float(y.mean())
+        if depth >= max_depth or y.size < 2 * min_leaf or np.all(y == y[0]):
+            return (value,)
+        feats = rng.permutation(d)[:k] if k < d else np.arange(d)
+        found = reference_best_split(x[:, feats], y, min_leaf)
+        if found is None or found[0] <= 0.0:
+            return (value,)
+        _, column, threshold = found
+        feature = int(feats[column])
+        mask = x[:, feature] <= threshold
+        return (value, feature, threshold, grow(x[mask], y[mask], depth + 1),
+                grow(x[~mask], y[~mask], depth + 1))
+
+    return grow(x, y, 0)
 
 
 def fisher_yates_reference(draws):

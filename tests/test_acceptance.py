@@ -253,7 +253,7 @@ def test_criterion_6_baseline_oracles():
 
         x_step = np.linspace(-1, 1, 40).reshape(-1, 1)
         y_step = (x_step[:, 0] >= 0).astype(float)
-        tree = RegressionTree(max_depth=1, min_leaf=1).fit(x_step, y_step)
+        tree = RegressionTree(RngState(0), max_depth=1, min_leaf=1).fit(x_step, y_step)
         gain, thr = exhaustive_best_split(x_step[:, 0], y_step, min_leaf=1)
         assert abs(tree.root.threshold - thr) < 1e-12
         assert tree.predict_one([-0.1]) == 0.0 and tree.predict_one([0.1]) == 1.0

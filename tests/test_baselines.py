@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from gridcast import data as dat
-from gridcast.baselines import (BayesianRidge, ForestConfig, RandomForest,
+from gridcast.baselines import (MIN_LEAF, BayesianRidge, ForestConfig, RandomForest,
                                 RegressionTree, best_split, flatten_windows,
                                 knn_predict_batch)
 from gridcast.errors import DataError, NumericError, ParameterError
 from gridcast.tensor import RngState
 
 from oracles import (brute_force_knn, exhaustive_best_split, knn_reference,
-                     normal_equations_ridge)
+                     normal_equations_ridge, reference_best_split, reference_tree)
 
 
 class TestFlatten:
@@ -166,17 +166,51 @@ class TestBayesianRidge:
             BayesianRidge(alpha=0.0).fit(x, np.arange(5.0))
 
 
+def one_node(x, y, min_leaf):
+    """best_split on one node, a batch of 1: ``x`` is (m,) or (m, k) columns."""
+    cols = np.atleast_2d(np.asarray(x).T)
+    return best_split(cols[None], np.asarray(y)[None], [len(y)], min_leaf)[0]
+
+
+def as_tuples(node):
+    """A fitted tree in ``reference_tree``'s nested-tuple form."""
+    if node.left is None:
+        return (node.value,)
+    return (node.value, node.feature, node.threshold, as_tuples(node.left),
+            as_tuples(node.right))
+
+
+def predict_tuples(tree, x):
+    out = []
+    for row in x:
+        node = tree
+        while len(node) > 1:
+            node = node[3] if row[node[1]] <= node[2] else node[4]
+        out.append(node[0])
+    return np.array(out)
+
+
+def forest_data(seed, n=300, d=20):
+    """Rows with tied, constant and informative columns and a noisy target."""
+    rng = RngState(seed)
+    x = rng.uniform(-2, 2, (n, d))
+    x[:, 1::3] = np.round(x[:, 1::3] * 2) / 2
+    x[:, 5] = 0.75
+    y = np.sin(x[:, 0]) + x[:, 2] * x[:, 3] + 0.1 * rng.normals(n)
+    return x, y
+
+
 class TestTree:
     def test_constant_targets_single_leaf(self):
         x = RngState(4).uniform(-1, 1, (20, 3))
-        tree = RegressionTree(max_depth=3).fit(x, np.full(20, 2.5))
+        tree = RegressionTree(RngState(0), max_depth=3).fit(x, np.full(20, 2.5))
         assert tree.root.left is None
         assert np.allclose(tree.predict(x), 2.5)
 
     def test_step_data_splits_at_step_and_predicts_purely(self):
         x = np.linspace(-1, 1, 21).reshape(-1, 1)
         y = (x[:, 0] >= 0).astype(float)
-        tree = RegressionTree(max_depth=1, min_leaf=1).fit(x, y)
+        tree = RegressionTree(RngState(0), max_depth=1, min_leaf=1).fit(x, y)
         oracle = exhaustive_best_split(x[:, 0], y, min_leaf=1)
         assert abs(tree.root.threshold - oracle[1]) < 1e-12
         assert tree.predict_one([-0.5]) == 0.0
@@ -187,7 +221,7 @@ class TestTree:
         for trial in range(15):
             x_col = rng.uniform(-2, 2, 30)
             y = rng.uniform(-1, 1, 30)
-            mine = best_split(x_col, y, min_leaf=2)
+            mine = one_node(x_col, y, min_leaf=2)
             oracle = exhaustive_best_split(x_col, y, min_leaf=2)
             assert (mine is None) == (oracle is None)
             if mine is not None:
@@ -209,7 +243,7 @@ class TestTree:
             x = self.columns_with_ties(rng, 25 + trial, 6)
             y = rng.uniform(-1, 1, x.shape[0])
             for c in range(x.shape[1]):
-                mine = best_split(x[:, [c]], y, min_leaf)
+                mine = one_node(x[:, [c]], y, min_leaf)
                 oracle = exhaustive_best_split(x[:, c], y, min_leaf)
                 assert (mine is None) == (oracle is None)
                 if mine is not None:
@@ -222,35 +256,63 @@ class TestTree:
         for trial in range(15):
             x = self.columns_with_ties(rng, 40, 7)
             y = rng.uniform(-1, 1, 40)
-            singles = [best_split(x[:, c], y, min_leaf=2) for c in range(7)]
+            singles = [one_node(x[:, c], y, min_leaf=2) for c in range(7)]
             expected = None
             for c, found in enumerate(singles):
                 if found is not None and (expected is None or found[0] > expected[0]):
                     expected = (found[0], c, found[2])
-            assert best_split(x, y, min_leaf=2) == expected
+            assert one_node(x, y, min_leaf=2) == expected
 
     def test_duplicated_column_lower_index_wins(self):
         rng = RngState(18)
         strong = rng.uniform(-1, 1, 30)
         weak = rng.uniform(-1, 1, 30)
         y = np.where(strong > 0.1, 1.0, -1.0) + 0.01 * rng.normals(30)
-        gain, column, thr = best_split(np.stack([weak, strong, strong], axis=1), y, 2)
+        gain, column, thr = one_node(np.stack([weak, strong, strong], axis=1), y, 2)
         assert column == 1
-        assert best_split(np.stack([strong, weak, strong], axis=1), y, 2) == (gain, 0, thr)
+        assert one_node(np.stack([strong, weak, strong], axis=1), y, 2) == (gain, 0, thr)
 
     def test_gain_tie_within_a_column_takes_the_smallest_left_count(self):
         x = np.arange(6.0)
         y = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])     # left counts 2 and 4 tie exactly
-        assert best_split(x, y, min_leaf=1)[1:] == (0, 1.5)
-        assert best_split(np.stack([x[::-1], x], axis=1), y, min_leaf=1)[1:] == (0, 1.5)
+        assert one_node(x, y, min_leaf=1)[1:] == (0, 1.5)
+        assert one_node(np.stack([x[::-1], x], axis=1), y, min_leaf=1)[1:] == (0, 1.5)
 
     def test_no_splittable_column_gives_none(self):
         y = np.arange(6.0)
-        assert best_split(np.ones((6, 3)), y, min_leaf=1) is None
+        assert one_node(np.ones((6, 3)), y, min_leaf=1) is None
         x = np.ones((6, 2))
         x[0, 1] = 0.0           # distinct only at a split leaving one row left
-        assert best_split(x, y, min_leaf=2) is None
-        assert best_split(np.arange(6.0).reshape(-1, 2), y[:3], min_leaf=2) is None
+        assert one_node(x, y, min_leaf=2) is None
+        assert one_node(np.arange(6.0).reshape(-1, 2), y[:3], min_leaf=2) is None
+
+    def test_mixed_batch_matches_each_node_searched_alone(self):
+        # one call over nodes of 4 (= 2 * min_leaf), 7, 19, 40 and 6 rows; node 2
+        # has a constant column and node 4 is constant in every column
+        rng = RngState(19)
+        min_leaf, k = 2, 3
+        sizes = [4, 7, 19, 40, 6]
+        xs = [np.round(rng.uniform(-2, 2, (m, k)) * 4) / 4 for m in sizes]
+        xs[2][:, 1] = 0.5
+        xs[4][:] = 1.25
+        ys = [rng.uniform(-1, 1, m) for m in sizes]
+        x = np.full((len(sizes), k, max(sizes)), np.inf)
+        y = np.full((len(sizes), max(sizes)), 7.0)     # padding targets are never read
+        for b, m in enumerate(sizes):
+            x[b, :, :m] = xs[b].T
+            y[b, :m] = ys[b]
+        found = best_split(x, y, sizes, min_leaf)
+        assert len(found) == len(sizes)
+        for b in range(len(sizes)):
+            assert found[b] == reference_best_split(xs[b], ys[b], min_leaf)
+            oracles = [exhaustive_best_split(xs[b][:, c], ys[b], min_leaf) for c in range(k)]
+            if found[b] is None:
+                assert all(o is None for o in oracles)
+                continue
+            gain, column, thr = found[b]
+            assert abs(gain - max(o[0] for o in oracles if o is not None)) < 1e-9
+            assert abs(thr - oracles[column][1]) < 1e-12
+        assert found[4] is None
 
     def test_min_leaf_respected(self):
         x = np.arange(10, dtype=float).reshape(-1, 1)
@@ -264,11 +326,38 @@ class TestTree:
                 return [len(idx)]
             mask = x[idx, node.feature] <= node.threshold
             return sizes(node.left, idx[mask]) + sizes(node.right, idx[~mask])
-        tree = RegressionTree(max_depth=6, min_leaf=3).fit(x, y)
+        tree = RegressionTree(RngState(0), max_depth=6, min_leaf=3).fit(x, y)
         assert min(sizes(tree.root, np.arange(10))) >= 3
+
+    def test_single_tree_matches_reference_grower(self):
+        x, y = forest_data(11)
+        tree = RegressionTree(RngState(5), max_depth=3, min_leaf=1).fit(x, y)
+        ref_rng = RngState(5)
+        expected = reference_tree(x, y, ref_rng, max_depth=3, min_leaf=1)
+        assert as_tuples(tree.root) == expected
+        assert tree.rng._counter == ref_rng._counter
+        assert np.array_equal(tree.predict(x), predict_tuples(expected, x))
 
 
 class TestForest:
+    @pytest.mark.parametrize("n_trees", [1, 3, 10])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lockstep_trees_match_reference_grower(self, n_trees, seed):
+        # 300 rows: nodes fall in every batch class, from batches of 1 to <= 32 rows
+        x, y = forest_data(seed)
+        config = ForestConfig(n_trees=n_trees, max_depth=12, seed=seed)
+        forest = RandomForest(config).fit(x, y)
+        expected = []
+        for i, tree in enumerate(forest.trees):
+            rng = RngState(seed).spawn(i)
+            idx = rng.integers(len(y), len(y))
+            expected.append(reference_tree(x[idx], y[idx], rng, config.max_depth, MIN_LEAF))
+            assert as_tuples(tree.root) == expected[-1]
+            assert tree.rng._counter == rng._counter
+        queries = forest_data(seed + 100, n=50)[0]
+        reference = np.stack([predict_tuples(t, queries) for t in expected]).mean(axis=0)
+        assert np.array_equal(forest.predict(queries), reference)
+
     def test_constant_targets(self):
         x = RngState(7).uniform(-1, 1, (25, 4))
         forest = RandomForest(ForestConfig(n_trees=5, seed=1)).fit(x, np.full(25, 1.25))

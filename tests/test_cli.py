@@ -186,6 +186,20 @@ class TestConfigFile:
         assert entry.split()[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, source", [
+        ("synth_regime = bogus", "--csv"), ("on_missing = bogus", "--synth-rows")],
+        ids=["synth_regime-with-csv", "on_missing-with-synth"])
+    def test_setting_of_the_other_source_is_checked(self, tmp_path, synth_csv, capsys, entry,
+                                                    source):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(entry + "\n")
+        out = tmp_path / "none"
+        value = str(synth_csv) if source == "--csv" else "200"
+        assert main(["train", "--config", str(cfg), source, value, "--out-dir", str(out),
+                     "--max-epochs", "1", *FAST_NET]) == 2
+        assert f"{entry.split()[0]} must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, text", BAD_CONFIG_VALUES,
                              ids=[f"{key}={text}" for key, text in BAD_CONFIG_VALUES])
     def test_unreadable_value_is_config_error(self, tmp_path, synth_csv, capsys, key, text):
@@ -338,6 +352,22 @@ class TestExitCodes:
         assert main(["predict", "--model", str(bad), "--csv", str(synth_csv),
                      "--out-dir", str(out)]) == 3
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_model_parameter_is_schema_error(self, tmp_path, synth_csv, trained,
+                                                        capsys, value):
+        payload = json.loads((trained / "model.json").read_text())
+        entry = payload["network"]["params"]["head.out.bias"]
+        bias = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+        bias[0] = value
+        entry["data"] = base64.b64encode(bias.tobytes()).decode("ascii")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        assert main(["predict", "--model", str(bad), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 3
+        assert "head.out.bias: parameter values must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_model_is_data_error(self, tmp_path, synth_csv):
