@@ -11,9 +11,12 @@ Each layer caches the activations its backward pass needs during
 layer instance pairs exactly one backward with one forward.
 ``backward`` takes the upstream gradient in the shape ``forward``
 returned and gives back the gradient with respect to the layer input in
-the input's shape. Parameter gradients are summed over every window of
-the batch and stored in ``self.grads`` (same keys and shapes as
-``params()``). No autodiff anywhere: every gradient below is the
+the input's shape. ``Conv1d`` and ``Attention`` can compute only the
+last ``steps`` output steps of a window (all T by default): their
+output is then (B, steps, F), and their backward still returns the
+full (B, T, F) input gradient. Parameter gradients are summed over
+every window of the batch and stored in ``self.grads`` (same keys and
+shapes as ``params()``). No autodiff anywhere: every gradient below is the
 hand-derived derivative of the forward map, and the test suite checks
 all of them against central finite differences.
 """
@@ -47,6 +50,14 @@ def _rows(x, width: int, name: str) -> np.ndarray:
     return x
 
 
+def _last_steps(steps: int | None, t_len: int) -> tuple[int, int]:
+    """(steps, first): how many output steps to compute, all T if None, and the first one."""
+    steps = t_len if steps is None else steps
+    if not 1 <= steps <= t_len:
+        raise DimensionError(f"steps must be in [1, {t_len}], got {steps}")
+    return steps, t_len - steps
+
+
 class _Layer:
     """Shared cache/grads bookkeeping."""
 
@@ -72,7 +83,8 @@ class Conv1d(_Layer):
     (B, T, out_ch). Internally an im2col matrix with one row per
     (window, step) turns the convolution into one matrix product, which
     keeps the backward pass a pair of matmuls plus a fold of the column
-    gradient back onto overlapping time positions.
+    gradient back onto overlapping time positions. With ``steps`` < T
+    only the rows of the last ``steps`` output steps are built.
     """
 
     def __init__(self, kernels, bias):
@@ -97,37 +109,40 @@ class Conv1d(_Layer):
     def params(self):
         return {"kernels": self.kernels, "bias": self.bias}
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x, steps: int | None = None) -> np.ndarray:
         out_ch, in_ch, k = self.kernels.shape
         x = _as_batch(x, in_ch, "conv1d")
         batch, t_len, _ = x.shape
+        steps, first = _last_steps(steps, t_len)
         pad = k // 2
         xp = np.zeros((batch, t_len + 2 * pad, in_ch))
         xp[:, pad:pad + t_len] = x
-        # cols[b, t, i, j] = padded input of window b at time t+j, channel i
-        cols = np.empty((batch, t_len, in_ch, k))
+        # cols[b, s, i, j] = padded input of window b at time first+s+j, channel i
+        cols = np.empty((batch, steps, in_ch, k))
         for j in range(k):
-            cols[:, :, :, j] = xp[:, j:j + t_len]
-        cols = cols.reshape(batch * t_len, in_ch * k)
+            cols[:, :, :, j] = xp[:, first + j:first + j + steps]
+        cols = cols.reshape(batch * steps, in_ch * k)
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
         self._cache = (cols, x.shape)
-        return (cols @ w_mat.T + self.bias).reshape(batch, t_len, out_ch)
+        return (cols @ w_mat.T + self.bias).reshape(batch, steps, out_ch)
 
     def backward(self, upstream):
         cols, (batch, t_len, in_ch) = self._take_cache()
         out_ch, _, k = self.kernels.shape
+        steps = cols.shape[0] // batch
+        first = t_len - steps
         upstream = _as_batch(upstream, out_ch, "conv1d backward")
-        upstream = upstream.reshape(batch * t_len, out_ch)
+        upstream = upstream.reshape(batch * steps, out_ch)
         pad = k // 2
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
         self.grads = {
             "kernels": (upstream.T @ cols).reshape(out_ch, in_ch, k),
             "bias": upstream.sum(axis=0),
         }
-        dcols = (upstream @ w_mat).reshape(batch, t_len, in_ch, k)
+        dcols = (upstream @ w_mat).reshape(batch, steps, in_ch, k)
         dxp = np.zeros((batch, t_len + 2 * pad, in_ch))
         for j in range(k):
-            dxp[:, j:j + t_len] += dcols[:, :, :, j]
+            dxp[:, first + j:first + j + steps] += dcols[:, :, :, j]
         return dxp[:, pad:pad + t_len]
 
 
@@ -244,7 +259,9 @@ class Attention(_Layer):
     the unprojected input rows. Scores are scaled by 1/sqrt(d_attn)
     before the row softmax, so each output row is a convex combination
     of the input rows of its own window. A (B, T, d) batch gives one
-    batched (B, T, T) score product.
+    batched (B, T, T) score product. With ``steps`` < T only the last
+    ``steps`` rows are queries, scored against keys and values of all T
+    steps, and the scores are (B, steps, T).
     """
 
     def __init__(self, K_w, Q_w):
@@ -268,36 +285,40 @@ class Attention(_Layer):
     def params(self):
         return {"K_w": self.K_w, "Q_w": self.Q_w}
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x, steps: int | None = None) -> np.ndarray:
         d, d_attn = self.K_w.shape
         x = _as_batch(x, d, "attention")
         batch, t_len, _ = x.shape
+        steps, first = _last_steps(steps, t_len)
         keys = x @ self.K_w
-        queries = x @ self.Q_w
+        queries = x[:, first:] @ self.Q_w
         scores = queries @ keys.transpose(0, 2, 1) / np.sqrt(d_attn)
-        # cached as (B*T, T): one softmax row per (window, query step)
-        weights = softmax_rows(scores.reshape(batch * t_len, t_len))
+        # cached as (B*steps, T): one softmax row per (window, query step)
+        weights = softmax_rows(scores.reshape(batch * steps, t_len))
         self._cache = (x, keys, queries, weights)
-        return weights.reshape(batch, t_len, t_len) @ x
+        return weights.reshape(batch, steps, t_len) @ x
 
     def backward(self, upstream):
         x, keys, queries, weights = self._take_cache()
         batch, t_len, d = x.shape
+        steps = queries.shape[1]
+        first = t_len - steps
         upstream = _as_batch(upstream, d, "attention backward")
-        weights = weights.reshape(batch, t_len, t_len)
+        weights = weights.reshape(batch, steps, t_len)
         scale = 1.0 / np.sqrt(self.K_w.shape[1])
         dweights = upstream @ x.transpose(0, 2, 1)
         # softmax backward per row: dS = A * (dA - sum(dA * A))
         dscores = weights * (dweights - (dweights * weights).sum(axis=2, keepdims=True))
         dqueries = dscores @ keys * scale
         dkeys = dscores.transpose(0, 2, 1) @ queries * scale
-        x_rows = x.reshape(batch * t_len, d)
         self.grads = {
-            "K_w": x_rows.T @ dkeys.reshape(batch * t_len, -1),
-            "Q_w": x_rows.T @ dqueries.reshape(batch * t_len, -1),
+            "K_w": x.reshape(batch * t_len, d).T @ dkeys.reshape(batch * t_len, -1),
+            "Q_w": x[:, first:].reshape(batch * steps, d).T @ dqueries.reshape(batch * steps, -1),
         }
-        return (weights.transpose(0, 2, 1) @ upstream
-                + dqueries @ self.Q_w.T + dkeys @ self.K_w.T)
+        dx = weights.transpose(0, 2, 1) @ upstream
+        dx[:, first:] += dqueries @ self.Q_w.T
+        dx += dkeys @ self.K_w.T
+        return dx
 
 
 class Dense(_Layer):
@@ -411,11 +432,14 @@ class LayerNorm(_Layer):
         return {"gain": self.gain, "shift": self.shift}
 
     def forward(self, x) -> np.ndarray:
-        x = _rows(x, self.gain.shape[0], "layernorm")
+        width = self.gain.shape[0]
+        x = _rows(x, width, "layernorm")
         mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # the population variance as np.var computes it, reusing x - mu
+        d = x - mu
+        var = (d * d).sum(axis=-1, keepdims=True) / width
         inv = 1.0 / np.sqrt(var + self.epsilon)
-        xhat = (x - mu) * inv
+        xhat = d * inv
         self._cache = (xhat, inv)
         return self.gain * xhat + self.shift
 

@@ -5,6 +5,9 @@ branch and an attention-over-GRU branch. Branch outputs are
 concatenated along features and layer-normalized, and the block is
 repeated; the MLP head reads the final timestep of the last block and
 emits one value (linear for regression, sigmoid for classification).
+Since nothing else reads the last block's output, that block computes
+only its final timestep: its GRU still runs every step, but its
+convolution, attention queries and norm cover only the last one.
 
 The network runs on a batch of windows shaped (B, window, features)
 and returns one value per window, shape (B,). A single
@@ -12,10 +15,10 @@ and returns one value per window, shape (B,). A single
 (1, window, features) on entry and gives shape (1,).
 
 Backward takes the (B,) loss gradient and chains exactly through that
-wiring: the head gradient is scattered onto the last timestep of each
-window, the norm gradient is split by feature ranges between the
-branches, and both branches' input gradients are summed to form the
-gradient flowing into the block below. Parameter gradients are summed
+wiring: the head gradient enters the last block's single timestep,
+the norm gradient is split by feature ranges between the branches, and
+both branches' input gradients are summed to form the gradient flowing
+into the block below. Parameter gradients are summed
 over the batch, so the gradient of a batch-mean loss is the mean of
 the per-window gradients.
 """
@@ -183,14 +186,15 @@ class Network:
             )
         self._input_shape = x.shape
         x = x.reshape(-1, cfg.window, cfg.features)
-        for block in self.blocks:
-            conv_out = block.conv.forward(x)
+        for i, block in enumerate(self.blocks):
+            # the head reads only the top block's last step
+            steps = 1 if i == len(self.blocks) - 1 else cfg.window
+            conv_out = block.conv.forward(x, steps)
             if block.conv_act is not None:
                 conv_out = block.conv_act.forward(conv_out)
-            attn_out = block.attn.forward(block.gru.forward(x))
+            attn_out = block.attn.forward(block.gru.forward(x), steps)
             x = block.norm.forward(np.concatenate([conv_out, attn_out], axis=2))
-        last = x[:, -1, :]
-        hidden = self.head_drop.forward(self.head_hidden.forward(last), training, rng)
+        hidden = self.head_drop.forward(self.head_hidden.forward(x[:, -1]), training, rng)
         return self.head_out.forward(hidden).reshape(-1)
 
     def backward(self, loss_grad) -> dict[str, np.ndarray]:
@@ -204,9 +208,7 @@ class Network:
         loss_grad = as_tensor(loss_grad).reshape(-1, 1)
         up = self.head_hidden.backward(self.head_drop.backward(self.head_out.backward(loss_grad)))
         cfg = self.config
-        merged = cfg.conv_filters + cfg.gru_units
-        grad_seq = np.zeros((up.shape[0], cfg.window, merged))
-        grad_seq[:, -1] = up
+        grad_seq = up[:, None, :]
         for block in reversed(self.blocks):
             g = block.norm.backward(grad_seq)
             g_conv, g_attn = g[:, :, :cfg.conv_filters], g[:, :, cfg.conv_filters:]
@@ -231,12 +233,35 @@ class Network:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Network":
-        known = {f.name for f in fields(NetworkConfig)}
-        config = NetworkConfig(**{k: v for k, v in payload["config"].items() if k in known})
-        net = cls.build(config, RngState(0))
+        """Inverse of ``to_dict``; SchemaError for a value of the wrong type.
+
+        Every ``NetworkConfig`` field must be present with its annotated
+        type (an int for a float field too, never a bool); unknown config
+        keys are ignored.
+        """
+        config = _object(_object(payload, "network")["config"], "network config")
+        values = {}
+        for field in fields(NetworkConfig):
+            value = config[field.name]
+            kind = _FIELD_TYPES[field.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise SchemaError(f"network config {field.name} must be {field.type}, "
+                                  f"got {value!r}")
+            values[field.name] = value
+        net = cls.build(NetworkConfig(**values), RngState(0))
         net.set_params({key: _decode_array(key, entry)
-                        for key, entry in payload["params"].items()})
+                        for key, entry in _object(payload["params"], "network params").items()})
         return net
+
+
+# the Python types a JSON value may have for each annotation in NetworkConfig
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be an object, got {type(value).__name__}")
+    return value
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -247,11 +272,16 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(key: str, entry: dict) -> np.ndarray:
+    shape, data = _object(entry, key)["shape"], entry["data"]
+    if not isinstance(shape, list) or any(type(n) is not int for n in shape):
+        raise SchemaError(f"{key}: shape must be a list of ints, got {shape!r}")
+    if not isinstance(data, str):
+        raise SchemaError(f"{key}: data must be a base64 string, got {data!r}")
     try:
-        flat = np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype="<f8")
-        arr = flat.reshape(entry["shape"]).copy()
+        flat = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
+        arr = flat.reshape(shape).copy()
     except ValueError as err:  # binascii.Error and a byte count off 8 * prod(shape) alike
-        raise DimensionError(f"{key}: data does not decode to shape {entry['shape']}: "
+        raise DimensionError(f"{key}: data does not decode to shape {shape}: "
                              f"{err}") from None
     if not np.isfinite(arr).all():
         raise SchemaError(f"{key}: parameter values must be finite")

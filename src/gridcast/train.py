@@ -120,11 +120,13 @@ def loss(head: str, pred, target):
 
 
 class AdamState:
-    """First/second moment accumulators shaped like the parameter vector."""
+    """First/second moment accumulators shaped like the parameter vector,
+    and two scratch vectors of that shape that each update overwrites."""
 
     def __init__(self, param: np.ndarray):
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
+        self.scratch = (np.empty_like(param), np.empty_like(param))
 
 
 def adam_step(param, grad, state: AdamState, lr: float, t: int):
@@ -136,11 +138,18 @@ def adam_step(param, grad, state: AdamState, lr: float, t: int):
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
+    step, denom = state.scratch
+    # in place, in the operand order of
+    # param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps), so the bits match it
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+    np.multiply(1.0 - ADAM_BETA2, grad, out=step)
+    v += np.multiply(step, grad, out=step)
+    np.multiply(lr, np.divide(m, bc1, out=step), out=step)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += ADAM_EPSILON
+    param -= np.divide(step, denom, out=step)
 
 
 # --- schedule ----------------------------------------------------------------

@@ -7,7 +7,8 @@ exhaustive threshold enumeration, trees from a recursive node-by-node
 grower, permutations from an
 element-by-element Fisher-Yates loop, bit-exact KNN from a per-query
 full scan, Adam from a loop over
-per-parameter arrays, the GRU from one matrix per gate, and Shapley
+per-parameter arrays, the GRU from one matrix per gate, the network
+with every block (the top one too) over all time steps, and Shapley
 values from subset enumeration or a
 permutation loop that scores one coalition per model call.
 """
@@ -268,6 +269,42 @@ def gru_reference(W, U_rz, U, b, x, h0, upstream):
     }
     dx = dar_seq @ W_r.T + daz_seq @ W_z.T + dah_seq @ W_c.T
     return hs[1:].transpose(1, 0, 2), dx.transpose(1, 0, 2), carry, grads
+
+
+def full_sequence_network(net, x, loss_grad, training=False, rng=None):
+    """``net``'s forward and backward with the top block over all T steps.
+
+    Every block runs its layers on whole windows, the head reads the top
+    block's last step, and the head gradient is scattered into a (B, T,
+    merged) array that is zero except at that step. Takes (B, window,
+    features) inputs and a (B,) loss gradient; returns (outputs, input
+    gradient, {dotted key: parameter gradient}).
+    """
+    cfg = net.config
+    x = np.asarray(x, dtype=np.float64)
+    for block in net.blocks:
+        conv_out = block.conv.forward(x)
+        if block.conv_act is not None:
+            conv_out = block.conv_act.forward(conv_out)
+        attn_out = block.attn.forward(block.gru.forward(x))
+        x = block.norm.forward(np.concatenate([conv_out, attn_out], axis=2))
+    hidden = net.head_drop.forward(net.head_hidden.forward(x[:, -1, :]), training, rng)
+    out = net.head_out.forward(hidden).reshape(-1)
+    up = net.head_hidden.backward(
+        net.head_drop.backward(net.head_out.backward(np.reshape(loss_grad, (-1, 1)))))
+    grad_seq = np.zeros((up.shape[0], cfg.window, up.shape[1]))
+    grad_seq[:, -1] = up
+    for block in reversed(net.blocks):
+        g = block.norm.backward(grad_seq)
+        g_conv, g_attn = g[:, :, :cfg.conv_filters], g[:, :, cfg.conv_filters:]
+        if block.conv_act is not None:
+            g_conv = block.conv_act.backward(g_conv)
+        grad_seq = block.conv.backward(g_conv) + block.gru.backward(block.attn.backward(g_attn))
+    layers = [(f"block{i}.{name}", getattr(block, name))
+              for i, block in enumerate(net.blocks) for name in ("conv", "gru", "attn", "norm")]
+    layers += [("head.hidden", net.head_hidden), ("head.out", net.head_out)]
+    grads = {f"{prefix}.{name}": g for prefix, layer in layers for name, g in layer.grads.items()}
+    return out, grad_seq, grads
 
 
 def enumerate_shapley(model, x, background, d):

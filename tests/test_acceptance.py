@@ -129,6 +129,7 @@ def test_criterion_1_gradient_integrity():
         assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_criterion_2_surrogate_regression(surrogate_splits):
     with criterion(2, "surrogate regression r2 >= 0.90 and beats >= 2 baselines on RMSE (<10 min)"):
         t0 = time.perf_counter()
@@ -159,6 +160,7 @@ def test_criterion_2_surrogate_regression(surrogate_splits):
         assert elapsed < 600.0, f"run took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 def test_criterion_3_surrogate_zero_state(surrogate_splits, tmp_path):
     with criterion(3, "zero-state classification accuracy >= 0.97 and AUC >= 0.99"):
         train, val, test = surrogate_splits

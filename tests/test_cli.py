@@ -431,6 +431,33 @@ class TestExitCodes:
         assert message in err and str(bad) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda net: net["config"].update(blocks="2"),
+                     "network config blocks must be int, got '2'", id="config-blocks-str"),
+        pytest.param(lambda net: net["config"].update(blocks=True),
+                     "network config blocks must be int, got True", id="config-blocks-true"),
+        pytest.param(lambda net: net["config"].pop("window"), "missing key 'window'",
+                     id="config-window-missing"),
+        pytest.param(lambda net: net["params"]["head.out.bias"].update(shape="a"),
+                     "head.out.bias: shape must be a list of ints, got 'a'", id="param-shape-a"),
+        pytest.param(lambda net: net["params"]["head.out.bias"].update(data=5),
+                     "head.out.bias: data must be a base64 string, got 5", id="param-data-5"),
+        pytest.param(lambda net: net.update(params=[]),
+                     "network params must be an object, got list", id="params-list"),
+    ])
+    def test_network_value_of_the_wrong_type_is_schema_error(self, tmp_path, synth_csv, trained,
+                                                             capsys, edit, message):
+        payload = json.loads((trained / "model.json").read_text())
+        edit(payload["network"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        assert main(["predict", "--model", str(bad), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_training_is_numeric_error(self, tmp_path, synth_csv, capsys):
         # an absurd learning rate blows the parameters up after one step

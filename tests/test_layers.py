@@ -261,6 +261,16 @@ class TestLayerNorm:
         out = layer.forward(RngState(1).uniform(-4, 4, (5, 3)))
         assert np.array_equal(out, np.full((5, 3), 2.5))
 
+    def test_matches_numpy_variance_bit_for_bit(self):
+        rng = RngState(5)
+        layer = LayerNorm.init(32)
+        layer.gain += rng.uniform(-0.3, 0.3, 32)
+        layer.shift += rng.uniform(-0.3, 0.3, 32)
+        x = rng.uniform(-3, 3, (32, 8, 32))
+        xhat = (x - x.mean(axis=-1, keepdims=True)) * (
+            1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + layer.epsilon))
+        assert np.array_equal(layer.forward(x), layer.gain * xhat + layer.shift)
+
 
 class TestBackwardContracts:
     def test_backward_without_forward_raises(self):
@@ -494,6 +504,38 @@ class TestGradientChecks:
             check_gradients(lambda layer=layer, x=x: layer.forward(x),
                             backward_fn, arrays, seed=case)
 
+    # (T, steps, kernel or d_attn): kernel wider than the window, one step
+    # of several, and all but the first step
+    LAST_STEPS = [(2, 1, 5), (5, 1, 3), (5, 3, 1), (4, 3, 3), (6, 2, 5)]
+
+    @pytest.mark.parametrize("t_len, steps, k", LAST_STEPS)
+    def test_conv1d_last_steps(self, t_len, steps, k):
+        rng = RngState(1800 + t_len + steps + k)
+        layer = Conv1d.init(2, 3, k, rng)
+        x = rng.uniform(-1, 1, (BATCH, t_len, 2))
+        arrays = {"x": x, **layer.params()}
+
+        def backward_fn(up):
+            dx = layer.backward(up)
+            assert dx.shape == x.shape
+            return {"x": dx, **layer.grads}
+
+        check_gradients(lambda: layer.forward(x, steps), backward_fn, arrays, seed=steps)
+
+    @pytest.mark.parametrize("t_len, steps, d_attn", LAST_STEPS)
+    def test_attention_last_steps(self, t_len, steps, d_attn):
+        rng = RngState(1900 + t_len + steps + d_attn)
+        layer = Attention.init(3, d_attn, rng)
+        x = rng.uniform(-1, 1, (BATCH, t_len, 3))
+        arrays = {"x": x, **layer.params()}
+
+        def backward_fn(up):
+            dx = layer.backward(up)
+            assert dx.shape == x.shape
+            return {"x": dx, **layer.grads}
+
+        check_gradients(lambda: layer.forward(x, steps), backward_fn, arrays, seed=steps)
+
     def test_fd_oracle_catches_wrong_gradient(self):
         # sanity-check the oracle itself: a corrupted gradient must fail
         layer = Dense.init(3, 2, RngState(1))
@@ -556,3 +598,32 @@ def test_batch_matches_stacked_single_windows(kind):
             summed[key] += g
     for key, g in grads.items():
         assert rel_norm_err(g, summed[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("kind", ["conv1d", "attention"])
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_last_steps_are_the_tail_of_the_full_sequence(kind, steps):
+    """``steps`` < T gives the last rows of the full output; backward, fed
+    the same gradient on those rows and zeros elsewhere, agrees too."""
+    rng = RngState(2000 + steps)
+    layer, x = _layer_and_input(kind, rng)
+    t_len = x.shape[1]
+    full = layer.forward(x)
+    up = np.zeros_like(full)
+    up[:, t_len - steps:] = rng.uniform(-1, 1, (BATCH, steps, full.shape[2]))
+    full_dx = layer.backward(up)
+    full_grads = dict(layer.grads)
+    tail = layer.forward(x, steps)
+    assert tail.shape == (BATCH, steps, full.shape[2])
+    assert rel_norm_err(tail, full[:, t_len - steps:]) <= 1e-12
+    assert rel_norm_err(layer.backward(up[:, t_len - steps:]), full_dx) <= 1e-12
+    for key, g in layer.grads.items():
+        assert rel_norm_err(g, full_grads[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("kind", ["conv1d", "attention"])
+@pytest.mark.parametrize("steps", [0, 6])
+def test_steps_outside_the_window_rejected(kind, steps):
+    layer, x = _layer_and_input(kind, RngState(2100))
+    with pytest.raises(DimensionError, match=r"steps must be in \[1, 5\]"):
+        layer.forward(x, steps)

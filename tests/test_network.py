@@ -10,7 +10,7 @@ from gridcast.network import Network, NetworkConfig
 from gridcast.tensor import RngState
 from gridcast.train import loss
 
-from oracles import check_gradients, rel_norm_err
+from oracles import check_gradients, full_sequence_network, rel_norm_err
 
 BATCH = 3
 
@@ -28,6 +28,45 @@ def tiny_config(case: int) -> NetworkConfig:
         dropout_rate=(0.0, 0.25)[case % 2],
         head=("regression", "classification")[case % 2],
     )
+
+
+# shapes at the edges of the top block's last-step computation
+EDGE_CONFIGS = {
+    "kernel-above-window": {"window": 2, "kernel": 5},
+    "window-1": {"window": 1},
+    "blocks-1": {"blocks": 1},
+    "blocks-3": {"blocks": 3},
+    "identity-conv": {"conv_activation": "identity"},
+    "classification": {"head": "classification"},
+}
+
+
+def edge_config(name: str) -> NetworkConfig:
+    return NetworkConfig(**{"window": 4, "features": 3, "conv_filters": 3, "gru_units": 4,
+                            "attn_dim": 2, "mlp_hidden": 5, "dropout_rate": 0.25,
+                            **EDGE_CONFIGS[name]})
+
+
+# tiny_config's cases 0-5, then the edge shapes
+CASES = [*range(6), *(pytest.param(6 + i, id=name) for i, name in enumerate(EDGE_CONFIGS))]
+
+
+def case_config(case: int) -> NetworkConfig:
+    return tiny_config(case) if case < 6 else edge_config(list(EDGE_CONFIGS)[case - 6])
+
+
+def assert_matches_full_sequence(net, x, seed):
+    """Outputs and gradients agree normwise with the whole-window top block within 1e-12."""
+    up = RngState(seed).uniform(-1, 1, x.shape[0])
+    out = net.forward(x, training=True, rng=RngState(seed + 1))
+    grads = net.backward(up)
+    ref_out, ref_dx, ref_grads = full_sequence_network(net, x, up, training=True,
+                                                       rng=RngState(seed + 1))
+    assert rel_norm_err(out, ref_out) <= 1e-12
+    assert rel_norm_err(net.input_grad, ref_dx) <= 1e-12
+    assert set(grads) == set(ref_grads)
+    for key, g in grads.items():
+        assert rel_norm_err(g, ref_grads[key]) <= 1e-12, key
 
 
 class TestBuild:
@@ -141,9 +180,9 @@ class TestForward:
             net = Network.build(cfg, RngState(0))
             assert net.forward(np.zeros((4, 3))).shape == (1,)
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", CASES)
     def test_batch_equals_stacked_single_windows(self, case):
-        cfg = tiny_config(case)
+        cfg = case_config(case)
         net = Network.build(cfg, RngState(1000 + case))
         x = RngState(2000 + case).uniform(-1, 1, (5, cfg.window, cfg.features))
         out = net.forward(x)
@@ -228,9 +267,9 @@ class TestBackward:
         check_gradients(forward_fn, backward_fn, arrays, seed=case)
 
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", CASES)
     def test_whole_network_gradient_check_batch(self, case):
-        cfg = tiny_config(case)
+        cfg = case_config(case)
         net = Network.build(cfg, RngState(1100 + case))
         x = RngState(2100 + case).uniform(-1, 1, (BATCH, cfg.window, cfg.features))
         arrays = {"x": x, **net.params()}
@@ -245,11 +284,11 @@ class TestBackward:
 
         check_gradients(forward_fn, backward_fn, arrays, seed=case)
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", CASES)
     def test_batch_gradients_equal_mean_of_per_sample(self, case):
         # the same dropout stream feeds the batch and the windows in turn,
         # so both see identical masks
-        cfg = tiny_config(case)
+        cfg = case_config(case)
         net = Network.build(cfg, RngState(1200 + case))
         rng = RngState(2200 + case)
         x = rng.uniform(-1, 1, (4, cfg.window, cfg.features))
@@ -267,6 +306,24 @@ class TestBackward:
             assert rel_norm_err(batched_dx[i], net.input_grad / 4) <= 1e-12
         for key, g in batched.items():
             assert rel_norm_err(g, mean[key]) <= 1e-12, key
+
+
+class TestLastStepTopBlock:
+    """The top block computes only the step the head reads; the reference
+    runs it over whole windows."""
+
+    @pytest.mark.parametrize("batch", [1, 32, 256])
+    def test_default_network_matches_full_sequence(self, batch):
+        net = Network.build(NetworkConfig(window=8, features=13), RngState(40))
+        x = RngState(41).uniform(-2, 2, (batch, 8, 13))
+        assert_matches_full_sequence(net, x, seed=batch)
+
+    @pytest.mark.parametrize("name", EDGE_CONFIGS)
+    def test_edge_shapes_match_full_sequence(self, name):
+        cfg = edge_config(name)
+        net = Network.build(cfg, RngState(50))
+        x = RngState(51).uniform(-1, 1, (6, cfg.window, cfg.features))
+        assert_matches_full_sequence(net, x, seed=52)
 
 
 class TestSaveLoad:
