@@ -89,6 +89,8 @@ class RunConfig:
         problems = []
         if (self.csv is None) == (self.synth_rows is None):
             problems.append("exactly one data source required: set csv or synth_rows")
+        if not self.ridge_alpha >= 0:
+            problems.append(f"ridge_alpha must be >= 0, got {self.ridge_alpha}")
         if not (0.0 < self.train_frac < 1.0 and 0.0 < self.val_frac < 1.0):
             problems.append(f"train_frac and val_frac must lie in (0, 1), "
                             f"got {self.train_frac}, {self.val_frac}")
@@ -157,11 +159,14 @@ def read_config_file(path) -> dict:
     return entries
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Dataclass defaults, then ``--config`` entries, then the flags given."""
+def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
+    """Dataclass defaults, then ``--config`` entries, then the flags given.
+
+    Returns the config and the names of the fields an entry or a flag set.
+    """
     entries = read_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {name: value for name, value in vars(args).items() if name in _FIELD_TYPES}
-    return RunConfig(**{**entries, **flags})
+    return RunConfig(**{**entries, **flags}), entries.keys() | flags.keys()
 
 
 def dump_effective_config(cfg: RunConfig, out_dir: Path):
@@ -194,14 +199,7 @@ def split_indices(cfg: RunConfig, n: int) -> dict[str, np.ndarray]:
 
 def build_splits(cfg: RunConfig, table: dat.Table):
     windows = dat.make_windows(table, cfg.window, cfg.horizon)
-    return dat.split_and_scale(
-        windows,
-        train_frac=cfg.train_frac,
-        val_frac_of_train=cfg.val_frac,
-        shuffle=cfg.shuffle_split,
-        seed=cfg.seed,
-        validate_on_test=cfg.validate_on_test,
-    )
+    return dat.split_and_scale(windows, split_indices(cfg, len(windows)))
 
 
 def save_model(path, net: Network, scaler: dat.Scaler, cfg: RunConfig):
@@ -288,14 +286,15 @@ def _prepare_run(args, regression_only: bool = False):
     """The preamble every modelling command shares.
 
     Resolves the run config, loads ``--model`` (if the command has one)
-    and adopts its window and horizon, validates the result and loads
+    and adopts its window and horizon (setting either to another value
+    is a configuration error), validates the result and loads
     the data table; only then makes the out-dir and dumps the effective
     config into it, so a bad setting, model file or CSV leaves no
     out-dir. Returns ``(cfg, out_dir, model, table)`` with ``model`` the
     ``load_model`` triple or None. ``regression_only`` rejects a
     classification config or model head.
     """
-    cfg = resolve_config(args)
+    cfg, given = resolve_config(args)
     if regression_only and cfg.task != "regression":
         raise ParameterError(f"{args.command} reports the regression benchmark; "
                              "use --task regression")
@@ -305,7 +304,10 @@ def _prepare_run(args, regression_only: bool = False):
         net, _, meta = model
         if regression_only and net.config.head != "regression":
             raise ParameterError(f"model {args.model} has head {net.config.head!r}")
-        cfg.window, cfg.horizon = meta["window"], meta["horizon"]
+        for key in ("window", "horizon"):
+            if key in given and getattr(cfg, key) != meta[key]:
+                raise ParameterError(f"{key} is {getattr(cfg, key)}, the model's is {meta[key]}")
+            setattr(cfg, key, meta[key])
     cfg.validate()
     table = load_table(cfg)
     out_dir = Path(cfg.out_dir)

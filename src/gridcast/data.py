@@ -181,21 +181,20 @@ class SupervisedSet:
     inputs: np.ndarray
     targets_raw: np.ndarray
     scaler: Scaler | None = None
-    targets_scaled: np.ndarray | None = None
     indices: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def labels(self, tau: float = ZERO_TAU) -> np.ndarray:
-        return label_zero_state(self.targets_raw, tau)
+    def labels(self) -> np.ndarray:
+        return label_zero_state(self.targets_raw)
 
     def model_targets(self, task: str) -> np.ndarray:
         """Targets in the units the network trains on for the given task."""
         if task == "regression":
-            if self.targets_scaled is None:
+            if self.scaler is None:
                 raise ParameterError("set is unscaled; run split_and_scale first")
-            return self.targets_scaled
+            return self.scaler.scale_targets(self.targets_raw)
         if task == "classification":
             return self.labels()
         raise ParameterError(f"unknown task {task!r}")
@@ -376,12 +375,12 @@ def split_indices(n: int, train_frac: float = 0.8, val_frac_of_train: float = 0.
     return parts
 
 
-def split_and_scale(samples: SupervisedSet, train_frac: float = 0.8,
-                    val_frac_of_train: float = 0.1, shuffle: bool = False,
-                    seed: int = 0, validate_on_test: bool = False):
-    """``split_indices`` applied to ``samples``, with train-fitted z-scaling."""
-    parts = split_indices(len(samples), train_frac, val_frac_of_train, shuffle, seed,
-                          validate_on_test)
+def split_and_scale(samples: SupervisedSet, parts: dict[str, np.ndarray]):
+    """(train, val, test) sets at the ``split_indices`` positions ``parts``.
+
+    Inputs and targets are z-scaled with a ``Scaler`` fitted on the
+    train positions alone, which every returned set carries.
+    """
     scaler = fit_scaler(samples.inputs[parts["train"]], samples.targets_raw[parts["train"]])
     out = []
     for name in ("train", "val", "test"):
@@ -390,16 +389,15 @@ def split_and_scale(samples: SupervisedSet, train_frac: float = 0.8,
             inputs=scaler.scale_inputs(samples.inputs[idx]),
             targets_raw=samples.targets_raw[idx].copy(),
             scaler=scaler,
-            targets_scaled=scaler.scale_targets(samples.targets_raw[idx]),
             indices=samples.indices[idx].copy() if samples.indices is not None else idx,
         ))
     return tuple(out)
 
 
-def label_zero_state(targets, tau: float = ZERO_TAU) -> np.ndarray:
-    """1.0 where generator output is (numerically) zero, else 0.0."""
+def label_zero_state(targets) -> np.ndarray:
+    """1.0 where generator output is at most ``ZERO_TAU``, else 0.0."""
     targets = np.asarray(targets, dtype=np.float64)
-    return (targets <= tau).astype(np.float64)
+    return (targets <= ZERO_TAU).astype(np.float64)
 
 
 # --- synthetic surrogate ---------------------------------------------------

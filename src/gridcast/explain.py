@@ -27,17 +27,6 @@ from .tensor import RngState
 EXACT_LIMIT = 13
 
 
-def _expand_background(background, window_shape) -> np.ndarray:
-    background = np.asarray(background, dtype=np.float64)
-    if background.ndim == 1:
-        return np.broadcast_to(background, window_shape).copy()
-    if background.shape != window_shape:
-        raise ParameterError(
-            f"background shape {background.shape} does not match input {window_shape}"
-        )
-    return background.copy()
-
-
 def _mask_bits(masks, d) -> np.ndarray:
     """(n, d) booleans: bit j of each integer mask."""
     return ((np.asarray(masks)[:, None] >> np.arange(d)) & 1).astype(bool)
@@ -66,7 +55,6 @@ def shapley_exact(model, x, background) -> np.ndarray:
         raise SizeError(
             f"{d} columns need 2^{d} evaluations; use shapley_sample instead"
         )
-    background = _expand_background(background, x.shape)
     masks = np.arange(1 << d)
     v = _masked_eval(model, x, background, d)(masks)
     bits = _mask_bits(masks, d)
@@ -92,7 +80,6 @@ def shapley_sample(model, x, background, n_perms: int, rng: RngState):
     d = x.shape[1]
     if d > 63:
         raise SizeError(f"{d} columns do not fit a 64-bit coalition mask")
-    background = _expand_background(background, x.shape)
     perms = np.array([rng.permutation(d) for _ in range(n_perms)])
     prefixes = np.zeros((n_perms, d + 1), dtype=np.int64)
     np.cumsum(1 << perms, axis=1, out=prefixes[:, 1:])
@@ -147,10 +134,8 @@ class AttributionReport:
 
 def attribute(model, windows, background, feature_names, n_perms: int = 50,
               seed: int = 0, exact: bool = False) -> AttributionReport:
-    """Shapley attributions for a stack of windows against one background."""
+    """Shapley attributions for (n, T, d) windows against one (d,) background row."""
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim == 2:
-        windows = windows[None]
     d = windows.shape[2]
     if len(feature_names) != d:
         raise ParameterError(
@@ -160,8 +145,7 @@ def attribute(model, windows, background, feature_names, n_perms: int = 50,
     values = np.zeros((windows.shape[0], d))
     errors = None if exact else np.zeros((windows.shape[0], d))
     preds = np.asarray(model(windows), dtype=np.float64)
-    bg_full = _expand_background(background, windows.shape[1:])
-    baseline = float(model(bg_full[None])[0])
+    baseline = float(model(np.broadcast_to(background, windows.shape[1:])[None])[0])
     for i in range(windows.shape[0]):
         if exact:
             values[i] = shapley_exact(model, windows[i], background)

@@ -28,6 +28,8 @@ import numpy as np
 from .errors import DimensionError, ParameterError, StateError
 from .tensor import RngState, as_tensor, sigmoid, softmax_rows
 
+LAYERNORM_EPSILON = 1e-5
+
 
 def glorot_uniform(rng: RngState, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -164,10 +166,9 @@ class Gru(_Layer):
     windows together: each step is one stacked (B, hidden) product for
     both gates and one for the candidate, and the per-step states are
     stored time-major, (T, B, hidden), so every step reads one
-    contiguous slice. ``h0`` is (B, hidden), zeros if omitted. The
+    contiguous slice. Every window starts from the zero state. The
     backward pass is full backpropagation through time across all
-    steps, including the gradient on h0 (kept in ``h0_grad``, also
-    (B, hidden)).
+    steps.
     """
 
     def __init__(self, W, U_rz, U, b):
@@ -180,7 +181,6 @@ class Gru(_Layer):
                                ("U", self.U, (hidden, hidden)), ("b", self.b, (3, hidden))):
             if m.shape != shape:
                 raise ParameterError(f"{name} shape {m.shape} != {shape}")
-        self.h0_grad = None
 
     @classmethod
     def init(cls, in_dim: int, hidden: int, rng: RngState) -> "Gru":
@@ -191,18 +191,15 @@ class Gru(_Layer):
     def params(self):
         return {"W": self.W, "U_rz": self.U_rz, "U": self.U, "b": self.b}
 
-    def forward(self, x, h0=None) -> np.ndarray:
+    def forward(self, x) -> np.ndarray:
         _, in_dim, hidden = self.W.shape
         x = _as_batch(x, in_dim, "gru")
         batch, t_len, _ = x.shape
-        h0 = np.zeros((batch, hidden)) if h0 is None else as_tensor(h0)
-        if h0.shape != (batch, hidden):
-            raise DimensionError(f"h0 shape {h0.shape} != {(batch, hidden)}")
         # time-major input; (3, T, B, hidden) gate projections in one shot
         x = np.ascontiguousarray(x.transpose(1, 0, 2))
         a = x @ self.W[:, None] + self.b[:, None, None]
         hs = np.empty((t_len + 1, batch, hidden))
-        hs[0] = h0
+        hs[0] = 0.0
         rzs = np.empty((2, t_len, batch, hidden))
         cs = np.empty((t_len, batch, hidden))
         # gates inlined (same math as tensor.sigmoid) to keep the step
@@ -247,7 +244,6 @@ class Gru(_Layer):
             "U": (rzs[0] * hs[:-1]).reshape(rows, hidden).T @ da_rows[2],
             "b": da_rows.sum(axis=1),
         }
-        self.h0_grad = carry
         dx = da @ self.W.transpose(0, 2, 1)[:, None]
         return (dx[0] + dx[1] + dx[2]).transpose(1, 0, 2)
 
@@ -408,21 +404,18 @@ class LayerNorm(_Layer):
     """Normalization of the last axis with learned gain and shift.
 
     Each row is centered by its mean and divided by the square root of
-    its population variance plus epsilon, making inference independent
-    of batch composition.
+    its population variance plus ``LAYERNORM_EPSILON``, making inference
+    independent of batch composition.
     """
 
-    def __init__(self, gain, shift, epsilon: float = 1e-5):
+    def __init__(self, gain, shift):
         super().__init__()
         self.gain = as_tensor(gain)
         self.shift = as_tensor(shift)
-        if epsilon <= 0:
-            raise ParameterError(f"epsilon must be positive, got {epsilon}")
         if self.gain.shape != self.shift.shape or self.gain.ndim != 1:
             raise ParameterError(
                 f"gain/shift must share a 1-D shape, got {self.gain.shape} and {self.shift.shape}"
             )
-        self.epsilon = float(epsilon)
 
     @classmethod
     def init(cls, d: int) -> "LayerNorm":
@@ -438,7 +431,7 @@ class LayerNorm(_Layer):
         # the population variance as np.var computes it, reusing x - mu
         d = x - mu
         var = (d * d).sum(axis=-1, keepdims=True) / width
-        inv = 1.0 / np.sqrt(var + self.epsilon)
+        inv = 1.0 / np.sqrt(var + LAYERNORM_EPSILON)
         xhat = d * inv
         self._cache = (xhat, inv)
         return self.gain * xhat + self.shift

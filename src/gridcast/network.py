@@ -69,6 +69,13 @@ class NetworkConfig:
             problems.append(f"conv_activation must be relu or identity, got {self.conv_activation!r}")
         return problems
 
+    def param_count(self) -> int:
+        """Parameters ``Network.build`` makes for this config, counted without building it."""
+        c, h, merged = self.conv_filters, self.gru_units, self.conv_filters + self.gru_units
+        first, other = (c * (w * self.kernel + 1) + 3 * h * (w + h + 1) + 2 * h * self.attn_dim
+                        + 2 * merged for w in (self.features, merged))
+        return first + (self.blocks - 1) * other + (merged + 2) * self.mlp_hidden + 1
+
     def validate(self):
         problems = self.violations()
         if problems:
@@ -237,7 +244,8 @@ class Network:
 
         Every ``NetworkConfig`` field must be present with its annotated
         type (an int for a float field too, never a bool); unknown config
-        keys are ignored.
+        keys are ignored. A config that would build over twice the
+        parameters the file holds is refused before anything is built.
         """
         config = _object(_object(payload, "network")["config"], "network config")
         values = {}
@@ -248,12 +256,22 @@ class Network:
                 raise SchemaError(f"network config {field.name} must be {field.type}, "
                                   f"got {value!r}")
             values[field.name] = value
-        net = cls.build(NetworkConfig(**values), RngState(0))
-        net.set_params({key: _decode_array(key, entry)
-                        for key, entry in _object(payload["params"], "network params").items()})
+        config = NetworkConfig(**values)
+        params = {key: _decode_array(key, entry)
+                  for key, entry in _object(payload["params"], "network params").items()}
+        count = sum(arr.size for arr in params.values())
+        if config.param_count() > 2 * count:
+            sizes = ", ".join(f"{name} {getattr(config, name)}" for name in _SIZE_FIELDS)
+            raise SchemaError(f"network config ({sizes}) needs {config.param_count()} "
+                              f"parameters, the file holds {count}")
+        net = cls.build(config, RngState(0))
+        net.set_params(params)
         return net
 
 
+# the NetworkConfig fields that set how many parameters there are
+_SIZE_FIELDS = ("features", "blocks", "conv_filters", "kernel", "gru_units", "attn_dim",
+                "mlp_hidden")
 # the Python types a JSON value may have for each annotation in NetworkConfig
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 

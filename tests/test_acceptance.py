@@ -51,7 +51,7 @@ def criterion(number: int, description: str):
 def surrogate_splits():
     table = dat.synth_generate(SURROGATE_ROWS, SURROGATE_SEED)
     windows = dat.make_windows(table, window=8)
-    return dat.split_and_scale(windows)
+    return dat.split_and_scale(windows, dat.split_indices(len(windows)))
 
 
 def train_surrogate(splits, task: str, max_epochs: int):

@@ -28,7 +28,7 @@ def knn_case(name):
     if name == "synth-windows":
         # flattened scaled windows of a 2,000-row synthetic table
         windows = dat.make_windows(dat.synth_generate(2000, 3), 8)
-        train, _, test = dat.split_and_scale(windows)
+        train, _, test = dat.split_and_scale(windows, dat.split_indices(len(windows)))
         return (flatten_windows(train.inputs), train.targets_raw,
                 flatten_windows(test.inputs), (1, 5, 9, 17))
     rng = RngState(17)

@@ -3,14 +3,19 @@ import base64
 import csv
 import json
 import re
+import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcast.cli import FORECAST_SLICE, RunConfig, build_parser, forecast, load_model, main
+from gridcast.errors import GridcastError
 from gridcast.tensor import RngState
 from gridcast.train import predict_all
 
@@ -175,8 +180,9 @@ class TestConfigFile:
         assert "window = 7" in (out2 / "effective_config.txt").read_text()
 
     @pytest.mark.parametrize("entry", ["train_frac = 1.0", "val_frac = 0", "horizon = 0",
-                                       "forest_depth = 0"],
-                             ids=["train_frac", "val_frac", "horizon", "forest_depth"])
+                                       "forest_depth = 0", "ridge_alpha = -1"],
+                             ids=["train_frac", "val_frac", "horizon", "forest_depth",
+                                  "ridge_alpha"])
     def test_file_setting_rejected_before_out_dir(self, tmp_path, synth_csv, capsys, entry):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entry + "\n")
@@ -458,6 +464,52 @@ class TestExitCodes:
         assert message in err and str(bad) in err
         assert not out.exists()
 
+    # each would make Network.build allocate tens of megabytes or more
+    @pytest.mark.parametrize("field, value", [("mlp_hidden", 200000), ("blocks", 2000),
+                                              ("kernel", 20001), ("conv_filters", 20000),
+                                              ("gru_units", 3000)])
+    def test_oversized_network_config_refused_before_building(self, tmp_path, synth_csv,
+                                                              trained, capsys, field, value):
+        payload = json.loads((trained / "model.json").read_text())
+        payload["network"]["config"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        tracemalloc.start()
+        try:
+            code = main(["predict", "--model", str(bad), "--csv", str(synth_csv),
+                         "--out-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert re.search(rf"network config \(.*\b{field} {value}[,)]", capsys.readouterr().err)
+        assert not out.exists()
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("command, setting, message", [
+        pytest.param("explain", ["--window", "12"], "window is 12, the model's is 6",
+                     id="explain-window-flag"),
+        pytest.param("compare", ["--window", "8"], "window is 8, the model's is 6",
+                     id="compare-window-flag"),
+        pytest.param("predict", "window = 7", "window is 7, the model's is 6",
+                     id="predict-window-file"),
+        pytest.param("predict", "horizon = 2", "horizon is 2, the model's is 1",
+                     id="predict-horizon-file"),
+    ])
+    def test_window_or_horizon_other_than_the_models_is_config_error(
+            self, tmp_path, synth_csv, trained, capsys, command, setting, message):
+        out = tmp_path / "x"
+        argv = [command, "--model", str(trained / "model.json"), "--csv", str(synth_csv),
+                "--out-dir", str(out)]
+        if isinstance(setting, str):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(setting + "\n")
+            setting = ["--config", str(cfg)]
+        assert main(argv + setting) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_training_is_numeric_error(self, tmp_path, synth_csv, capsys):
         # an absurd learning rate blows the parameters up after one step
@@ -485,6 +537,61 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["train", "--csv", str(bad), "--out-dir", str(tmp_path / "x")]) == 3
+
+
+def json_paths(node, path=()):
+    """The path (keys and list indices) of every value inside a JSON document."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+# what a mutation writes in place of a value; a large int as wide as any field
+MUTANTS = [None, "x", [], {}, True, float("nan"), float("inf"), -float("inf"), 0, -1, -2.5,
+           10 ** 12]
+
+
+class TestModelFileMutations:
+    """One edit anywhere in a trained ``model.json`` never crashes ``predict``."""
+
+    @pytest.fixture(scope="class")
+    def model(self, trained):
+        payload = json.loads((trained / "model.json").read_text())
+        return payload, [path for path in json_paths(payload) if path]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_predict_exits_0_or_3_and_a_refused_file_leaves_no_out_dir(self, model, synth_csv,
+                                                                        data):
+        original, paths = model
+        payload = json.loads(json.dumps(original))
+        *parent_path, key = data.draw(st.sampled_from(paths), label="path")
+        parent = payload
+        for step in parent_path:
+            parent = parent[step]
+        edit = data.draw(st.sampled_from(["delete", "truncate", "replace"]), label="edit")
+        if edit == "delete":
+            del parent[key]
+        elif edit == "truncate" and isinstance(parent[key], (list, str)):
+            parent[key] = parent[key][:len(parent[key]) // 2]
+        else:
+            parent[key] = data.draw(st.sampled_from(MUTANTS), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "model.json", Path(tmp) / "out"
+            path.write_text(json.dumps(payload))
+            try:
+                load_model(path)
+                refused = False
+            except GridcastError:
+                refused = True
+            code = main(["predict", "--model", str(path), "--csv", str(synth_csv),
+                         "--out-dir", str(out)])
+            assert code in (0, 3)
+            if refused:
+                assert code == 3
+                assert not out.exists()
 
 
 class TestPredict:

@@ -14,8 +14,8 @@ from gridcast import data as dat
 from gridcast.cli import main
 from gridcast.data import (SCHEMA, TABLE_STATS, Table, fit_scaler,
                            label_zero_state, load_csv, make_windows,
-                           moment_report, split_and_scale, synth_generate,
-                           synth_latent, write_csv)
+                           moment_report, split_and_scale, split_indices,
+                           synth_generate, synth_latent, write_csv)
 from gridcast.errors import DataError, ParameterError, RowError, SchemaError
 from gridcast.tensor import RngState
 
@@ -196,6 +196,10 @@ class TestMakeWindows:
             sset.inputs[0, 0, 0] = 1.0
 
 
+def split(sset, **settings):
+    return split_and_scale(sset, split_indices(len(sset), **settings))
+
+
 class TestSplitAndScale:
     def make_set(self, n):
         rng = np.random.default_rng(0)
@@ -206,49 +210,49 @@ class TestSplitAndScale:
     def test_documented_72_8_20_split(self):
         sset = self.make_set(100)
         assert len(sset) == 100
-        train, val, test = split_and_scale(sset)
+        train, val, test = split(sset)
         assert (len(train), len(val), len(test)) == (72, 8, 20)
 
     def test_scaled_train_columns_are_zscored(self):
-        train, _, _ = split_and_scale(self.make_set(100))
+        train, _, _ = split(self.make_set(100))
         cells = train.inputs.reshape(-1, 13)
         assert np.abs(cells.mean(axis=0)).max() < 1e-9
         assert np.abs(cells.std(axis=0) - 1.0).max() < 1e-9
 
     def test_test_uses_train_scaler(self):
-        train, _, test = split_and_scale(self.make_set(100))
+        train, _, test = split(self.make_set(100))
         assert test.scaler is train.scaler
         cells = test.inputs.reshape(-1, 13)
         # scaled with the train stats, so the test mean is NOT exactly zero
         assert np.abs(cells.mean(axis=0)).max() > 1e-9
 
     def test_chronological_order_train_before_test(self):
-        train, val, test = split_and_scale(self.make_set(50))
+        train, val, test = split(self.make_set(50))
         assert train.indices.max() < val.indices.min() <= val.indices.max() < test.indices.min()
 
     def test_scaler_inverse_is_identity_on_train_targets(self):
-        train, _, _ = split_and_scale(self.make_set(60))
-        back = train.scaler.unscale_targets(train.targets_scaled)
+        train, _, _ = split(self.make_set(60))
+        back = train.scaler.unscale_targets(train.model_targets("regression"))
         assert np.abs(back - train.targets_raw).max() < 1e-12
 
     def test_empty_split_errors(self):
         with pytest.raises(DataError):
-            split_and_scale(self.make_set(4))
+            split(self.make_set(4))
 
     def test_bad_fractions(self):
         with pytest.raises(ParameterError):
-            split_and_scale(self.make_set(30), train_frac=1.0)
+            split(self.make_set(30), train_frac=1.0)
 
     def test_shuffle_flag_is_seeded(self):
         sset = self.make_set(40)
-        a = split_and_scale(sset, shuffle=True, seed=5)[0]
-        b = split_and_scale(sset, shuffle=True, seed=5)[0]
-        c = split_and_scale(sset, shuffle=True, seed=6)[0]
+        a = split(sset, shuffle=True, seed=5)[0]
+        b = split(sset, shuffle=True, seed=5)[0]
+        c = split(sset, shuffle=True, seed=6)[0]
         assert np.array_equal(a.indices, b.indices)
         assert not np.array_equal(a.indices, c.indices)
 
     def test_validate_on_test_reuses_test_split(self):
-        train, val, test = split_and_scale(self.make_set(50), validate_on_test=True)
+        train, val, test = split(self.make_set(50), validate_on_test=True)
         assert np.array_equal(val.indices, test.indices)
         assert len(train) == 40
 
@@ -257,7 +261,7 @@ class TestSplitAndScale:
         feats[:, 0] = np.arange(30, dtype=float)
         sset = make_windows(Table(feats), window=4)
         with pytest.warns(UserWarning, match="constant"):
-            train, _, _ = split_and_scale(sset)
+            train, _, _ = split(sset)
         assert np.isfinite(train.inputs).all()
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gridcast.errors import DimensionError, ParameterError, StateError
-from gridcast.layers import Attention, Conv1d, Dense, Dropout, Gru, LayerNorm, Relu
+from gridcast.layers import (LAYERNORM_EPSILON, Attention, Conv1d, Dense, Dropout, Gru, LayerNorm,
+                             Relu)
 from gridcast.tensor import RngState
 
 from oracles import check_gradients, gru_reference, max_rel_err, numeric_grad, rel_norm_err
@@ -79,13 +80,18 @@ class TestGruForward:
         assert np.array_equal(out, np.zeros((1, 4, 3)))
 
     def test_zero_params_halving_recursion(self):
-        # with all weights zero: z = 0.5 and the candidate is 0, so the
-        # state halves every step
-        layer = Gru(np.zeros((3, 2, 3)), np.zeros((2, 3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
-        h0 = np.array([[1.0, -2.0, 4.0]])
-        out = layer.forward(np.ones((1, 3, 2)), h0)
-        for t in range(3):
-            assert np.allclose(out[0, t], h0[0] * 0.5 ** (t + 1), atol=1e-15)
+        # only the candidate input weight is set: z = 0.5 throughout, the
+        # first input moves the zero state to 0.5 * tanh(x_0 W_c), and on
+        # zero inputs the candidate is 0, so the state halves every step
+        w = np.zeros((3, 2, 3))
+        w[2] = [[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]]
+        layer = Gru(w, np.zeros((2, 3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
+        x = np.zeros((1, 4, 2))
+        x[0, 0] = [1.0, 7.0]
+        out = layer.forward(x)
+        h1 = 0.5 * np.tanh(w[2, 0])
+        for t in range(4):
+            assert np.allclose(out[0, t], h1 * 0.5 ** t, atol=1e-15)
 
     def test_scalar_hand_case(self):
         # in=hidden=1, only the candidate input weight is 1:
@@ -98,14 +104,14 @@ class TestGruForward:
         assert abs(expected - 0.380797) < 1e-6
 
     def test_bounded_by_max_of_h0_and_one(self):
+        # each state is a convex mix of the previous one and a tanh, so
+        # from the zero h0 every state stays within [-1, 1]
         rng = RngState(17)
         for case in range(20):
             layer = Gru.init(3, 4, rng)
-            h0 = rng.uniform(-3, 3, (1, 4))
+            layer.b += rng.uniform(-3, 3, layer.b.shape)
             x = rng.uniform(-5, 5, (1, 6, 3))
-            out = layer.forward(x, h0)
-            bound = max(np.abs(h0).max(), 1.0) + 1e-12
-            assert (np.abs(out) <= bound).all()
+            assert (np.abs(layer.forward(x)) <= 1.0 + 1e-12).all()
 
     def test_width_mismatch(self):
         layer = Gru.init(3, 4, RngState(0))
@@ -133,12 +139,11 @@ def test_gru_matches_per_gate_reference_bit_for_bit(batch, in_dim, hidden, t_len
     layer = Gru.init(in_dim, hidden, rng)
     layer.b += rng.uniform(-0.5, 0.5, layer.b.shape)
     x = rng.uniform(-1, 1, (batch, t_len, in_dim))
-    h0 = rng.uniform(-1, 1, (batch, hidden))
     up = rng.uniform(-1, 1, (batch, t_len, hidden))
-    out, dx, h0_grad, grads = gru_reference(layer.W, layer.U_rz, layer.U, layer.b, x, h0, up)
-    assert np.array_equal(layer.forward(x, h0), out)
+    out, dx, _, grads = gru_reference(layer.W, layer.U_rz, layer.U, layer.b, x,
+                                      np.zeros((batch, hidden)), up)
+    assert np.array_equal(layer.forward(x), out)
     assert np.array_equal(layer.backward(up), dx)
-    assert np.array_equal(layer.h0_grad, h0_grad)
     assert layer.grads.keys() == grads.keys()
     for key, g in grads.items():
         assert np.array_equal(layer.grads[key], g), key
@@ -268,7 +273,7 @@ class TestLayerNorm:
         layer.shift += rng.uniform(-0.3, 0.3, 32)
         x = rng.uniform(-3, 3, (32, 8, 32))
         xhat = (x - x.mean(axis=-1, keepdims=True)) * (
-            1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + layer.epsilon))
+            1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LAYERNORM_EPSILON))
         assert np.array_equal(layer.forward(x), layer.gain * xhat + layer.shift)
 
 
@@ -330,6 +335,7 @@ class TestGradientChecks:
                             backward_fn, arrays, seed=case)
 
     def test_gru_including_h0(self):
+        # h0 is the fixed zero state, so x and the parameters are the inputs
         rng = RngState(200)
         for case in range(20):
             t_len = 1 + case % 5
@@ -337,14 +343,13 @@ class TestGradientChecks:
             hidden = 1 + (case + 1) % 4
             layer = Gru.init(in_dim, hidden, rng)
             x = rng.uniform(-1, 1, (1, t_len, in_dim))
-            h0 = rng.uniform(-1, 1, (1, hidden))
-            arrays = {"x": x, "h0": h0, **layer.params()}
+            arrays = {"x": x, **layer.params()}
 
             def backward_fn(up, layer=layer):
                 dx = layer.backward(up)
-                return {"x": dx, "h0": layer.h0_grad, **layer.grads}
+                return {"x": dx, **layer.grads}
 
-            check_gradients(lambda layer=layer, x=x, h0=h0: layer.forward(x, h0),
+            check_gradients(lambda layer=layer, x=x: layer.forward(x),
                             backward_fn, arrays, seed=case)
 
     def test_attention(self):
@@ -449,15 +454,12 @@ class TestGradientChecks:
         in_dim, hidden = 1 + case % 3, 1 + (case + 1) % 4
         layer = Gru.init(in_dim, hidden, rng)
         x = rng.uniform(-1, 1, (BATCH, 1 + case % 5, in_dim))
-        h0 = rng.uniform(-1, 1, (BATCH, hidden))
-        arrays = {"x": x, "h0": h0, **layer.params()}
+        arrays = {"x": x, **layer.params()}
 
         def backward_fn(up):
-            dx = layer.backward(up)
-            assert layer.h0_grad.shape == (BATCH, hidden)
-            return {"x": dx, "h0": layer.h0_grad, **layer.grads}
+            return {"x": layer.backward(up), **layer.grads}
 
-        check_gradients(lambda: layer.forward(x, h0), backward_fn, arrays, seed=case)
+        check_gradients(lambda: layer.forward(x), backward_fn, arrays, seed=case)
 
     @pytest.mark.parametrize("case", range(5))
     def test_attention_batch(self, case):

@@ -96,6 +96,11 @@ class TestBuild:
         assert net.param_count() == sum(v.size for v in net.params().values())
         assert net.param_count() > 0
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_config_counts_the_parameters_build_makes(self, case):
+        cfg = case_config(case)
+        assert cfg.param_count() == Network.build(cfg, RngState(case)).param_count()
+
     def test_every_parameter_is_a_view_of_the_vector(self):
         built = Network.build(NetworkConfig(window=4, features=3), RngState(3))
         loaded = Network.from_dict(json.loads(json.dumps(built.to_dict())))
