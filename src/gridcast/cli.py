@@ -7,6 +7,9 @@ effective configuration next to its outputs, and derives all
 randomness from ``--seed``, so rerunning a command with the same flags
 reproduces every output byte for byte.
 
+Only this module knows the ``model.json`` format: ``save_model`` writes
+it, and ``load_model`` checks all of it before building the network.
+
 Exit codes: 0 success, 2 configuration error, 3 data/schema error,
 4 numeric error, 5 other expected failure, 1 unexpected crash.
 """
@@ -14,9 +17,11 @@ Exit codes: 0 success, 2 configuration error, 3 data/schema error,
 from __future__ import annotations
 
 import argparse
+import base64
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -24,8 +29,7 @@ import numpy as np
 
 from . import data as dat
 from .baselines import BayesianRidge, ForestConfig, RandomForest, flatten_windows, knn_predict_batch
-from .errors import (DataError, DimensionError, GridcastError, NumericError, ParameterError,
-                     SchemaError)
+from .errors import DataError, GridcastError, NumericError, ParameterError, SchemaError
 from .explain import attribute, write_attribution_csv
 from .metrics import (ClassificationReport, RegressionReport, classification_metrics,
                       regression_metrics, write_comparison_csv, write_roc_csv)
@@ -34,7 +38,6 @@ from .tensor import RngState
 from .train import INFERENCE_CHUNK, TrainConfig, fit, predict_all
 
 MODEL_FORMAT = "gridcast-model-v2"
-MODEL_KEYS = ("feature_names", "horizon", "network", "scaler", "window")
 # windows scaled at a time by ``forecast``; a multiple of INFERENCE_CHUNK,
 # so the network sees the same batches as one whole-array predict_all
 FORECAST_SLICE = 8 * INFERENCE_CHUNK
@@ -89,8 +92,8 @@ class RunConfig:
         problems = []
         if (self.csv is None) == (self.synth_rows is None):
             problems.append("exactly one data source required: set csv or synth_rows")
-        if not self.ridge_alpha >= 0:
-            problems.append(f"ridge_alpha must be >= 0, got {self.ridge_alpha}")
+        if not 0 <= self.ridge_alpha < math.inf:
+            problems.append(f"ridge_alpha must be finite and >= 0, got {self.ridge_alpha}")
         if not (0.0 < self.train_frac < 1.0 and 0.0 < self.val_frac < 1.0):
             problems.append(f"train_frac and val_frac must lie in (0, 1), "
                             f"got {self.train_frac}, {self.val_frac}")
@@ -126,7 +129,8 @@ _READERS = {"int": int, "float": float, "str": str, "bool": lambda text: _BOOLS[
 def _coerce(name: str, text: str):
     """The value of RunConfig field ``name`` written as ``text``, in a flag or a config line.
 
-    ``none`` or an empty text reads as None, for ``| None`` fields only.
+    ``none`` or an empty text reads as None, for ``| None`` fields only;
+    a ``float`` field takes finite values only.
     """
     kind = _FIELD_TYPES[name]
     if text.lower() in ("none", ""):
@@ -134,7 +138,9 @@ def _coerce(name: str, text: str):
             return None
     else:
         try:
-            return _READERS[kind.removesuffix(" | None")](text)
+            value = _READERS[kind.removesuffix(" | None")](text)
+            if not isinstance(value, float) or math.isfinite(value):
+                return value
         except (KeyError, ValueError):
             pass
     raise argparse.ArgumentTypeError(f"{name} must be {kind}, got {text!r}")
@@ -202,20 +208,32 @@ def build_splits(cfg: RunConfig, table: dat.Table):
     return dat.split_and_scale(windows, split_indices(cfg, len(windows)))
 
 
+# the NetworkConfig fields that set how many parameters there are
+_SIZE_FIELDS = ("features", "blocks", "conv_filters", "kernel", "gru_units", "attn_dim",
+                "mlp_hidden")
+# the Python types a JSON value may have for each annotation in NetworkConfig
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
 def save_model(path, net: Network, scaler: dat.Scaler, cfg: RunConfig):
+    """Write the model file; each parameter is its shape and its float64 bytes in base64."""
+    params = {key: {"shape": list(arr.shape),
+                    "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+              for key, arr in net.params().items()}
     payload = {
-        "format": MODEL_FORMAT,
-        "task": cfg.task,
-        "window": cfg.window,
-        "horizon": cfg.horizon,
+        "format": MODEL_FORMAT, "task": cfg.task, "window": cfg.window, "horizon": cfg.horizon,
         "feature_names": list(dat.SCHEMA),
-        "scaler": scaler.to_dict(),
-        "network": net.to_dict(),
+        "scaler": {"feature_mean": scaler.feature_mean.tolist(),
+                   "feature_std": scaler.feature_std.tolist(),
+                   "target_mean": scaler.target_mean, "target_std": scaler.target_std},
+        "network": {"config": asdict(net.config), "params": params},
     }
     _write_json(payload, Path(path))
 
 
 def load_model(path):
+    """The ``(net, scaler, payload)`` of a ``save_model`` file, all checked before the
+    network is built; a problem in it is a SchemaError naming the file."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError:
@@ -224,29 +242,99 @@ def load_model(path):
         raise SchemaError(f"{path} is not valid JSON") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise SchemaError(f"{path} is not a {MODEL_FORMAT} file")
-    for key in MODEL_KEYS:
-        if key not in payload:
-            raise SchemaError(f"{path}: missing key {key!r}")
-    if payload["feature_names"] != list(dat.SCHEMA):
-        raise SchemaError(
-            f"model was trained on columns {payload['feature_names']}, "
-            f"expected {list(dat.SCHEMA)}"
-        )
-    for key in ("window", "horizon"):
-        # a bool is an int to isinstance, so the type is compared exactly
-        if type(payload[key]) is not int or payload[key] < 1:
-            raise SchemaError(f"{path}: {key} must be an int >= 1, got {payload[key]!r}")
     try:
-        net = Network.from_dict(payload["network"])
-        scaler = dat.Scaler.from_dict(payload["scaler"])
-    except KeyError as err:
-        raise SchemaError(f"{path}: missing key {err}") from None
-    except (DimensionError, ParameterError, SchemaError) as err:
+        return (*_read_model(payload), payload)
+    except SchemaError as err:
         raise SchemaError(f"{path}: {err}") from None
-    if payload["window"] != net.config.window:
-        raise SchemaError(f"{path}: window {payload['window']} differs from the network's "
-                          f"{net.config.window}")
-    return net, scaler, payload
+
+
+def _get(obj, key, what: str):
+    """``obj[key]``, or ``obj`` itself for a None ``key``; ``obj`` is the JSON value ``what``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be an object, got {type(obj).__name__}")
+    if key is None:
+        return obj
+    if key not in obj:
+        raise SchemaError(f"missing key {key!r}")
+    return obj[key]
+
+
+def _read_model(payload: dict) -> tuple[Network, dat.Scaler]:
+    """The network and scaler of a model file; every value is checked before the build."""
+    names = _get(payload, "feature_names", "model")
+    if names != list(dat.SCHEMA):
+        raise SchemaError(f"model was trained on columns {names}, expected {list(dat.SCHEMA)}")
+    for key in ("window", "horizon"):
+        value = _get(payload, key, "model")
+        # a bool is an int to isinstance, so the type is compared exactly
+        if type(value) is not int or value < 1:
+            raise SchemaError(f"{key} must be an int >= 1, got {value!r}")
+    network = _get(payload, "network", "model")
+    raw_config = _get(network, "config", "network")
+    values = {}
+    for field in fields(NetworkConfig):
+        value = _get(raw_config, field.name, "network config")
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[field.type]):
+            raise SchemaError(f"network config {field.name} must be {field.type}, "
+                              f"got {value!r}")
+        values[field.name] = value
+    config = NetworkConfig(**values)
+    problems = config.violations()
+    if problems:
+        raise SchemaError("invalid network config: " + "; ".join(problems))
+    entries = _get(_get(network, "params", "network"), None, "network params")
+    params = {key: _decode_param(key, entry) for key, entry in entries.items()}
+    count = sum(arr.size for arr in params.values())
+    # an oversized config is refused before it allocates anything
+    if config.param_count() > 2 * count:
+        sizes = ", ".join(f"{name} {getattr(config, name)}" for name in _SIZE_FIELDS)
+        raise SchemaError(f"network config ({sizes}) needs {config.param_count()} "
+                          f"parameters, the file holds {count}")
+    raw_scaler = _get(payload, "scaler", "model")
+    try:
+        mean, std = (np.array(_get(raw_scaler, key, "scaler"), dtype=np.float64)
+                     for key in ("feature_mean", "feature_std"))
+        t_mean, t_std = (float(_get(raw_scaler, key, "scaler"))
+                         for key in ("target_mean", "target_std"))
+    except (TypeError, ValueError, OverflowError) as err:  # an int too large for a float
+        raise SchemaError(f"scaler values must be numbers: {err}") from None
+    n = len(dat.SCHEMA)
+    if mean.shape != (n,) or not np.isfinite(mean).all():
+        raise SchemaError(f"scaler feature_mean must hold {n} finite numbers")
+    if std.shape != (n,) or not (np.isfinite(std) & (std > 0)).all():
+        raise SchemaError(f"scaler feature_std must hold {n} finite positive numbers")
+    if not (math.isfinite(t_mean) and math.isfinite(t_std) and t_std > 0):
+        raise SchemaError(f"scaler target_mean must be finite and target_std finite and "
+                          f"positive, got {t_mean!r}, {t_std!r}")
+    if payload["window"] != config.window:
+        raise SchemaError(f"window {payload['window']} differs from the network's {config.window}")
+    net = Network.build(config, RngState(0))
+    live = net.params()
+    if params.keys() != live.keys():
+        raise SchemaError("parameter keys do not match this architecture: "
+                          f"missing {sorted(live.keys() - params.keys())}, "
+                          f"unexpected {sorted(params.keys() - live.keys())}")
+    for key, arr in live.items():
+        if params[key].shape != arr.shape:
+            raise SchemaError(f"parameter {key} has shape {list(params[key].shape)}, "
+                              f"this architecture needs {list(arr.shape)}")
+        np.copyto(arr, params[key])
+    return net, dat.Scaler(mean, std, t_mean, t_std)
+
+
+def _decode_param(key: str, entry) -> np.ndarray:
+    shape, data = _get(entry, "shape", key), _get(entry, "data", key)
+    if not isinstance(shape, list) or any(type(n) is not int for n in shape):
+        raise SchemaError(f"{key}: shape must be a list of ints, got {shape!r}")
+    if not isinstance(data, str):
+        raise SchemaError(f"{key}: data must be a base64 string, got {data!r}")
+    try:
+        arr = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").reshape(shape)
+    except ValueError as err:  # binascii.Error and a byte count off 8 * prod(shape) alike
+        raise SchemaError(f"{key}: data does not decode to shape {shape}: {err}") from None
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{key}: parameter values must be finite")
+    return arr
 
 
 def forecast(net: Network, scaler: dat.Scaler, windows: np.ndarray) -> np.ndarray:
@@ -444,9 +532,12 @@ def cmd_predict(args) -> int:
                 row.append(str(int(preds[i] >= 0.5)))
             fh.write(",".join(row) + "\n")
     print(f"wrote {len(preds)} predictions to {path}")
-    if has_real.sum() >= 2 and task == "regression":
-        rep = regression_metrics(preds[has_real], reals[has_real])
-        print(f"r2 on rows with targets: {rep.r2!r}")
+    if task == "regression" and has_real.sum() >= 2:
+        try:
+            rep = regression_metrics(preds[has_real], reals[has_real])
+            print(f"r2 on rows with targets: {rep.r2!r}")
+        except NumericError:
+            pass  # every target is the same, as on a night-only slice: r2 is undefined
     return 0
 
 

@@ -144,35 +144,6 @@ class Scaler:
     def unscale_targets(self, y: np.ndarray) -> np.ndarray:
         return y * self.target_std + self.target_mean
 
-    def to_dict(self) -> dict:
-        return {
-            "feature_mean": self.feature_mean.tolist(),
-            "feature_std": self.feature_std.tolist(),
-            "target_mean": self.target_mean,
-            "target_std": self.target_std,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Scaler":
-        """Inverse of ``to_dict``; SchemaError unless every value can scale the schema."""
-        if not isinstance(payload, dict):
-            raise SchemaError(f"scaler must be an object, got {type(payload).__name__}")
-        try:
-            mean, std = (np.array(payload[key], dtype=np.float64)
-                         for key in ("feature_mean", "feature_std"))
-            t_mean, t_std = float(payload["target_mean"]), float(payload["target_std"])
-        except (TypeError, ValueError) as err:
-            raise SchemaError(f"scaler values must be numbers: {err}") from None
-        if mean.shape != (len(SCHEMA),) or not np.isfinite(mean).all():
-            raise SchemaError(f"scaler feature_mean must hold {len(SCHEMA)} finite numbers")
-        if std.shape != (len(SCHEMA),) or not (np.isfinite(std) & (std > 0)).all():
-            raise SchemaError(f"scaler feature_std must hold {len(SCHEMA)} finite positive "
-                              "numbers")
-        if not (math.isfinite(t_mean) and math.isfinite(t_std) and t_std > 0):
-            raise SchemaError(f"scaler target_mean must be finite and target_std finite and "
-                              f"positive, got {t_mean!r}, {t_std!r}")
-        return cls(mean, std, t_mean, t_std)
-
 
 @dataclass
 class SupervisedSet:

@@ -25,12 +25,11 @@ the per-window gradients.
 
 from __future__ import annotations
 
-import base64
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, SchemaError
+from .errors import DimensionError, ParameterError
 from .layers import Attention, Conv1d, Dense, Dropout, Gru, LayerNorm, Relu
 from .tensor import RngState, as_tensor
 
@@ -165,21 +164,6 @@ class Network:
         """Dotted key of the parameter at flat ``vector`` (or ``grad``) position ``index``."""
         return next(key for key, _, _, _, stop, _ in self._layout if index < stop)
 
-    def set_params(self, values: dict[str, np.ndarray]):
-        """Copy ``values`` into the live parameters; keys and shapes must match exactly."""
-        params = self.params()
-        if set(values) != set(params):
-            raise ParameterError(
-                "parameter keys do not match this architecture: "
-                f"missing {sorted(set(params) - set(values))}, "
-                f"unexpected {sorted(set(values) - set(params))}")
-        for key, arr in params.items():
-            if np.shape(values[key]) != arr.shape:
-                raise DimensionError(f"parameter {key} has shape {list(np.shape(values[key]))}, "
-                                     f"this architecture needs {list(arr.shape)}")
-        for key, arr in params.items():
-            np.copyto(arr, values[key])
-
     # --- forward / backward -----------------------------------------------
 
     def forward(self, x, training: bool = False, rng: RngState | None = None) -> np.ndarray:
@@ -229,78 +213,3 @@ class Network:
         self.grad = np.concatenate([layer.grads[name].ravel()
                                     for _, layer, name, *_ in self._layout])
         return self._views(self.grad)
-
-    # --- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "params": {key: _encode_array(arr) for key, arr in self.params().items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Network":
-        """Inverse of ``to_dict``; SchemaError for a value of the wrong type.
-
-        Every ``NetworkConfig`` field must be present with its annotated
-        type (an int for a float field too, never a bool); unknown config
-        keys are ignored. A config that would build over twice the
-        parameters the file holds is refused before anything is built.
-        """
-        config = _object(_object(payload, "network")["config"], "network config")
-        values = {}
-        for field in fields(NetworkConfig):
-            value = config[field.name]
-            kind = _FIELD_TYPES[field.type]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise SchemaError(f"network config {field.name} must be {field.type}, "
-                                  f"got {value!r}")
-            values[field.name] = value
-        config = NetworkConfig(**values)
-        params = {key: _decode_array(key, entry)
-                  for key, entry in _object(payload["params"], "network params").items()}
-        count = sum(arr.size for arr in params.values())
-        if config.param_count() > 2 * count:
-            sizes = ", ".join(f"{name} {getattr(config, name)}" for name in _SIZE_FIELDS)
-            raise SchemaError(f"network config ({sizes}) needs {config.param_count()} "
-                              f"parameters, the file holds {count}")
-        net = cls.build(config, RngState(0))
-        net.set_params(params)
-        return net
-
-
-# the NetworkConfig fields that set how many parameters there are
-_SIZE_FIELDS = ("features", "blocks", "conv_filters", "kernel", "gru_units", "attn_dim",
-                "mlp_hidden")
-# the Python types a JSON value may have for each annotation in NetworkConfig
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{what} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _encode_array(arr: np.ndarray) -> dict:
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(key: str, entry: dict) -> np.ndarray:
-    shape, data = _object(entry, key)["shape"], entry["data"]
-    if not isinstance(shape, list) or any(type(n) is not int for n in shape):
-        raise SchemaError(f"{key}: shape must be a list of ints, got {shape!r}")
-    if not isinstance(data, str):
-        raise SchemaError(f"{key}: data must be a base64 string, got {data!r}")
-    try:
-        flat = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
-        arr = flat.reshape(shape).copy()
-    except ValueError as err:  # binascii.Error and a byte count off 8 * prod(shape) alike
-        raise DimensionError(f"{key}: data does not decode to shape {shape}: "
-                             f"{err}") from None
-    if not np.isfinite(arr).all():
-        raise SchemaError(f"{key}: parameter values must be finite")
-    return arr

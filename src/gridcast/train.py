@@ -11,7 +11,6 @@ the best seen.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +49,8 @@ class TrainConfig:
             problems.append(f"lr_patience must be >= 1, got {self.lr_patience}")
         if self.initial_lr <= 0:
             problems.append(f"initial_lr must be positive, got {self.initial_lr}")
+        elif not np.isfinite(self.initial_lr):
+            problems.append(f"initial_lr must be finite, got {self.initial_lr}")
         if self.batch_size < 1:
             problems.append(f"batch_size must be >= 1, got {self.batch_size}")
         return problems
@@ -66,7 +67,6 @@ class EpochRecord:
     train_loss: float
     val_loss: float
     lr: float
-    wall_time: float
 
 
 @dataclass
@@ -253,7 +253,6 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
     # would bury that message
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
-            t0 = time.perf_counter()
             lr = sched.lr
             order = shuffle_rng.permutation(n)
             loss_sum = 0.0
@@ -280,8 +279,7 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
             improved, stop = sched.update(val_loss)
             if improved:
                 best = net.vector.copy()
-            log.epochs.append(EpochRecord(epoch, train_loss, val_loss, lr,
-                                          time.perf_counter() - t0))
+            log.epochs.append(EpochRecord(epoch, train_loss, val_loss, lr))
             if stop:
                 log.stop_reason = "early_stop"
                 break

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcast.cli import FORECAST_SLICE, RunConfig, build_parser, forecast, load_model, main
-from gridcast.errors import GridcastError
+from gridcast.cli import (FORECAST_SLICE, RunConfig, build_parser, forecast, load_model, main,
+                          save_model)
+from gridcast.errors import GridcastError, ParameterError
+from gridcast.network import Network
 from gridcast.tensor import RngState
 from gridcast.train import predict_all
 
@@ -52,7 +54,9 @@ TRACEBACK_PROBES = [("window", "abc"), ("window", "none"), ("blocks", "1.5"),
 BAD_CONFIG_VALUES = list(dict.fromkeys(
     TRACEBACK_PROBES
     + [(f.name, UNREADABLE[f.type]) for f in fields(RunConfig) if f.type in UNREADABLE]
-    + [(f.name, "none") for f in fields(RunConfig) if not f.type.endswith(" | None")]))
+    + [(f.name, "none") for f in fields(RunConfig) if not f.type.endswith(" | None")]
+    + [(f.name, text) for f in fields(RunConfig) if f.type == "float"
+       for text in ("nan", "inf", "-inf")]))
 
 DATA_OPTIONS = {"--csv", "--synth-rows", "--synth-regime", "--window", "--shuffle-split",
                 "--validate-on-test"}
@@ -326,6 +330,14 @@ class TestExitCodes:
         assert message in printed.err
         assert not out.exists()
 
+    # flags and config lines never read as these; a Python caller can still pass them
+    @pytest.mark.parametrize("field, value", [("ridge_alpha", float("inf")),
+                                              ("initial_lr", float("nan")),
+                                              ("initial_lr", float("inf"))])
+    def test_non_finite_setting_is_refused_by_validate(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            RunConfig(synth_rows=100, **{field: value}).validate()
+
     @pytest.mark.parametrize("case", ["broadcastable-shape", "wrong-shape", "missing-key",
                                       "not-base64", "stray-character", "byte-count"])
     def test_model_parameters_must_match_the_architecture(self, tmp_path, synth_csv, trained,
@@ -376,6 +388,23 @@ class TestExitCodes:
         assert "head.out.bias: parameter values must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_scaler_refused_before_the_network_is_built(self, tmp_path, synth_csv, trained,
+                                                            capsys, monkeypatch):
+        payload = json.loads((trained / "model.json").read_text())
+        payload["scaler"]["feature_std"] = [0.0] * 13
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+
+        def build(*args):
+            raise AssertionError("Network.build ran before the scaler was checked")
+
+        monkeypatch.setattr(Network, "build", build)
+        out = tmp_path / "x"
+        assert main(["predict", "--model", str(bad), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 3
+        assert "feature_std must hold 13 finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_is_data_error(self, tmp_path, synth_csv):
         assert main(["predict", "--model", str(tmp_path / "no.json"),
                      "--csv", str(synth_csv), "--out-dir", str(tmp_path / "x")]) == 3
@@ -421,6 +450,8 @@ class TestExitCodes:
                      id="feature-std-zero"),
         pytest.param("scaler", "target_mean", float("inf"), "target_mean must be finite",
                      id="target-mean-inf"),
+        pytest.param("scaler", "target_mean", 10 ** 400, "int too large to convert to float",
+                     id="target-mean-huge-int"),
         pytest.param("scaler", "target_std", 0.0, "target_std finite and positive",
                      id="target-std-zero"),
     ])
@@ -620,6 +651,24 @@ class TestPredict:
         metrics = json.loads((trained / "metrics.json").read_text())
         assert abs(r2 - metrics["r2"]) < 1e-9
 
+    def test_constant_targets_write_predictions_without_r2(self, tmp_path, synth_csv, trained,
+                                                           capsys):
+        # a night-only slice: generator_kw is 0 on every row, so r2 is undefined
+        rows = list(csv.DictReader(synth_csv.open()))[:40]
+        night = tmp_path / "night.csv"
+        with night.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({**row, "generator_kw": "0.0"} for row in rows)
+        out = tmp_path / "preds"
+        assert main(["predict", "--model", str(trained / "model.json"), "--csv", str(night),
+                     "--out-dir", str(out)]) == 0
+        lines = (out / "predictions.csv").read_text().strip().splitlines()
+        # one window per row after the first 6, plus the trailing one
+        assert len(lines) == 1 + 40 - 6 + 1
+        assert {ln.split(",")[1] for ln in lines[1:-1]} == {"0.0"}
+        assert "r2" not in capsys.readouterr().out
+
     def test_classification_prediction_columns(self, tmp_path, synth_csv):
         model_dir = tmp_path / "clsmodel"
         main(["train", "--csv", str(synth_csv), "--task", "classification",
@@ -633,6 +682,14 @@ class TestPredict:
         assert lines[0] == "index,real_label,probability,predicted_label"
         prob = float(lines[1].split(",")[2])
         assert 0.0 <= prob <= 1.0
+
+
+class TestModelFile:
+    def test_save_load_save_is_byte_identical(self, tmp_path, trained):
+        net, scaler, meta = load_model(trained / "model.json")
+        cfg = RunConfig(task=meta["task"], window=meta["window"], horizon=meta["horizon"])
+        save_model(tmp_path / "model.json", net, scaler, cfg)
+        assert (tmp_path / "model.json").read_bytes() == (trained / "model.json").read_bytes()
 
 
 class TestForecast:
