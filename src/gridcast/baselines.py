@@ -305,24 +305,14 @@ def _grow_trees(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
 
 
 class RegressionTree:
-    """Greedy CART regressor with mean-valued leaves.
+    """Greedy CART regressor with mean-valued leaves, grown by ``_grow_trees``.
 
     Each node searches round(sqrt(d)) columns drawn from ``rng``.
     """
 
-    def __init__(self, rng: RngState, max_depth: int = 12, min_leaf: int = MIN_LEAF):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
+    def __init__(self, rng: RngState):
         self.rng = rng
         self.root = None
-
-    def fit(self, x, y) -> "RegressionTree":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.shape[0] < 2:
-            raise DataError("tree needs at least two samples")
-        _grow_trees([self], x, y, [np.arange(x.shape[0])], self.max_depth, self.min_leaf)
-        return self
 
     def predict_one(self, row) -> float:
         node = self.root
@@ -350,8 +340,7 @@ class RandomForest:
             raise DataError("forest needs at least two samples")
         master = RngState(self.config.seed)
         n = x.shape[0]
-        self.trees = [RegressionTree(master.spawn(i), self.config.max_depth)
-                      for i in range(self.config.n_trees)]
+        self.trees = [RegressionTree(master.spawn(i)) for i in range(self.config.n_trees)]
         bootstraps = [tree.rng.integers(n, n) for tree in self.trees]
         _grow_trees(self.trees, x, y, bootstraps, self.config.max_depth, MIN_LEAF)
         return self

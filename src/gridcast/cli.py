@@ -31,8 +31,9 @@ from . import data as dat
 from .baselines import BayesianRidge, ForestConfig, RandomForest, flatten_windows, knn_predict_batch
 from .errors import DataError, GridcastError, NumericError, ParameterError, SchemaError
 from .explain import attribute, write_attribution_csv
-from .metrics import (ClassificationReport, RegressionReport, classification_metrics,
-                      regression_metrics, write_comparison_csv, write_roc_csv)
+from .metrics import (DECISION_THRESHOLD, ClassificationReport, RegressionReport,
+                      classification_metrics, regression_metrics, write_comparison_csv,
+                      write_roc_csv)
 from .network import HEADS, Network, NetworkConfig
 from .tensor import RngState
 from .train import INFERENCE_CHUNK, TrainConfig, fit, predict_all
@@ -148,8 +149,12 @@ def _coerce(name: str, text: str):
 
 def read_config_file(path) -> dict:
     """Flat ``key = value`` text; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParameterError(f"cannot read config file {path}: {err}") from None
     entries = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -179,6 +184,15 @@ def dump_effective_config(cfg: RunConfig, out_dir: Path):
     lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
     (out_dir / "effective_config.txt").write_text("\n".join(sorted(lines)) + "\n",
                                                   encoding="utf-8")
+
+
+def _make_dir(path: Path, what: str):
+    """Makes ``path`` and any missing parents; a path that cannot be a directory
+    is a configuration error naming ``what``."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ParameterError(f"cannot make {what} {path}: {err.strerror}") from None
 
 
 def _write_json(payload: dict, path: Path):
@@ -399,7 +413,7 @@ def _prepare_run(args, regression_only: bool = False):
     cfg.validate()
     table = load_table(cfg)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir, "out-dir")
     dump_effective_config(cfg, out_dir)
     return cfg, out_dir, model, table
 
@@ -410,7 +424,7 @@ def _prepare_run(args, regression_only: bool = False):
 def cmd_synth(args) -> int:
     out = Path(args.out)
     table = dat.synth_generate(args.rows, args.seed, args.regime)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out.parent, "the directory of --out")
     dat.write_csv(table, out)
     meta = {"rows": args.rows, "seed": args.seed, "regime": args.regime,
             "columns": list(dat.SCHEMA)}
@@ -529,7 +543,7 @@ def cmd_predict(args) -> int:
             row.append(real_cells[i] if has_real[i] else "")
             row.append(repr(float(preds[i])))
             if task == "classification":
-                row.append(str(int(preds[i] >= 0.5)))
+                row.append(str(int(preds[i] >= DECISION_THRESHOLD)))
             fh.write(",".join(row) + "\n")
     print(f"wrote {len(preds)} predictions to {path}")
     if task == "regression" and has_real.sum() >= 2:

@@ -25,7 +25,6 @@ from .tensor import RngState
 
 log = logging.getLogger(__name__)
 
-REGIMES = ("default", "kenya")
 ON_MISSING = ("reject", "ffill")
 
 SCHEMA = [
@@ -112,7 +111,9 @@ _PHASE_OFFSETS = {
 # and the mean output is the reference 18.55 kW
 _GEN_THRESHOLD = -0.36842489
 _GEN_SCALE = 29.3815595
-_KENYA_MEAN_SCALE = 0.9
+# factor on every reference mean, and on generator_kw, per synthetic regime
+_MEAN_SCALE = {"default": 1.0, "kenya": 0.9}
+REGIMES = tuple(_MEAN_SCALE)
 
 
 @dataclass
@@ -147,12 +148,13 @@ class Scaler:
 
 @dataclass
 class SupervisedSet:
-    """Windowed samples: inputs (n, window, 13), targets one step ahead."""
+    """Windowed samples: inputs (n, window, 13), targets one step ahead,
+    and each sample's window position in the table."""
 
     inputs: np.ndarray
     targets_raw: np.ndarray
+    indices: np.ndarray
     scaler: Scaler | None = None
-    indices: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -192,7 +194,7 @@ def load_csv(path, on_missing: str = "reject") -> Table:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path}: {err}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -360,7 +362,7 @@ def split_and_scale(samples: SupervisedSet, parts: dict[str, np.ndarray]):
             inputs=scaler.scale_inputs(samples.inputs[idx]),
             targets_raw=samples.targets_raw[idx].copy(),
             scaler=scaler,
-            indices=samples.indices[idx].copy() if samples.indices is not None else idx,
+            indices=samples.indices[idx].copy(),
         ))
     return tuple(out)
 
@@ -414,10 +416,10 @@ def synth_generate(n: int, seed: int, regime: str = "default") -> Table:
     if n < 1:
         raise ParameterError(f"row count must be >= 1, got {n}")
     if regime not in REGIMES:
-        raise ParameterError(f"regime must be default or kenya, got {regime!r}")
+        raise ParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
     rng = RngState(seed)
     persist, shortfall = synth_latent(n, rng)
-    mean_scale = _KENYA_MEAN_SCALE if regime == "kenya" else 1.0
+    mean_scale = _MEAN_SCALE[regime]
     generator = _GEN_SCALE * mean_scale * np.clip(shortfall - _GEN_THRESHOLD, 0.0, None)
 
     feat_rng = rng.spawn(2)
@@ -438,7 +440,7 @@ def synth_generate(n: int, seed: int, regime: str = "default") -> Table:
 
 def moment_report(table: Table, regime: str = "default") -> list[dict]:
     """Achieved vs reference mean/variance per column, for synth provenance."""
-    scale = _KENYA_MEAN_SCALE if regime == "kenya" else 1.0
+    scale = _MEAN_SCALE[regime]
     rows = []
     for j, name in enumerate(SCHEMA):
         mean, variance = TABLE_STATS[name]

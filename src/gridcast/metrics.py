@@ -10,6 +10,9 @@ import numpy as np
 
 from .errors import DataError, DimensionError, NumericError, ParameterError
 
+# a zero-state probability at or above this predicts the zero state
+DECISION_THRESHOLD = 0.5
+
 
 @dataclass
 class RegressionReport:
@@ -60,10 +63,10 @@ def regression_metrics(pred, real) -> RegressionReport:
     return RegressionReport(mae, rmse, r2)
 
 
-def classification_metrics(scores, labels, threshold: float = 0.5) -> ClassificationReport:
-    """Confusion counts at ``threshold`` plus a full ROC sweep and AUC.
+def classification_metrics(scores, labels) -> ClassificationReport:
+    """Confusion counts at ``DECISION_THRESHOLD`` plus a full ROC sweep and AUC.
 
-    A sample is predicted positive when its score is >= threshold. The
+    A sample is predicted positive when its score is >= DECISION_THRESHOLD. The
     ROC is swept over every distinct score (descending) with sentinel
     endpoints, so fpr runs 0 -> 1 monotonically.
     """
@@ -83,7 +86,7 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> Classifica
     pos = labels == 1.0
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
-    predicted = scores >= threshold
+    predicted = scores >= DECISION_THRESHOLD
     tp = int((predicted & pos).sum())
     fp = int((predicted & ~pos).sum())
     fn = n_pos - tp

@@ -120,13 +120,11 @@ def loss(head: str, pred, target):
 
 
 class AdamState:
-    """First/second moment accumulators shaped like the parameter vector,
-    and two scratch vectors of that shape that each update overwrites."""
+    """First/second moment accumulators shaped like the parameter vector."""
 
     def __init__(self, param: np.ndarray):
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
-        self.scratch = (np.empty_like(param), np.empty_like(param))
 
 
 def adam_step(param, grad, state: AdamState, lr: float, t: int):
@@ -138,18 +136,11 @@ def adam_step(param, grad, state: AdamState, lr: float, t: int):
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    step, denom = state.scratch
-    # in place, in the operand order of
-    # param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps), so the bits match it
     m *= ADAM_BETA1
-    m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
+    m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
-    np.multiply(1.0 - ADAM_BETA2, grad, out=step)
-    v += np.multiply(step, grad, out=step)
-    np.multiply(lr, np.divide(m, bc1, out=step), out=step)
-    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-    denom += ADAM_EPSILON
-    param -= np.divide(step, denom, out=step)
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 # --- schedule ----------------------------------------------------------------
@@ -168,8 +159,7 @@ class LrSchedule:
         self.cfg = cfg
         self.best = np.inf
         self.reductions = 0
-        self._since_improve_lr = 0
-        self._since_improve_stop = 0
+        self._since_improve = 0
 
     @property
     def lr(self) -> float:
@@ -179,16 +169,14 @@ class LrSchedule:
         """Returns (improved, stop) for one epoch's validation loss."""
         if val_loss < self.best - IMPROVEMENT_THRESHOLD:
             self.best = val_loss
-            self._since_improve_lr = 0
-            self._since_improve_stop = 0
+            self._since_improve = 0
             return True, False
-        self._since_improve_lr += 1
-        self._since_improve_stop += 1
-        if self._since_improve_stop >= self.cfg.early_stop_patience:
+        self._since_improve += 1
+        if self._since_improve >= self.cfg.early_stop_patience:
             return False, True
-        if self._since_improve_lr >= self.cfg.lr_patience:
+        # a cut every lr_patience epochs in a row without improvement
+        if self._since_improve % self.cfg.lr_patience == 0:
             self.reductions += 1
-            self._since_improve_lr = 0
         return False, False
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from gridcast import data as dat
 from gridcast.baselines import (MIN_LEAF, BayesianRidge, ForestConfig, RandomForest,
-                                RegressionTree, best_split, flatten_windows,
+                                RegressionTree, _grow_trees, best_split, flatten_windows,
                                 knn_predict_batch)
 from gridcast.errors import DataError, NumericError, ParameterError
 from gridcast.tensor import RngState
@@ -200,17 +200,24 @@ def forest_data(seed, n=300, d=20):
     return x, y
 
 
+def grow_tree(seed, x, y, max_depth, min_leaf=MIN_LEAF) -> RegressionTree:
+    """One tree grown alone on every row of (x, y), as the forest grows each of its trees."""
+    tree = RegressionTree(RngState(seed))
+    _grow_trees([tree], x, y, [np.arange(x.shape[0])], max_depth, min_leaf)
+    return tree
+
+
 class TestTree:
     def test_constant_targets_single_leaf(self):
         x = RngState(4).uniform(-1, 1, (20, 3))
-        tree = RegressionTree(RngState(0), max_depth=3).fit(x, np.full(20, 2.5))
+        tree = grow_tree(0, x, np.full(20, 2.5), max_depth=3)
         assert tree.root.left is None
         assert np.allclose(tree.predict(x), 2.5)
 
     def test_step_data_splits_at_step_and_predicts_purely(self):
         x = np.linspace(-1, 1, 21).reshape(-1, 1)
         y = (x[:, 0] >= 0).astype(float)
-        tree = RegressionTree(RngState(0), max_depth=1, min_leaf=1).fit(x, y)
+        tree = grow_tree(0, x, y, max_depth=1, min_leaf=1)
         oracle = exhaustive_best_split(x[:, 0], y, min_leaf=1)
         assert abs(tree.root.threshold - oracle[1]) < 1e-12
         assert tree.predict_one([-0.5]) == 0.0
@@ -326,12 +333,12 @@ class TestTree:
                 return [len(idx)]
             mask = x[idx, node.feature] <= node.threshold
             return sizes(node.left, idx[mask]) + sizes(node.right, idx[~mask])
-        tree = RegressionTree(RngState(0), max_depth=6, min_leaf=3).fit(x, y)
+        tree = grow_tree(0, x, y, max_depth=6, min_leaf=3)
         assert min(sizes(tree.root, np.arange(10))) >= 3
 
     def test_single_tree_matches_reference_grower(self):
         x, y = forest_data(11)
-        tree = RegressionTree(RngState(5), max_depth=3, min_leaf=1).fit(x, y)
+        tree = grow_tree(5, x, y, max_depth=3, min_leaf=1)
         ref_rng = RngState(5)
         expected = reference_tree(x, y, ref_rng, max_depth=3, min_leaf=1)
         assert as_tuples(tree.root) == expected

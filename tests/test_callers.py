@@ -1,12 +1,16 @@
 """Every module-level function and class in ``src/gridcast`` has a caller outside the tests,
-and every dataclass field there has a reader.
+every dataclass field there has a reader, and every defaulted parameter there is passed.
 
 A name counts as used when code under ``src/``, ``scripts/`` or
 ``perfbench/`` refers to it (as a name, an attribute, an import or a
 string, since the benchmark's tracer patches functions by their names),
 or when ``pyproject.toml`` names it, as it does the console entry point.
 Its own ``def`` or ``class`` line does not count. A field counts as read
-when that code loads it as an attribute (``obj.field``).
+when that code loads it as an attribute (``obj.field``). A defaulted
+parameter counts as passed when that code calls a callee of its
+function's name with it: by keyword, by position, or through a ``*`` or
+``**`` splat. ``ClassName(...)`` calls ``__init__``, and so does
+``cls(...)`` inside the class.
 """
 
 import ast
@@ -62,3 +66,64 @@ def test_every_dataclass_field_is_read_outside_the_tests():
               for field in node.body
               if isinstance(field, ast.AnnAssign) and field.target.id not in read]
     assert unread == []
+
+
+# "RegressionTree.__init__.min_leaf"-style labels of defaulted parameters that
+# nothing outside the tests passes, each with the reason it stays
+UNPASSED_DEFAULTS: dict[str, str] = {}
+
+
+def non_test_calls():
+    """``(callee name, call)`` for every call outside the tests."""
+    for node in non_test_nodes():
+        if isinstance(node, ast.Call):
+            yield getattr(node.func, "id", getattr(node.func, "attr", None)), node
+        elif isinstance(node, ast.ClassDef):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls":
+                    yield node.name, call
+
+
+def defaulted_parameters():
+    """``(path, arg, label, callee, position)`` for each defaulted parameter of a
+    module-level function or method of ``src/gridcast``. ``position`` is the
+    parameter's index among the positional arguments a call writes, or None
+    for a keyword-only one."""
+    for path, node in package_top_level():
+        if isinstance(node, ast.FunctionDef):
+            methods = [(node, node.name, node.name, 0)]
+        elif isinstance(node, ast.ClassDef):
+            methods = [(item, f"{node.name}.{item.name}",
+                        node.name if item.name == "__init__" else item.name,
+                        0 if "staticmethod" in map(ast.unparse, item.decorator_list) else 1)
+                       for item in node.body if isinstance(item, ast.FunctionDef)]
+        else:
+            continue
+        for func, label, callee, bound in methods:
+            args = func.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield path, arg, f"{label}.{arg.arg}", callee, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path, arg, f"{label}.{arg.arg}", callee, None
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    calls = {}
+    for callee, call in non_test_calls():
+        calls.setdefault(callee, []).append(call)
+    unpassed = [f"{path.name}:{arg.lineno} {label}"
+                for path, arg, label, callee, position in defaulted_parameters()
+                if label not in UNPASSED_DEFAULTS
+                and not any(passes(call, arg.arg, position) for call in calls.get(callee, []))]
+    assert unpassed == []

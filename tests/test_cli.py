@@ -2,7 +2,10 @@ import argparse
 import base64
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -21,6 +24,7 @@ from gridcast.network import Network
 from gridcast.tensor import RngState
 from gridcast.train import predict_all
 
+REPO = Path(__file__).resolve().parents[1]
 FAST_NET = ["--blocks", "1", "--conv-filters", "3", "--gru-units", "3",
             "--attn-dim", "3", "--mlp-hidden", "4", "--window", "6"]
 
@@ -563,6 +567,40 @@ class TestExitCodes:
         assert main(["predict", "--model", str(old), "--csv", str(synth_csv),
                      "--out-dir", str(tmp_path / "x")]) == 3
         assert "not a gridcast-model-v2 file" in capsys.readouterr().err
+
+    # in {tmp}, "file" is a file, "dir" a directory, and bad.cfg and bad.csv are not UTF-8
+    @pytest.mark.parametrize("argv, code, named", [
+        pytest.param("train --synth-rows 200 --config {tmp}/nope.cfg --out-dir {tmp}/out", 2,
+                     "{tmp}/nope.cfg", id="config-missing"),
+        pytest.param("train --synth-rows 200 --config {tmp}/dir --out-dir {tmp}/out", 2,
+                     "{tmp}/dir", id="config-dir"),
+        pytest.param("train --synth-rows 200 --config {tmp}/bad.cfg --out-dir {tmp}/out", 2,
+                     "{tmp}/bad.cfg", id="config-not-utf8"),
+        pytest.param("train --csv {tmp}/bad.csv --out-dir {tmp}/out", 3, "{tmp}/bad.csv",
+                     id="csv-not-utf8"),
+        pytest.param("train --synth-rows 200 --out-dir {tmp}/file", 2, "{tmp}/file",
+                     id="out-dir-is-file"),
+        pytest.param("train --synth-rows 200 --out-dir {tmp}/file/out", 2, "{tmp}/file/out",
+                     id="out-dir-under-file"),
+        pytest.param("synth --rows 10 --out {tmp}/file/synth.csv", 2, "{tmp}/file",
+                     id="synth-out-under-file"),
+    ])
+    def test_unusable_path_is_named_without_a_traceback(self, tmp_path, argv, code, named):
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "bad.cfg").write_bytes(b"\xff\xfe seed = 1\n")
+        (tmp_path / "bad.csv").write_bytes(b"pv_kw\n\xff\n")
+        before = sorted(tmp_path.rglob("*"))
+        # a subprocess, so an escaped exception shows as the traceback it prints
+        done = subprocess.run(
+            [sys.executable, "-m", "gridcast.cli", *(a.format(tmp=tmp_path) for a in argv.split())],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == code, done.stderr
+        assert named.format(tmp=tmp_path) in done.stderr
+        assert "Traceback" not in done.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == "x"
 
     def test_bad_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

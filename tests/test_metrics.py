@@ -89,7 +89,7 @@ class TestClassificationMetrics:
         assert rep.precision == 2 / 3
 
     def test_precision_undefined_marker_when_no_positive_predictions(self):
-        rep = classification_metrics([0.1, 0.2], [1.0, 0.0], threshold=0.9)
+        rep = classification_metrics([0.1, 0.2], [1.0, 0.0])
         assert rep.precision is None
 
     def test_roc_monotone_and_bounded(self):
