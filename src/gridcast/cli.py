@@ -250,8 +250,10 @@ def load_model(path):
     network is built; a problem in it is a SchemaError naming the file."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError:
+    except FileNotFoundError:
         raise DataError(f"model file not found: {path}") from None
+    except OSError as err:
+        raise DataError(f"cannot read model file {path}: {err.strerror}") from None
     except ValueError:
         raise SchemaError(f"{path} is not valid JSON") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
@@ -425,7 +427,10 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     table = dat.synth_generate(args.rows, args.seed, args.regime)
     _make_dir(out.parent, "the directory of --out")
-    dat.write_csv(table, out)
+    try:
+        dat.write_csv(table, out)
+    except OSError as err:
+        raise ParameterError(f"cannot write --out {out}: {err.strerror}") from None
     meta = {"rows": args.rows, "seed": args.seed, "regime": args.regime,
             "columns": list(dat.SCHEMA)}
     _write_json(meta, Path(str(out) + ".meta.json"))

@@ -191,7 +191,8 @@ def load_csv(path, on_missing: str = "reject") -> Table:
     if on_missing not in ON_MISSING:
         raise ParameterError(f"on_missing must be one of {ON_MISSING}, got {on_missing!r}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark a spreadsheet export may start with
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except (OSError, UnicodeDecodeError) as err:

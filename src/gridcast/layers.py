@@ -6,9 +6,13 @@ T steps with F features each; one window is a batch of 1. The row-wise
 layers (``LayerNorm``, ``Dense``, ``Dropout``, ``Relu``) act on the
 last axis and accept any leading axes.
 
-Each layer caches the activations its backward pass needs during
-``forward`` and releases them when ``backward`` consumes them, so a
-layer instance pairs exactly one backward with one forward.
+Each ``forward`` takes a ``training`` flag, True by default on every
+layer but ``Dropout``, which has no default. With it set the layer
+caches the activations its backward pass needs and ``backward``
+releases them when it consumes them, so a layer instance pairs exactly
+one backward with one forward. With it clear the forward is for
+inference: it keeps nothing, drops any cache an earlier forward left,
+and a following ``backward`` raises ``StateError``.
 ``backward`` takes the upstream gradient in the shape ``forward``
 returned and gives back the gradient with respect to the layer input in
 the input's shape. ``Conv1d`` and ``Attention`` can compute only the
@@ -111,7 +115,7 @@ class Conv1d(_Layer):
     def params(self):
         return {"kernels": self.kernels, "bias": self.bias}
 
-    def forward(self, x, steps: int | None = None) -> np.ndarray:
+    def forward(self, x, steps: int | None = None, training: bool = True) -> np.ndarray:
         out_ch, in_ch, k = self.kernels.shape
         x = _as_batch(x, in_ch, "conv1d")
         batch, t_len, _ = x.shape
@@ -125,7 +129,7 @@ class Conv1d(_Layer):
             cols[:, :, :, j] = xp[:, first + j:first + j + steps]
         cols = cols.reshape(batch * steps, in_ch * k)
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
-        self._cache = (cols, x.shape)
+        self._cache = (cols, x.shape) if training else None
         return (cols @ w_mat.T + self.bias).reshape(batch, steps, out_ch)
 
     def backward(self, upstream):
@@ -191,7 +195,7 @@ class Gru(_Layer):
     def params(self):
         return {"W": self.W, "U_rz": self.U_rz, "U": self.U, "b": self.b}
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x, training: bool = True) -> np.ndarray:
         _, in_dim, hidden = self.W.shape
         x = _as_batch(x, in_dim, "gru")
         batch, t_len, _ = x.shape
@@ -200,18 +204,21 @@ class Gru(_Layer):
         a = x @ self.W[:, None] + self.b[:, None, None]
         hs = np.empty((t_len + 1, batch, hidden))
         hs[0] = 0.0
-        rzs = np.empty((2, t_len, batch, hidden))
-        cs = np.empty((t_len, batch, hidden))
+        if training:
+            rzs = np.empty((2, t_len, batch, hidden))
+            cs = np.empty((t_len, batch, hidden))
         # gates inlined (same math as tensor.sigmoid) to keep the step
         # loop free of per-call overhead
         with np.errstate(over="ignore"):
             for t in range(t_len):
                 h_prev = hs[t]
-                rzs[:, t] = 1.0 / (1.0 + np.exp(-(a[:2, t] + h_prev @ self.U_rz)))
-                r, z = rzs[0, t], rzs[1, t]
-                cs[t] = np.tanh(a[2, t] + (r * h_prev) @ self.U)
-                hs[t + 1] = (1.0 - z) * h_prev + z * cs[t]
-        self._cache = (x, hs, rzs, cs)
+                rz = 1.0 / (1.0 + np.exp(-(a[:2, t] + h_prev @ self.U_rz)))
+                r, z = rz[0], rz[1]
+                c = np.tanh(a[2, t] + (r * h_prev) @ self.U)
+                hs[t + 1] = (1.0 - z) * h_prev + z * c
+                if training:
+                    rzs[:, t], cs[t] = rz, c
+        self._cache = (x, hs, rzs, cs) if training else None
         return hs[1:].transpose(1, 0, 2).copy()
 
     def backward(self, upstream):
@@ -281,7 +288,7 @@ class Attention(_Layer):
     def params(self):
         return {"K_w": self.K_w, "Q_w": self.Q_w}
 
-    def forward(self, x, steps: int | None = None) -> np.ndarray:
+    def forward(self, x, steps: int | None = None, training: bool = True) -> np.ndarray:
         d, d_attn = self.K_w.shape
         x = _as_batch(x, d, "attention")
         batch, t_len, _ = x.shape
@@ -291,7 +298,7 @@ class Attention(_Layer):
         scores = queries @ keys.transpose(0, 2, 1) / np.sqrt(d_attn)
         # cached as (B*steps, T): one softmax row per (window, query step)
         weights = softmax_rows(scores.reshape(batch * steps, t_len))
-        self._cache = (x, keys, queries, weights)
+        self._cache = (x, keys, queries, weights) if training else None
         return weights.reshape(batch, steps, t_len) @ x
 
     def backward(self, upstream):
@@ -342,7 +349,7 @@ class Dense(_Layer):
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x, training: bool = True) -> np.ndarray:
         x = _rows(x, self.weight.shape[0], "dense")
         z = x @ self.weight + self.bias
         if self.activation == "relu":
@@ -351,7 +358,7 @@ class Dense(_Layer):
             y = sigmoid(z)
         else:
             y = z
-        self._cache = (x, z, y)
+        self._cache = (x, z, y) if training else None
         return y
 
     def backward(self, upstream):
@@ -385,13 +392,16 @@ class Dropout(_Layer):
 
     def forward(self, x, training: bool, rng: RngState | None = None) -> np.ndarray:
         x = as_tensor(x)
-        if not training or self.rate == 0.0:
-            self._cache = np.ones_like(x)
-            return x.copy()
-        if rng is None:
+        if not training:
+            self._cache = None
+            return x
+        if self.rate == 0.0:
+            mask = np.ones_like(x)
+        elif rng is None:
             raise ParameterError("dropout in training mode needs an rng")
-        keep = rng.uniforms(x.size).reshape(x.shape) >= self.rate
-        mask = keep / (1.0 - self.rate)
+        else:
+            keep = rng.uniforms(x.size).reshape(x.shape) >= self.rate
+            mask = keep / (1.0 - self.rate)
         self._cache = mask
         return x * mask
 
@@ -424,7 +434,7 @@ class LayerNorm(_Layer):
     def params(self):
         return {"gain": self.gain, "shift": self.shift}
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x, training: bool = True) -> np.ndarray:
         width = self.gain.shape[0]
         x = _rows(x, width, "layernorm")
         mu = x.mean(axis=-1, keepdims=True)
@@ -433,7 +443,7 @@ class LayerNorm(_Layer):
         var = (d * d).sum(axis=-1, keepdims=True) / width
         inv = 1.0 / np.sqrt(var + LAYERNORM_EPSILON)
         xhat = d * inv
-        self._cache = (xhat, inv)
+        self._cache = (xhat, inv) if training else None
         return self.gain * xhat + self.shift
 
     def backward(self, upstream):
@@ -455,9 +465,9 @@ class LayerNorm(_Layer):
 class Relu(_Layer):
     """Elementwise relu used after the convolution branch."""
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x, training: bool = True) -> np.ndarray:
         x = as_tensor(x)
-        self._cache = x > 0.0
+        self._cache = x > 0.0 if training else None
         return np.maximum(x, 0.0)
 
     def backward(self, upstream):

@@ -14,6 +14,9 @@ and returns one value per window, shape (B,). A single
 (window, features) window is a batch of 1: it is viewed as
 (1, window, features) on entry and gives shape (1,).
 
+A training forward (``training=True``, with an rng for dropout) caches
+every layer's activations for one backward; an inference forward, the
+default, caches nothing, and a backward after it raises ``StateError``.
 Backward takes the (B,) loss gradient and chains exactly through that
 wiring: the head gradient enters the last block's single timestep,
 the norm gradient is split by feature ranges between the branches, and
@@ -180,16 +183,17 @@ class Network:
         for i, block in enumerate(self.blocks):
             # the head reads only the top block's last step
             steps = 1 if i == len(self.blocks) - 1 else cfg.window
-            conv_out = block.conv.forward(x, steps)
+            conv_out = block.conv.forward(x, steps, training)
             if block.conv_act is not None:
-                conv_out = block.conv_act.forward(conv_out)
-            attn_out = block.attn.forward(block.gru.forward(x), steps)
-            x = block.norm.forward(np.concatenate([conv_out, attn_out], axis=2))
-        hidden = self.head_drop.forward(self.head_hidden.forward(x[:, -1]), training, rng)
-        return self.head_out.forward(hidden).reshape(-1)
+                conv_out = block.conv_act.forward(conv_out, training)
+            attn_out = block.attn.forward(block.gru.forward(x, training), steps, training)
+            x = block.norm.forward(np.concatenate([conv_out, attn_out], axis=2), training)
+        hidden = self.head_hidden.forward(x[:, -1], training)
+        hidden = self.head_drop.forward(hidden, training, rng)
+        return self.head_out.forward(hidden, training).reshape(-1)
 
     def backward(self, loss_grad) -> dict[str, np.ndarray]:
-        """Gradients of every parameter for the cached forward pass.
+        """Gradients of every parameter for the cached training forward pass.
 
         ``loss_grad`` holds one value per window, shape (B,). The flat
         gradient is left in ``grad`` and the input gradient in

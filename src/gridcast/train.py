@@ -184,8 +184,9 @@ class LrSchedule:
 
 
 # windows per inference forward: large enough to amortize the per-call
-# Python overhead, small enough that the activation caches stay tiny
-INFERENCE_CHUNK = 32
+# Python overhead; an inference forward keeps no activation caches, so a
+# chunk holds only its working arrays
+INFERENCE_CHUNK = 128
 
 
 def predict_all(net: Network, inputs: np.ndarray) -> np.ndarray:

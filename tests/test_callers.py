@@ -1,5 +1,6 @@
 """Every module-level function and class in ``src/gridcast`` has a caller outside the tests,
-every dataclass field there has a reader, and every defaulted parameter there is passed.
+every dataclass field there has a reader, every defaulted parameter there is passed, and
+every parameter there is read by its own function.
 
 A name counts as used when code under ``src/``, ``scripts/`` or
 ``perfbench/`` refers to it (as a name, an attribute, an import or a
@@ -10,7 +11,8 @@ when that code loads it as an attribute (``obj.field``). A defaulted
 parameter counts as passed when that code calls a callee of its
 function's name with it: by keyword, by position, or through a ``*`` or
 ``**`` splat. ``ClassName(...)`` calls ``__init__``, and so does
-``cls(...)`` inside the class.
+``cls(...)`` inside the class. A parameter counts as read when its
+function's body, nested functions included, loads its name.
 """
 
 import ast
@@ -127,3 +129,37 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                 if label not in UNPASSED_DEFAULTS
                 and not any(passes(call, arg.arg, position) for call in calls.get(callee, []))]
     assert unpassed == []
+
+
+# "Dense.forward.training"-style labels of parameters their function never
+# reads (``self``, ``cls`` and ``_``-prefixed names are exempt), each with the
+# reason it stays; an ignored flag would silently change nothing
+UNREAD_PARAMETERS: dict[str, str] = {}
+
+
+def functions(node, prefix=""):
+    """``(dotted name, def)`` for every function under ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from functions(child, f"{name}.")
+        else:
+            yield from functions(child, prefix)
+
+
+def test_every_parameter_is_read_by_its_function():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, func in functions(ast.parse(path.read_text(encoding="utf-8"))):
+            args = func.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(a for a in (args.vararg, args.kwarg) if a is not None)]
+            loaded = {node.id for stmt in func.body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{arg.lineno} {name}.{arg.arg}" for arg in params
+                       if arg.arg not in ("self", "cls") and not arg.arg.startswith("_")
+                       and arg.arg not in loaded
+                       and f"{name}.{arg.arg}" not in UNREAD_PARAMETERS]
+    assert unread == []

@@ -568,7 +568,8 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "x")]) == 3
         assert "not a gridcast-model-v2 file" in capsys.readouterr().err
 
-    # in {tmp}, "file" is a file, "dir" a directory, and bad.cfg and bad.csv are not UTF-8
+    # in {tmp}, "file" is a file, "dir" a directory, bad.cfg and bad.csv are not UTF-8,
+    # and bom.csv is a header of two columns after a UTF-8 byte-order mark
     @pytest.mark.parametrize("argv, code, named", [
         pytest.param("train --synth-rows 200 --config {tmp}/nope.cfg --out-dir {tmp}/out", 2,
                      "{tmp}/nope.cfg", id="config-missing"),
@@ -584,12 +585,19 @@ class TestExitCodes:
                      id="out-dir-under-file"),
         pytest.param("synth --rows 10 --out {tmp}/file/synth.csv", 2, "{tmp}/file",
                      id="synth-out-under-file"),
+        pytest.param("synth --rows 10 --out {tmp}/dir", 2, "{tmp}/dir", id="synth-out-is-dir"),
+        pytest.param("predict --model {tmp}/dir --csv {tmp}/bad.csv --out-dir {tmp}/out", 3,
+                     "cannot read model file {tmp}/dir", id="model-is-dir"),
+        # past the byte-order mark, the first missing column is the third
+        pytest.param("train --csv {tmp}/bom.csv --out-dir {tmp}/out", 3,
+                     "{tmp}/bom.csv: missing column 'battery_kwh'", id="csv-bom-header"),
     ])
     def test_unusable_path_is_named_without_a_traceback(self, tmp_path, argv, code, named):
         (tmp_path / "file").write_text("x")
         (tmp_path / "dir").mkdir()
         (tmp_path / "bad.cfg").write_bytes(b"\xff\xfe seed = 1\n")
         (tmp_path / "bad.csv").write_bytes(b"pv_kw\n\xff\n")
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbfpv_kw,battery_kw\n")
         before = sorted(tmp_path.rglob("*"))
         # a subprocess, so an escaped exception shows as the traceback it prints
         done = subprocess.run(

@@ -350,6 +350,15 @@ class TestRoundTrip:
         loaded = load_csv(path)
         assert np.array_equal(loaded.features, table.features)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        table = Table(synth_generate(50, seed=3).features, timestamps=[f"t{i}" for i in range(50)])
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(table, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        loaded = load_csv(bom)
+        assert np.array_equal(loaded.features, load_csv(plain).features)
+        assert loaded.timestamps == table.timestamps
+
     def test_write_is_byte_deterministic(self, tmp_path):
         table = synth_generate(100, seed=9)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -207,6 +207,30 @@ class TestBackward:
         with pytest.raises(StateError):
             net.backward(np.ones(1))
 
+    def test_backward_after_an_inference_forward_raises(self):
+        net = Network.build(NetworkConfig(window=4, features=3), RngState(0))
+        x = RngState(1).uniform(-1, 1, (2, 4, 3))
+        net.forward(x, training=True, rng=RngState(2))
+        net.forward(x)
+        with pytest.raises(StateError):
+            net.backward(np.ones(2))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_only_a_training_forward_caches(self, case):
+        cfg = case_config(case)
+        net = Network.build(cfg, RngState(1300 + case))
+        x = RngState(2300 + case).uniform(-1, 1, (BATCH, cfg.window, cfg.features))
+        layers = [layer for block in net.blocks
+                  for layer in (block.conv, block.conv_act, block.gru, block.attn, block.norm)
+                  if layer is not None] + [net.head_hidden, net.head_drop, net.head_out]
+        net.forward(x)
+        assert [layer._cache for layer in layers] == [None] * len(layers)
+        net.forward(x, training=True, rng=RngState(3300 + case))
+        assert all(layer._cache is not None for layer in layers)
+        # an inference forward also drops what a training forward left
+        net.forward(x)
+        assert [layer._cache for layer in layers] == [None] * len(layers)
+
     def test_zero_loss_grad_zero_gradients(self):
         net = Network.build(NetworkConfig(window=4, features=3, dropout_rate=0.0),
                             RngState(1))
@@ -218,7 +242,7 @@ class TestBackward:
     def test_gradients_are_views_of_a_fresh_flat_grad(self):
         net = Network.build(NetworkConfig(window=4, features=3), RngState(1))
         x = RngState(2).uniform(-1, 1, (2, 4, 3))
-        net.forward(x)
+        net.forward(x, training=True, rng=RngState(3))
         first = net.backward(np.ones(2))
         first_flat = net.grad
         assert first_flat.shape == net.vector.shape
@@ -226,7 +250,7 @@ class TestBackward:
             assert np.shares_memory(first_flat, g), key
             assert g.shape == net.params()[key].shape, key
         kept = first_flat.copy()
-        net.forward(x)
+        net.forward(x, training=True, rng=RngState(3))
         net.backward(np.full(2, 3.0))
         assert not np.shares_memory(net.grad, first_flat)
         assert np.array_equal(first_flat, kept)

@@ -7,11 +7,11 @@ from gridcast.errors import DataError, DimensionError, NumericError, ParameterEr
 from gridcast.metrics import regression_metrics
 from gridcast.network import Network, NetworkConfig
 from gridcast.tensor import RngState
-from gridcast.train import (AdamState, LrSchedule, TrainConfig, adam_step,
+from gridcast.train import (INFERENCE_CHUNK, AdamState, LrSchedule, TrainConfig, adam_step,
                             bce_loss, evaluate_loss, fit, loss, mse_loss,
                             predict_all)
 
-from oracles import adam_reference, max_rel_err, numeric_grad
+from oracles import adam_reference, max_rel_err, numeric_grad, rel_norm_err
 
 
 class TestLosses:
@@ -179,6 +179,16 @@ def tiny_net(window=4, features=3, seed=7, dropout=0.0):
     cfg = NetworkConfig(window=window, features=features, blocks=1, conv_filters=4,
                         gru_units=4, attn_dim=4, mlp_hidden=8, dropout_rate=dropout)
     return Network.build(cfg, RngState(seed))
+
+
+class TestPredictAll:
+    def test_chunks_match_one_window_forwards(self):
+        # two whole chunks and a partial one, against batches of 1
+        net = Network.build(NetworkConfig(window=8, features=13, dropout_rate=0.5),
+                            RngState(60))
+        x = RngState(61).uniform(-2, 2, (2 * INFERENCE_CHUNK + 45, 8, 13))
+        single = np.concatenate([net.forward(window) for window in x])
+        assert rel_norm_err(predict_all(net, x), single) <= 1e-12
 
 
 class TestFit:
