@@ -7,7 +7,8 @@ effective configuration next to its outputs, and derives all
 randomness from ``--seed``, so rerunning a command with the same flags
 reproduces every output byte for byte.
 
-Only this module knows the ``model.json`` format: ``save_model`` writes
+Only this module writes files under ``--out-dir`` (``_write_json``,
+``_write_csv``) and knows the ``model.json`` format: ``save_model`` writes
 it, and ``load_model`` checks all of it before building the network.
 
 Exit codes: 0 success, 2 configuration error, 3 data/schema error,
@@ -30,10 +31,9 @@ import numpy as np
 from . import data as dat
 from .baselines import BayesianRidge, ForestConfig, RandomForest, flatten_windows, knn_predict_batch
 from .errors import DataError, GridcastError, NumericError, ParameterError, SchemaError
-from .explain import attribute, write_attribution_csv
+from .explain import attribute
 from .metrics import (DECISION_THRESHOLD, ClassificationReport, RegressionReport,
-                      classification_metrics, regression_metrics, write_comparison_csv,
-                      write_roc_csv)
+                      classification_metrics, regression_metrics)
 from .network import HEADS, Network, NetworkConfig
 from .tensor import RngState
 from .train import INFERENCE_CHUNK, TrainConfig, fit, predict_all
@@ -199,6 +199,15 @@ def _write_json(payload: dict, path: Path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _write_csv(path: Path, header: list[str], rows):
+    """A table of text cells, one list per row from any iterable: UTF-8, LF line
+    ends, cells joined by commas as given (floats are written as their ``repr``)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 # --- dataset / model plumbing -------------------------------------------------
@@ -425,15 +434,20 @@ def _prepare_run(args, regression_only: bool = False):
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
+    meta_path = Path(str(out) + ".meta.json")
+    # both targets are checked before either is written, so neither is left alone
+    for path in (out, meta_path):
+        if path.is_dir():
+            raise ParameterError(f"cannot write {path}: it is a directory")
     table = dat.synth_generate(args.rows, args.seed, args.regime)
     _make_dir(out.parent, "the directory of --out")
-    try:
-        dat.write_csv(table, out)
-    except OSError as err:
-        raise ParameterError(f"cannot write --out {out}: {err.strerror}") from None
     meta = {"rows": args.rows, "seed": args.seed, "regime": args.regime,
             "columns": list(dat.SCHEMA)}
-    _write_json(meta, Path(str(out) + ".meta.json"))
+    try:
+        dat.write_csv(table, out)
+        _write_json(meta, meta_path)
+    except OSError as err:
+        raise ParameterError(f"cannot write {err.filename}: {err.strerror}") from None
     print(f"wrote {len(table)} rows to {out}")
     print(f"{'feature':<16}{'target mean':>16}{'achieved':>16}{'target var':>14}{'achieved':>14}")
     for row in dat.moment_report(table, args.regime):
@@ -454,7 +468,9 @@ def _train_pipeline(cfg: RunConfig, table: dat.Table, out_dir: Path):
         (val.inputs, val.model_targets(cfg.task)),
         cfg.train_config(),
     )
-    log.to_csv(out_dir / "trainlog.csv")
+    _write_csv(out_dir / "trainlog.csv", ["epoch", "train_loss", "val_loss", "lr"],
+               ([str(rec.epoch), repr(rec.train_loss), repr(rec.val_loss), repr(rec.lr)]
+                for rec in log.epochs))
     save_model(out_dir / "model.json", net, train.scaler, cfg)
     return net, log, splits
 
@@ -468,7 +484,8 @@ def cmd_train(args) -> int:
     payload["epochs_run"] = len(log.epochs)
     _write_json(payload, out_dir / "metrics.json")
     if cfg.task == "classification":
-        write_roc_csv(report, out_dir / "roc.csv")
+        _write_csv(out_dir / "roc.csv", ["fpr", "tpr", "threshold"],
+                   ([repr(value) for value in point] for point in report.roc_points))
     print(f"stopped after {len(log.epochs)} epochs ({log.stop_reason})")
     if cfg.task == "regression":
         print(f"test mae={report.mae:.4f} rmse={report.rmse:.4f} r2={report.r2:.4f}")
@@ -498,19 +515,19 @@ def cmd_compare(args) -> int:
     forest_cfg = ForestConfig(n_trees=cfg.n_trees, max_depth=cfg.forest_depth, seed=cfg.seed)
     forest_pred = RandomForest(forest_cfg).fit(flat_train, targets).predict(flat_test)
 
+    # compare.csv gives r2 as a percentage
     rows = []
     for name, pred in (("CNN-GRU-Attention", net_pred), ("KNN", knn_pred),
                        ("Bayesian Ridge", ridge_pred), ("RF", forest_pred)):
         rep = regression_metrics(pred, test.targets_raw)
-        rows.append({"model": name, **rep.to_dict()})
+        rows.append([name, f"{rep.mae:.2f}", f"{rep.rmse:.2f}", f"{100.0 * rep.r2:.2f}"])
         print(f"{name:<18} mae={rep.mae:.4f} rmse={rep.rmse:.4f} r2={rep.r2:.4f}")
-    for name in NOT_REPRODUCED:
-        rows.append({"model": name, "not_reproduced": True})
-    write_comparison_csv(rows, out_dir / "compare.csv")
+    rows += [[name] + ["not reproduced"] * 3 for name in NOT_REPRODUCED]
+    _write_csv(out_dir / "compare.csv", ["model", "mae", "rmse", "r2"], rows)
     _write_json({
         "test_indices": test.indices.tolist(),
         "test_size": len(test),
-        "models": [row["model"] for row in rows],
+        "models": [row[0] for row in rows],
     }, out_dir / "compare_meta.json")
     print(f"comparison table in {out_dir / 'compare.csv'} "
           f"(all rows on the same {len(test)} test windows)")
@@ -538,18 +555,20 @@ def cmd_predict(args) -> int:
     else:
         columns = ["real_label", "probability", "predicted_label"]
         real_cells = [str(int(label)) for label in dat.label_zero_state(reals)]
-    path = out_dir / "predictions.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["index"] + (["timestamp"] if ts else []) + columns) + "\n")
+
+    def rows():
         for i in range(len(preds)):
             row = [str(int(target_rows[i]))]
             if ts:
-                row.append(ts[target_rows[i]] if has_real[i] else "")
+                row.append(dat.csv_cell(ts[target_rows[i]]) if has_real[i] else "")
             row.append(real_cells[i] if has_real[i] else "")
             row.append(repr(float(preds[i])))
             if task == "classification":
                 row.append(str(int(preds[i] >= DECISION_THRESHOLD)))
-            fh.write(",".join(row) + "\n")
+            yield row
+
+    path = out_dir / "predictions.csv"
+    _write_csv(path, ["index"] + (["timestamp"] if ts else []) + columns, rows())
     print(f"wrote {len(preds)} predictions to {path}")
     if task == "regression" and has_real.sum() >= 2:
         try:
@@ -577,7 +596,8 @@ def cmd_explain(args) -> int:
         delta = report.predictions[i] - report.baseline_prediction
         print(f"window {int(chosen[i])}: sum(shapley)={report.per_sample[i].sum():+.6f} "
               f"f(x)-f(bg)={delta:+.6f} gap={gaps[i]:+.2e}")
-    write_attribution_csv(report, out_dir / "shapley.csv")
+    _write_csv(out_dir / "shapley.csv", ["feature", "mean_abs_shapley"],
+               ([name, repr(score)] for name, score in report.ranking()))
     _write_json(report.to_dict(), out_dir / "shapley.json")
     print("feature ranking (mean |shapley| over "
           f"{count} windows): " + ", ".join(name for name, _ in report.ranking()[:5]))

@@ -260,13 +260,21 @@ def load_csv(path, on_missing: str = "reject") -> Table:
     return table
 
 
+def csv_cell(text: str) -> str:
+    """``text`` as one CSV cell, quoted as ``csv.writer`` quotes it: only when it
+    holds a comma, a quote or a line break, with each quote doubled."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(table: Table, path):
     """Write a Table back out; float repr keeps round trips bit-exact."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         header = (["timestamp"] if table.timestamps is not None else []) + SCHEMA
         fh.write(",".join(header) + "\n")
         for i in range(len(table)):
-            cells = [table.timestamps[i]] if table.timestamps is not None else []
+            cells = [csv_cell(table.timestamps[i])] if table.timestamps is not None else []
             cells += [repr(float(v)) for v in table.features[i]]
             fh.write(",".join(cells) + "\n")
 

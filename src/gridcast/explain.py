@@ -162,10 +162,3 @@ def attribute(model, windows, background, feature_names, n_perms: int = 50,
         method="exact" if exact else "sampling",
     )
 
-
-def write_attribution_csv(report: AttributionReport, path):
-    """Two-column ranking (feature, mean |shapley|), most important first."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("feature,mean_abs_shapley\n")
-        for name, score in report.ranking():
-            fh.write(f"{name},{score!r}\n")

@@ -3,7 +3,6 @@ counts with accuracy and precision, ROC sweep, and trapezoid AUC."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,33 +107,3 @@ def classification_metrics(scores, labels) -> ClassificationReport:
         auc += (f1 - f0) * (t0 + t1) / 2.0
     return ClassificationReport(tp, tn, fp, fn, accuracy, precision, roc_points, auc)
 
-
-def write_roc_csv(report: ClassificationReport, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("fpr,tpr,threshold\n")
-        for fpr, tpr, thr in report.roc_points:
-            fh.write(f"{fpr!r},{tpr!r},{thr!r}\n")
-
-
-def write_comparison_csv(rows: list[dict], path):
-    """Comparison table: model, mae, rmse, r2 (r2 as a percentage).
-
-    Rows carrying ``not_reproduced`` emit marker cells instead of
-    numbers. Any numeric row with mae > rmse is impossible for a common
-    prediction vector, so it is flagged on stderr rather than silently
-    written as truth.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("model,mae,rmse,r2\n")
-        for row in rows:
-            if row.get("not_reproduced"):
-                fh.write(f"{row['model']},not reproduced,not reproduced,not reproduced\n")
-                continue
-            if row["mae"] > row["rmse"]:
-                warnings.warn(
-                    f"row {row['model']!r} has MAE {row['mae']:.4f} > RMSE {row['rmse']:.4f}; "
-                    "these cannot come from one prediction vector"
-                )
-            fh.write(
-                f"{row['model']},{row['mae']:.2f},{row['rmse']:.2f},{100.0 * row['r2']:.2f}\n"
-            )

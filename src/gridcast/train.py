@@ -35,9 +35,6 @@ class TrainConfig:
     lr_patience: int = 100
     batch_size: int = 32
     seed: int = 0
-    # dry-run switch: keep parameters frozen (no optimizer updates); used to
-    # verify the schedule/stopping machinery against a flat loss curve
-    freeze_params: bool = False
 
     def violations(self) -> list[str]:
         problems = []
@@ -73,12 +70,6 @@ class EpochRecord:
 class TrainLog:
     epochs: list[EpochRecord] = field(default_factory=list)
     stop_reason: str = ""
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("epoch,train_loss,val_loss,lr\n")
-            for rec in self.epochs:
-                fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r},{rec.lr!r}\n")
 
 
 # --- losses ----------------------------------------------------------------
@@ -259,9 +250,8 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
                 if not finite.all():
                     key = net.param_key(int(np.argmin(finite)))
                     raise NumericError(f"epoch {epoch}: non-finite gradient for parameter {key}")
-                if not cfg.freeze_params:
-                    step += 1
-                    adam_step(net.vector, net.grad, adam, lr, step)
+                step += 1
+                adam_step(net.vector, net.grad, adam, lr, step)
             train_loss = loss_sum / n
             val_loss = evaluate_loss(net, val_x, val_y, head)
             _require_finite(val_loss, epoch, "validation loss")

@@ -1,6 +1,7 @@
 """Every module-level function and class in ``src/gridcast`` has a caller outside the tests,
-every dataclass field there has a reader, every defaulted parameter there is passed, and
-every parameter there is read by its own function.
+every dataclass field there has a reader, every defaulted parameter there is passed,
+every parameter there is read by its own function, and only ``cli.py`` and ``data.py``
+open or write files.
 
 A name counts as used when code under ``src/``, ``scripts/`` or
 ``perfbench/`` refers to it (as a name, an attribute, an import or a
@@ -163,3 +164,18 @@ def test_every_parameter_is_read_by_its_function():
                        and arg.arg not in loaded
                        and f"{name}.{arg.arg}" not in UNREAD_PARAMETERS]
     assert unread == []
+
+
+# the modules that touch files: cli.py writes every run artifact under --out-dir
+# and reads the model and config files, data.py reads and writes the dataset CSV
+FILE_MODULES = {"cli.py", "data.py"}
+FILE_CALLS = {"open", "write_text", "write_bytes"}
+
+
+def test_only_cli_and_data_open_files():
+    calls = [f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name not in FILE_MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in FILE_CALLS]
+    assert calls == []

@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcast import cli
 from gridcast.cli import (FORECAST_SLICE, RunConfig, build_parser, forecast, load_model, main,
                           save_model)
 from gridcast.errors import GridcastError, ParameterError
+from gridcast.metrics import regression_metrics
 from gridcast.network import Network
 from gridcast.tensor import RngState
-from gridcast.train import predict_all
+from gridcast.train import fit, predict_all
 
 REPO = Path(__file__).resolve().parents[1]
 FAST_NET = ["--blocks", "1", "--conv-filters", "3", "--gru-units", "3",
@@ -145,14 +147,27 @@ class TestTrain:
         assert {"tp", "tn", "fp", "fn"} == set(metrics["confusion"])
         roc = (out / "roc.csv").read_text().strip().splitlines()
         assert roc[0] == "fpr,tpr,threshold"
+        assert len(roc) == len(metrics["roc_points"]) + 1
         assert len(roc) > 2
 
-    def test_single_epoch_single_log_row(self, tmp_path, synth_csv):
+    def test_single_epoch_single_log_row(self, tmp_path, synth_csv, monkeypatch):
+        logs = []
+
+        def logged_fit(*args):
+            net, log = fit(*args)
+            logs.append(log)
+            return net, log
+
+        monkeypatch.setattr(cli, "fit", logged_fit)
         out = tmp_path / "one"
         main(["train", "--csv", str(synth_csv), "--seed", "1",
               "--out-dir", str(out), "--max-epochs", "1", *FAST_NET])
         lines = (out / "trainlog.csv").read_text().strip().splitlines()
         assert len(lines) == 2
+        assert lines[0] == "epoch,train_loss,val_loss,lr"
+        first = lines[1].split(",")
+        assert int(first[0]) == 1
+        assert float(first[1]) == logs[0].epochs[0].train_loss
 
     def test_synth_source(self, tmp_path):
         out = tmp_path / "fromsynth"
@@ -568,8 +583,9 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "x")]) == 3
         assert "not a gridcast-model-v2 file" in capsys.readouterr().err
 
-    # in {tmp}, "file" is a file, "dir" a directory, bad.cfg and bad.csv are not UTF-8,
-    # and bom.csv is a header of two columns after a UTF-8 byte-order mark
+    # in {tmp}, "file" is a file, "dir" a directory holding the directory x.csv.meta.json,
+    # bad.cfg and bad.csv are not UTF-8, and bom.csv is a header of two columns after a
+    # UTF-8 byte-order mark
     @pytest.mark.parametrize("argv, code, named", [
         pytest.param("train --synth-rows 200 --config {tmp}/nope.cfg --out-dir {tmp}/out", 2,
                      "{tmp}/nope.cfg", id="config-missing"),
@@ -586,6 +602,8 @@ class TestExitCodes:
         pytest.param("synth --rows 10 --out {tmp}/file/synth.csv", 2, "{tmp}/file",
                      id="synth-out-under-file"),
         pytest.param("synth --rows 10 --out {tmp}/dir", 2, "{tmp}/dir", id="synth-out-is-dir"),
+        pytest.param("synth --rows 10 --out {tmp}/dir/x.csv", 2, "{tmp}/dir/x.csv.meta.json",
+                     id="synth-meta-is-dir"),
         pytest.param("predict --model {tmp}/dir --csv {tmp}/bad.csv --out-dir {tmp}/out", 3,
                      "cannot read model file {tmp}/dir", id="model-is-dir"),
         # past the byte-order mark, the first missing column is the third
@@ -594,7 +612,7 @@ class TestExitCodes:
     ])
     def test_unusable_path_is_named_without_a_traceback(self, tmp_path, argv, code, named):
         (tmp_path / "file").write_text("x")
-        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir" / "x.csv.meta.json").mkdir(parents=True)
         (tmp_path / "bad.cfg").write_bytes(b"\xff\xfe seed = 1\n")
         (tmp_path / "bad.csv").write_bytes(b"pv_kw\n\xff\n")
         (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbfpv_kw,battery_kw\n")
@@ -715,6 +733,25 @@ class TestPredict:
         assert {ln.split(",")[1] for ln in lines[1:-1]} == {"0.0"}
         assert "r2" not in capsys.readouterr().out
 
+    def test_timestamps_holding_commas_stay_one_cell(self, tmp_path, synth_csv, trained):
+        with open(synth_csv, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        stamps = [f"Jan {i}, 2020" for i in range(len(rows) - 1)]
+        dated = tmp_path / "dated.csv"
+        with open(dated, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["timestamp"] + rows[0]]
+                                     + [[stamp] + row for stamp, row in zip(stamps, rows[1:])])
+        out = tmp_path / "preds"
+        assert main(["predict", "--model", str(trained / "model.json"), "--csv", str(dated),
+                     "--out-dir", str(out)]) == 0
+        with open(out / "predictions.csv", encoding="utf-8", newline="") as fh:
+            cells = list(csv.reader(fh))
+        assert cells[0] == ["index", "timestamp", "real", "predicted"]
+        assert {len(row) for row in cells} == {4}
+        # the trailing window's target lies past the data and has no timestamp
+        assert [row[1] for row in cells[1:-1]] == [stamps[int(row[0])] for row in cells[1:-1]]
+        assert cells[-1][1] == ""
+
     def test_classification_prediction_columns(self, tmp_path, synth_csv):
         model_dir = tmp_path / "clsmodel"
         main(["train", "--csv", str(synth_csv), "--task", "classification",
@@ -758,8 +795,8 @@ class TestCompare:
         models = [ln.split(",")[0] for ln in lines[1:]]
         assert models == ["CNN-GRU-Attention", "KNN", "Bayesian Ridge", "RF",
                           "SVR", "XGB"]
-        for ln in lines[5:]:
-            assert "not reproduced" in ln
+        assert lines[5:] == [f"{name},not reproduced,not reproduced,not reproduced"
+                             for name in ("SVR", "XGB")]
 
     def test_test_indices_logged(self, tmp_path, synth_csv):
         out = tmp_path / "cmpidx"
@@ -772,11 +809,19 @@ class TestCompare:
 
     def test_reuses_trained_model(self, tmp_path, synth_csv, trained):
         out = tmp_path / "cmpmodel"
-        code = main(["compare", "--csv", str(synth_csv), "--seed", "11",
-                     "--model", str(trained / "model.json"),
+        model = str(trained / "model.json")
+        code = main(["compare", "--csv", str(synth_csv), "--seed", "11", "--model", model,
                      "--out-dir", str(out), "--trees", "4", "--window", "6"])
         assert code == 0
-        assert (out / "compare.csv").exists()
+        # predict --split test scores the same windows with the same model
+        assert main(["predict", "--model", model, "--csv", str(synth_csv), "--split", "test",
+                     "--seed", "11", "--out-dir", str(tmp_path / "pred")]) == 0
+        with open(tmp_path / "pred" / "predictions.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        rep = regression_metrics([float(row["predicted"]) for row in rows],
+                                 [float(row["real"]) for row in rows])
+        lines = (out / "compare.csv").read_text().splitlines()
+        assert lines[1] == f"CNN-GRU-Attention,{rep.mae:.2f},{rep.rmse:.2f},{100 * rep.r2:.2f}"
 
     def test_effective_config_records_the_model_window(self, tmp_path, synth_csv, trained):
         # the trained model uses window 6; the run's own default is 8
@@ -816,6 +861,12 @@ class TestExplain:
         assert printed.count("sum(shapley)=") == 3
         payload = json.loads((out / "shapley.json").read_text())
         assert len(payload["feature_names"]) == 13
+        # the json's mean |shapley| per feature, most important first
+        assert lines[0] == "feature,mean_abs_shapley"
+        ranked = sorted(zip(payload["feature_names"], payload["mean_abs_shapley"]),
+                        key=lambda pair: -pair[1])
+        assert [(name, float(score)) for name, score in
+                (line.split(",") for line in lines[1:])] == ranked
         assert max(abs(g) for g in payload["efficiency_gaps"]) < 1e-6
 
     def test_exact_on_thirteen_features(self, tmp_path, synth_csv, trained):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import os
 import subprocess
@@ -373,6 +374,20 @@ class TestRoundTrip:
         write_csv(table, path)
         loaded = load_csv(path)
         assert loaded.timestamps == table.timestamps
+
+    def test_timestamps_holding_delimiters_round_trip(self, tmp_path):
+        stamps = ["Jan 9, 2020", 'the "noon" reading', "line\nbreak", "plain"]
+        table = Table(np.abs(np.random.default_rng(1).normal(5, 1, (4, 13))), timestamps=stamps)
+        path = tmp_path / "ts.csv"
+        write_csv(table, path)
+        assert load_csv(path).timestamps == stamps
+        # each cell is quoted as csv.writer quotes it
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["timestamp"] + SCHEMA)
+        writer.writerows([stamp] + [repr(float(v)) for v in row]
+                         for stamp, row in zip(stamps, table.features))
+        assert path.read_text(encoding="utf-8") == expected.getvalue()
 
 
 class TestScalerEdge:

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcast.errors import DataError, DimensionError, NumericError, ParameterError
-from gridcast.metrics import (classification_metrics, regression_metrics,
-                              write_comparison_csv, write_roc_csv)
+from gridcast.metrics import classification_metrics, regression_metrics
 
 from oracles import trapezoid_auc
 
@@ -126,29 +125,3 @@ class TestClassificationMetrics:
         assert payload["confusion"] == {"tp": 1, "tn": 1, "fp": 0, "fn": 0}
         assert {"accuracy", "precision", "auc", "roc_points"} <= set(payload)
 
-
-class TestReportFiles:
-    def test_roc_csv(self, tmp_path):
-        rep = classification_metrics([0.9, 0.8, 0.4, 0.2], [1.0, 0.0, 1.0, 0.0])
-        path = tmp_path / "roc.csv"
-        write_roc_csv(rep, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "fpr,tpr,threshold"
-        assert len(lines) == len(rep.roc_points) + 1
-
-    def test_comparison_csv_with_markers(self, tmp_path):
-        rows = [
-            {"model": "CNN-GRU-Attention", "mae": 0.391, "rmse": 0.52, "r2": 0.9889},
-            {"model": "SVR", "not_reproduced": True},
-        ]
-        path = tmp_path / "compare.csv"
-        write_comparison_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "model,mae,rmse,r2"
-        assert lines[1] == "CNN-GRU-Attention,0.39,0.52,98.89"
-        assert lines[2] == "SVR,not reproduced,not reproduced,not reproduced"
-
-    def test_comparison_csv_flags_impossible_mae_rmse_pair(self, tmp_path):
-        rows = [{"model": "imported", "mae": 0.39, "rmse": 0.28, "r2": 0.9889}]
-        with pytest.warns(UserWarning, match="MAE"):
-            write_comparison_csv(rows, tmp_path / "c.csv")
