@@ -210,6 +210,31 @@ def _write_csv(path: Path, header: list[str], rows):
             fh.write(",".join(row) + "\n")
 
 
+def _write_trainlog(path: Path, log):
+    _write_csv(path, ["epoch", "train_loss", "val_loss", "lr"],
+               ([str(rec.epoch), repr(rec.train_loss), repr(rec.val_loss), repr(rec.lr)]
+                for rec in log.epochs))
+
+
+def _write_roc(path: Path, report):
+    _write_csv(path, ["fpr", "tpr", "threshold"],
+               ([repr(value) for value in point] for point in report.roc_points))
+
+
+def _write_compare(path: Path, results):
+    """``(name, RegressionReport)`` pairs at ``.2f`` with r2 as a percentage,
+    then a ``not reproduced`` row for each model of ``NOT_REPRODUCED``."""
+    rows = [[name, f"{rep.mae:.2f}", f"{rep.rmse:.2f}", f"{100.0 * rep.r2:.2f}"]
+            for name, rep in results]
+    rows += [[name] + ["not reproduced"] * 3 for name in NOT_REPRODUCED]
+    _write_csv(path, ["model", "mae", "rmse", "r2"], rows)
+
+
+def _write_shapley(path: Path, report):
+    _write_csv(path, ["feature", "mean_abs_shapley"],
+               ([name, repr(score)] for name, score in report.ranking()))
+
+
 # --- dataset / model plumbing -------------------------------------------------
 
 
@@ -468,9 +493,7 @@ def _train_pipeline(cfg: RunConfig, table: dat.Table, out_dir: Path):
         (val.inputs, val.model_targets(cfg.task)),
         cfg.train_config(),
     )
-    _write_csv(out_dir / "trainlog.csv", ["epoch", "train_loss", "val_loss", "lr"],
-               ([str(rec.epoch), repr(rec.train_loss), repr(rec.val_loss), repr(rec.lr)]
-                for rec in log.epochs))
+    _write_trainlog(out_dir / "trainlog.csv", log)
     save_model(out_dir / "model.json", net, train.scaler, cfg)
     return net, log, splits
 
@@ -484,8 +507,7 @@ def cmd_train(args) -> int:
     payload["epochs_run"] = len(log.epochs)
     _write_json(payload, out_dir / "metrics.json")
     if cfg.task == "classification":
-        _write_csv(out_dir / "roc.csv", ["fpr", "tpr", "threshold"],
-                   ([repr(value) for value in point] for point in report.roc_points))
+        _write_roc(out_dir / "roc.csv", report)
     print(f"stopped after {len(log.epochs)} epochs ({log.stop_reason})")
     if cfg.task == "regression":
         print(f"test mae={report.mae:.4f} rmse={report.rmse:.4f} r2={report.r2:.4f}")
@@ -515,19 +537,17 @@ def cmd_compare(args) -> int:
     forest_cfg = ForestConfig(n_trees=cfg.n_trees, max_depth=cfg.forest_depth, seed=cfg.seed)
     forest_pred = RandomForest(forest_cfg).fit(flat_train, targets).predict(flat_test)
 
-    # compare.csv gives r2 as a percentage
-    rows = []
+    results = []
     for name, pred in (("CNN-GRU-Attention", net_pred), ("KNN", knn_pred),
                        ("Bayesian Ridge", ridge_pred), ("RF", forest_pred)):
         rep = regression_metrics(pred, test.targets_raw)
-        rows.append([name, f"{rep.mae:.2f}", f"{rep.rmse:.2f}", f"{100.0 * rep.r2:.2f}"])
+        results.append((name, rep))
         print(f"{name:<18} mae={rep.mae:.4f} rmse={rep.rmse:.4f} r2={rep.r2:.4f}")
-    rows += [[name] + ["not reproduced"] * 3 for name in NOT_REPRODUCED]
-    _write_csv(out_dir / "compare.csv", ["model", "mae", "rmse", "r2"], rows)
+    _write_compare(out_dir / "compare.csv", results)
     _write_json({
         "test_indices": test.indices.tolist(),
         "test_size": len(test),
-        "models": [row[0] for row in rows],
+        "models": [name for name, _ in results] + list(NOT_REPRODUCED),
     }, out_dir / "compare_meta.json")
     print(f"comparison table in {out_dir / 'compare.csv'} "
           f"(all rows on the same {len(test)} test windows)")
@@ -596,8 +616,7 @@ def cmd_explain(args) -> int:
         delta = report.predictions[i] - report.baseline_prediction
         print(f"window {int(chosen[i])}: sum(shapley)={report.per_sample[i].sum():+.6f} "
               f"f(x)-f(bg)={delta:+.6f} gap={gaps[i]:+.2e}")
-    _write_csv(out_dir / "shapley.csv", ["feature", "mean_abs_shapley"],
-               ([name, repr(score)] for name, score in report.ranking()))
+    _write_shapley(out_dir / "shapley.csv", report)
     _write_json(report.to_dict(), out_dir / "shapley.json")
     print("feature ranking (mean |shapley| over "
           f"{count} windows): " + ", ".join(name for name, _ in report.ranking()[:5]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridcast.cli import _write_shapley
 from gridcast.errors import ParameterError, SizeError
 from gridcast.explain import attribute, shapley_exact, shapley_sample
 from gridcast.tensor import RngState
@@ -213,3 +214,13 @@ class TestAttribute:
             attribute(additive_model([1.0, 1.0]), np.ones((1, 2, 2)),
                       np.zeros(2), ["only_one"])
 
+    def test_csv_output(self, tmp_path):
+        f = additive_model([2.0, 1.0])
+        report = attribute(f, np.ones((2, 2, 2)), np.zeros(2), ["hi", "lo"],
+                           n_perms=10, seed=1)
+        path = tmp_path / "shapley.csv"
+        _write_shapley(path, report)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "feature,mean_abs_shapley"
+        assert len(lines) == 3
+        assert lines[1].startswith("hi,")

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcast.cli import _write_compare, _write_roc
 from gridcast.errors import DataError, DimensionError, NumericError, ParameterError
-from gridcast.metrics import classification_metrics, regression_metrics
+from gridcast.metrics import RegressionReport, classification_metrics, regression_metrics
 
 from oracles import trapezoid_auc
 
@@ -125,3 +126,21 @@ class TestClassificationMetrics:
         assert payload["confusion"] == {"tp": 1, "tn": 1, "fp": 0, "fn": 0}
         assert {"accuracy", "precision", "auc", "roc_points"} <= set(payload)
 
+
+class TestReportFiles:
+    def test_roc_csv(self, tmp_path):
+        rep = classification_metrics([0.9, 0.8, 0.4, 0.2], [1.0, 0.0, 1.0, 0.0])
+        path = tmp_path / "roc.csv"
+        _write_roc(path, rep)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "fpr,tpr,threshold"
+        assert len(lines) == len(rep.roc_points) + 1
+
+    def test_comparison_csv_with_markers(self, tmp_path):
+        path = tmp_path / "compare.csv"
+        _write_compare(path, [("CNN-GRU-Attention", RegressionReport(0.391, 0.52, 0.9889))])
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "model,mae,rmse,r2"
+        assert lines[1] == "CNN-GRU-Attention,0.39,0.52,98.89"
+        assert lines[2] == "SVR,not reproduced,not reproduced,not reproduced"
+        assert lines[3] == "XGB,not reproduced,not reproduced,not reproduced"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gridcast.cli import _write_trainlog
 from gridcast.errors import DataError, DimensionError, NumericError, ParameterError
 from gridcast.metrics import regression_metrics
 from gridcast.network import Network, NetworkConfig
@@ -275,6 +276,19 @@ class TestFit:
                 assert b == pytest.approx(a / 3.0, rel=1e-12, abs=0)
         # with patience 2 and stop 12: reductions at non-improve counts 2,4,..
         assert changes == 5
+
+    def test_trainlog_csv_round_trip(self, tmp_path):
+        x, y = linear_problem(n=30)
+        _, log = fit(tiny_net(), (x[:24], y[:24]), (x[24:], y[24:]),
+                     TrainConfig(max_epochs=2, seed=2))
+        path = tmp_path / "trainlog.csv"
+        _write_trainlog(path, log)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "epoch,train_loss,val_loss,lr"
+        assert len(lines) == 3
+        first = lines[1].split(",")
+        assert int(first[0]) == 1
+        assert float(first[1]) == log.epochs[0].train_loss
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
