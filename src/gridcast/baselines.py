@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError
 from .tensor import RngState, permutation_heads
 
 
 def flatten_windows(inputs: np.ndarray) -> np.ndarray:
     """(n, window, features) -> (n, window*features), time-major feature-minor."""
-    if inputs.ndim != 3:
-        raise ParameterError(f"expected (n, window, features), got {inputs.shape}")
     return inputs.reshape(inputs.shape[0], -1)
 
 
@@ -35,7 +33,7 @@ KNN_CHUNK = 16
 
 
 def knn_predict_batch(train_x, train_y, queries, k: int) -> np.ndarray:
-    """Mean of the k nearest training targets for each (n, d) query row.
+    """Mean of the k nearest training targets for each (n, d) query row, 1 <= k <= n.
 
     Distance ties break toward the lower training index. The search is
     exact in two stages. Stage 1 takes ``KNN_CHUNK`` queries at a time,
@@ -51,10 +49,6 @@ def knn_predict_batch(train_x, train_y, queries, k: int) -> np.ndarray:
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64)
-    if train_x.shape[0] == 0:
-        raise DataError("knn needs a non-empty training set")
-    if not 1 <= k <= train_x.shape[0]:
-        raise ParameterError(f"k must be in [1, {train_x.shape[0]}], got {k}")
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, train_x.shape[1])
     f = train_x.shape[1]
     # Rounding bound (Higham, ch. 3; u = 2^-53, gamma_m = m u / (1 - m u)).
@@ -108,8 +102,6 @@ class BayesianRidge:
     """
 
     def __init__(self, alpha: float = 1e-6):
-        if alpha < 0:
-            raise ParameterError(f"need alpha >= 0, got {alpha}")
         self.alpha = alpha
         self.weights = None
         self.intercept = None
@@ -118,8 +110,6 @@ class BayesianRidge:
     def fit(self, x, y) -> "BayesianRidge":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if x.shape[0] == 0:
-            raise DataError("bayesian ridge needs at least one sample")
         self._x_mean = x.mean(axis=0)
         y_mean = y.mean()
         xc = x - self._x_mean
@@ -150,12 +140,6 @@ class ForestConfig:
     n_trees: int = 100
     max_depth: int = 12
     seed: int = 0
-
-    def validate(self):
-        if self.n_trees < 1 or self.max_depth < 1:
-            raise ParameterError(
-                f"n_trees, max_depth must be >= 1, got {self.n_trees}, {self.max_depth}"
-            )
 
 
 class _Node:
@@ -329,7 +313,6 @@ class RandomForest:
     """Bagged CART trees; per-tree streams derive from the master seed."""
 
     def __init__(self, config: ForestConfig):
-        config.validate()
         self.config = config
         self.trees: list[RegressionTree] = []
 

@@ -481,8 +481,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_pipeline(cfg: RunConfig, table: dat.Table, out_dir: Path):
-    splits = build_splits(cfg, table)
+def _train_pipeline(cfg: RunConfig, splits, out_dir: Path):
     train, val, test = splits
     net = Network.build(cfg.network_config(), RngState(cfg.seed).spawn(10))
     print(f"training {cfg.task} network: {net.param_count()} parameters, "
@@ -495,12 +494,14 @@ def _train_pipeline(cfg: RunConfig, table: dat.Table, out_dir: Path):
     )
     _write_trainlog(out_dir / "trainlog.csv", log)
     save_model(out_dir / "model.json", net, train.scaler, cfg)
-    return net, log, splits
+    return net, log
 
 
 def cmd_train(args) -> int:
     cfg, out_dir, _, table = _prepare_run(args)
-    net, log, (train, _, test) = _train_pipeline(cfg, table, out_dir)
+    splits = build_splits(cfg, table)
+    train, _, test = splits
+    net, log = _train_pipeline(cfg, splits, out_dir)
     windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs[test.indices]
     payload, report = evaluate_on_test(forecast(net, train.scaler, windows), test, cfg.task)
     payload["stop_reason"] = log.stop_reason
@@ -520,11 +521,15 @@ def cmd_train(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, out_dir, model, table = _prepare_run(args, regression_only=True)
+    splits = build_splits(cfg, table)
+    train, _, test = splits
+    # depends on the data's size, so checked here, before any training
+    if cfg.knn_k > len(train):
+        raise ParameterError(f"knn_k is {cfg.knn_k}, above the {len(train)} training windows")
     if model:
         net, scaler, _ = model
-        train, val, test = build_splits(cfg, table)
     else:
-        net, _, (train, val, test) = _train_pipeline(cfg, table, out_dir)
+        net, _ = _train_pipeline(cfg, splits, out_dir)
         scaler = train.scaler
     windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs[test.indices]
     net_pred = forecast(net, scaler, windows)

@@ -186,7 +186,8 @@ def load_csv(path, on_missing: str = "reject") -> Table:
     Header matching is case/whitespace-insensitive, and a known column
     named twice raises a SchemaError. Rows with empty cells are dropped
     (``reject``) or forward-filled (``ffill``); any other unparsable
-    cell raises a RowError citing the file line.
+    cell raises a RowError citing the file line. Timestamp cells are
+    kept as written, spaces included.
     """
     if on_missing not in ON_MISSING:
         raise ParameterError(f"on_missing must be one of {ON_MISSING}, got {on_missing!r}")
@@ -249,7 +250,7 @@ def load_csv(path, on_missing: str = "reject") -> Table:
         kept += 1
         prev = values
         if timestamps is not None:
-            timestamps.append(row[ts_col].strip())
+            timestamps.append(row[ts_col])
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} row(s) with missing cells")
     if not kept:
@@ -334,8 +335,6 @@ def split_indices(n: int, train_frac: float = 0.8, val_frac_of_train: float = 0.
     against shuffled protocols and is off by default because shuffled
     windows leak near-duplicates across the split boundary.
     """
-    if not 0.0 < train_frac < 1.0 or not 0.0 < val_frac_of_train < 1.0:
-        raise ParameterError("split fractions must lie in (0, 1)")
     order = RngState(seed).permutation(n) if shuffle else np.arange(n)
     n_train_total = int(np.floor(train_frac * n))
     if validate_on_test:

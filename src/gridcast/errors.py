@@ -35,7 +35,3 @@ class RowError(DataError):
 
 class NumericError(GridcastError):
     """Numerically undefined result (singular system, zero variance)."""
-
-
-class SizeError(GridcastError):
-    """Problem too large for the requested exact method."""

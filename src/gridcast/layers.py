@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, StateError
+from .errors import ParameterError, StateError
 from .tensor import RngState, as_tensor, sigmoid, softmax_rows
 
 LAYERNORM_EPSILON = 1e-5
@@ -38,30 +38,6 @@ LAYERNORM_EPSILON = 1e-5
 def glorot_uniform(rng: RngState, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
-
-
-def _as_batch(x, width: int, name: str) -> np.ndarray:
-    """``x`` checked to be a (B, T, width) batch."""
-    x = as_tensor(x)
-    if x.ndim != 3 or x.shape[-1] != width:
-        raise DimensionError(f"{name} expects (B, T, {width}) input, got {x.shape}")
-    return x
-
-
-def _rows(x, width: int, name: str) -> np.ndarray:
-    """``x`` checked to be (..., width) with at least one leading axis."""
-    x = as_tensor(x)
-    if x.ndim < 2 or x.shape[-1] != width:
-        raise DimensionError(f"{name} expects (n, {width}) or (..., {width}) input, got {x.shape}")
-    return x
-
-
-def _last_steps(steps: int | None, t_len: int) -> tuple[int, int]:
-    """(steps, first): how many output steps to compute, all T if None, and the first one."""
-    steps = t_len if steps is None else steps
-    if not 1 <= steps <= t_len:
-        raise DimensionError(f"steps must be in [1, {t_len}], got {steps}")
-    return steps, t_len - steps
 
 
 class _Layer:
@@ -97,15 +73,6 @@ class Conv1d(_Layer):
         super().__init__()
         self.kernels = as_tensor(kernels)
         self.bias = as_tensor(bias)
-        if self.kernels.ndim != 3:
-            raise ParameterError(f"kernels must be (out_ch, in_ch, k), got {self.kernels.shape}")
-        out_ch, in_ch, k = self.kernels.shape
-        if k % 2 == 0:
-            raise ParameterError(f"kernel width must be odd for same padding, got {k}")
-        if out_ch < 1 or in_ch < 1:
-            raise ParameterError(f"channel counts must be >= 1, got {self.kernels.shape}")
-        if self.bias.shape != (out_ch,):
-            raise ParameterError(f"bias shape {self.bias.shape} does not match out_ch {out_ch}")
 
     @classmethod
     def init(cls, in_ch: int, out_ch: int, k: int, rng: RngState) -> "Conv1d":
@@ -117,9 +84,10 @@ class Conv1d(_Layer):
 
     def forward(self, x, steps: int | None = None, training: bool = True) -> np.ndarray:
         out_ch, in_ch, k = self.kernels.shape
-        x = _as_batch(x, in_ch, "conv1d")
+        x = as_tensor(x)
         batch, t_len, _ = x.shape
-        steps, first = _last_steps(steps, t_len)
+        steps = t_len if steps is None else steps
+        first = t_len - steps
         pad = k // 2
         xp = np.zeros((batch, t_len + 2 * pad, in_ch))
         xp[:, pad:pad + t_len] = x
@@ -137,8 +105,7 @@ class Conv1d(_Layer):
         out_ch, _, k = self.kernels.shape
         steps = cols.shape[0] // batch
         first = t_len - steps
-        upstream = _as_batch(upstream, out_ch, "conv1d backward")
-        upstream = upstream.reshape(batch * steps, out_ch)
+        upstream = as_tensor(upstream).reshape(batch * steps, out_ch)
         pad = k // 2
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
         self.grads = {
@@ -178,13 +145,6 @@ class Gru(_Layer):
     def __init__(self, W, U_rz, U, b):
         super().__init__()
         self.W, self.U_rz, self.U, self.b = (as_tensor(m) for m in (W, U_rz, U, b))
-        if self.W.ndim != 3 or self.W.shape[0] != 3:
-            raise ParameterError(f"W must be (3, in_dim, hidden), got {self.W.shape}")
-        hidden = self.W.shape[2]
-        for name, m, shape in (("U_rz", self.U_rz, (2, hidden, hidden)),
-                               ("U", self.U, (hidden, hidden)), ("b", self.b, (3, hidden))):
-            if m.shape != shape:
-                raise ParameterError(f"{name} shape {m.shape} != {shape}")
 
     @classmethod
     def init(cls, in_dim: int, hidden: int, rng: RngState) -> "Gru":
@@ -196,8 +156,8 @@ class Gru(_Layer):
         return {"W": self.W, "U_rz": self.U_rz, "U": self.U, "b": self.b}
 
     def forward(self, x, training: bool = True) -> np.ndarray:
-        _, in_dim, hidden = self.W.shape
-        x = _as_batch(x, in_dim, "gru")
+        hidden = self.W.shape[2]
+        x = as_tensor(x)
         batch, t_len, _ = x.shape
         # time-major input; (3, T, B, hidden) gate projections in one shot
         x = np.ascontiguousarray(x.transpose(1, 0, 2))
@@ -224,10 +184,7 @@ class Gru(_Layer):
     def backward(self, upstream):
         x, hs, rzs, cs = self._take_cache()
         t_len, batch, hidden = cs.shape
-        upstream = _as_batch(upstream, hidden, "gru backward")
-        if upstream.shape != (batch, t_len, hidden):
-            raise DimensionError(f"upstream batch shape {upstream.shape} != {(batch, t_len, hidden)}")
-        upstream = upstream.transpose(1, 0, 2)
+        upstream = as_tensor(upstream).transpose(1, 0, 2)
         # pre-activation gradients per gate and step; weight gradients
         # batch into stacked matmuls afterwards
         da = np.empty((3, t_len, batch, hidden))
@@ -271,12 +228,6 @@ class Attention(_Layer):
         super().__init__()
         self.K_w = as_tensor(K_w)
         self.Q_w = as_tensor(Q_w)
-        if self.K_w.shape != self.Q_w.shape or self.K_w.ndim != 2:
-            raise ParameterError(
-                f"K_w and Q_w must share a 2-D shape, got {self.K_w.shape} and {self.Q_w.shape}"
-            )
-        if self.K_w.shape[1] < 1:
-            raise ParameterError("projection width d_attn must be >= 1")
 
     @classmethod
     def init(cls, d: int, d_attn: int, rng: RngState) -> "Attention":
@@ -289,13 +240,13 @@ class Attention(_Layer):
         return {"K_w": self.K_w, "Q_w": self.Q_w}
 
     def forward(self, x, steps: int | None = None, training: bool = True) -> np.ndarray:
-        d, d_attn = self.K_w.shape
-        x = _as_batch(x, d, "attention")
+        x = as_tensor(x)
         batch, t_len, _ = x.shape
-        steps, first = _last_steps(steps, t_len)
+        steps = t_len if steps is None else steps
+        first = t_len - steps
         keys = x @ self.K_w
         queries = x[:, first:] @ self.Q_w
-        scores = queries @ keys.transpose(0, 2, 1) / np.sqrt(d_attn)
+        scores = queries @ keys.transpose(0, 2, 1) / np.sqrt(self.K_w.shape[1])
         # cached as (B*steps, T): one softmax row per (window, query step)
         weights = softmax_rows(scores.reshape(batch * steps, t_len))
         self._cache = (x, keys, queries, weights) if training else None
@@ -306,7 +257,7 @@ class Attention(_Layer):
         batch, t_len, d = x.shape
         steps = queries.shape[1]
         first = t_len - steps
-        upstream = _as_batch(upstream, d, "attention backward")
+        upstream = as_tensor(upstream)
         weights = weights.reshape(batch, steps, t_len)
         scale = 1.0 / np.sqrt(self.K_w.shape[1])
         dweights = upstream @ x.transpose(0, 2, 1)
@@ -331,12 +282,6 @@ class Dense(_Layer):
         super().__init__()
         self.weight = as_tensor(weight)
         self.bias = as_tensor(bias)
-        if self.weight.ndim != 2:
-            raise ParameterError(f"weight must be 2-D, got {self.weight.shape}")
-        if self.bias.shape != (self.weight.shape[1],):
-            raise ParameterError(
-                f"bias shape {self.bias.shape} != ({self.weight.shape[1]},)"
-            )
         if activation not in ("relu", "sigmoid", "identity"):
             raise ParameterError(f"unsupported dense activation {activation!r}")
         self.activation = activation
@@ -350,7 +295,7 @@ class Dense(_Layer):
         return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x, training: bool = True) -> np.ndarray:
-        x = _rows(x, self.weight.shape[0], "dense")
+        x = as_tensor(x)
         z = x @ self.weight + self.bias
         if self.activation == "relu":
             y = np.maximum(z, 0.0)
@@ -386,8 +331,6 @@ class Dropout(_Layer):
 
     def __init__(self, rate: float):
         super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
     def forward(self, x, training: bool, rng: RngState | None = None) -> np.ndarray:
@@ -422,10 +365,6 @@ class LayerNorm(_Layer):
         super().__init__()
         self.gain = as_tensor(gain)
         self.shift = as_tensor(shift)
-        if self.gain.shape != self.shift.shape or self.gain.ndim != 1:
-            raise ParameterError(
-                f"gain/shift must share a 1-D shape, got {self.gain.shape} and {self.shift.shape}"
-            )
 
     @classmethod
     def init(cls, d: int) -> "LayerNorm":
@@ -436,7 +375,7 @@ class LayerNorm(_Layer):
 
     def forward(self, x, training: bool = True) -> np.ndarray:
         width = self.gain.shape[0]
-        x = _rows(x, width, "layernorm")
+        x = as_tensor(x)
         mu = x.mean(axis=-1, keepdims=True)
         # the population variance as np.var computes it, reusing x - mu
         d = x - mu

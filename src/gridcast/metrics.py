@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericError, ParameterError
+from .errors import NumericError
 
 # a zero-state probability at or above this predicts the zero state
 DECISION_THRESHOLD = 0.5
@@ -48,10 +48,6 @@ def regression_metrics(pred, real) -> RegressionReport:
     """MAE, RMSE and the coefficient of determination about mean(real)."""
     pred = np.asarray(pred, dtype=np.float64)
     real = np.asarray(real, dtype=np.float64)
-    if pred.shape != real.shape or pred.ndim != 1 or pred.size == 0:
-        raise DimensionError(
-            f"need equal non-empty 1-D inputs, got {pred.shape} and {real.shape}"
-        )
     err = pred - real
     mae = float(np.abs(err).mean())
     rmse = float(np.sqrt((err * err).mean()))
@@ -71,16 +67,6 @@ def classification_metrics(scores, labels) -> ClassificationReport:
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if scores.size == 0:
-        raise DataError("no samples to score")
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise DimensionError(
-            f"need equal 1-D inputs, got {scores.shape} and {labels.shape}"
-        )
-    if scores.min() < 0.0 or scores.max() > 1.0:
-        raise ParameterError("scores must lie in [0, 1]")
-    if not np.isin(labels, (0.0, 1.0)).all():
-        raise ParameterError("labels must be binary")
 
     pos = labels == 1.0
     n_pos = int(pos.sum())

@@ -102,9 +102,7 @@ def bce_loss(pred, target):
 def loss(head: str, pred, target):
     if head == "regression":
         return mse_loss(pred, target)
-    if head == "classification":
-        return bce_loss(pred, target)
-    raise ParameterError(f"unknown head {head!r}")
+    return bce_loss(pred, target)
 
 
 # --- Adam -------------------------------------------------------------------
@@ -120,10 +118,6 @@ class AdamState:
 
 def adam_step(param, grad, state: AdamState, lr: float, t: int):
     """One in-place Adam update of ``param`` with bias correction; ``t`` is 1-based."""
-    if t < 1:
-        raise ParameterError(f"step index must be >= 1, got {t}")
-    if grad.shape != param.shape:
-        raise DimensionError(f"grad shape {grad.shape} != param shape {param.shape}")
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v

@@ -7,6 +7,7 @@ from gridcast import data as dat
 from gridcast.baselines import (MIN_LEAF, BayesianRidge, ForestConfig, RandomForest,
                                 RegressionTree, _grow_trees, best_split, flatten_windows,
                                 knn_predict_batch)
+from gridcast.cli import RunConfig
 from gridcast.errors import DataError, NumericError, ParameterError
 from gridcast.tensor import RngState
 
@@ -111,10 +112,12 @@ class TestKnn:
         assert peak < 399 * 1434 * 8 / 2
 
     def test_empty_train_and_bad_k(self):
-        with pytest.raises(DataError):
-            knn_predict_batch(np.empty((0, 2)), np.empty(0), [[0.0, 0.0]], k=1)
-        with pytest.raises(ParameterError):
-            knn_predict_batch(np.ones((3, 2)), np.ones(3), [[0.0, 0.0]], k=4)
+        # compare refuses both before it calls knn_predict_batch; a k above
+        # the training-window count is refused there too (see test_cli.py)
+        with pytest.raises(DataError, match="train split is empty"):
+            dat.split_indices(1)
+        with pytest.raises(ParameterError, match="knn_k must be >= 1, got 0"):
+            RunConfig(synth_rows=100, knn_k=0).validate()
 
 
 class TestBayesianRidge:
@@ -412,5 +415,6 @@ class TestForest:
         assert ((pred - y) ** 2).mean() < 0.2
 
     def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            RandomForest(ForestConfig(n_trees=0))
+        for field in ("n_trees", "forest_depth"):
+            with pytest.raises(ParameterError, match=f"{field} must be >= 1, got 0"):
+                RunConfig(synth_rows=100, **{field: 0}).validate()

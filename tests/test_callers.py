@@ -1,7 +1,7 @@
 """Every module-level function and class in ``src/gridcast`` has a caller outside the tests,
 every dataclass field there has a reader, every defaulted parameter there is passed,
-every parameter there is read by its own function, and only ``cli.py`` and ``data.py``
-open or write files.
+every parameter there is read by its own function, every name a module there imports
+is used in that module, and only ``cli.py`` and ``data.py`` open or write files.
 
 A name counts as used when code under ``src/``, ``scripts/`` or
 ``perfbench/`` refers to it (as a name, an attribute, an import or a
@@ -13,7 +13,9 @@ parameter counts as passed when that code calls a callee of its
 function's name with it: by keyword, by position, or through a ``*`` or
 ``**`` splat. ``ClassName(...)`` calls ``__init__``, and so does
 ``cls(...)`` inside the class. A parameter counts as read when its
-function's body, nested functions included, loads its name.
+function's body, nested functions included, loads its name or updates it
+in place (``param -= step`` reads ``param`` first). An imported name counts
+as used when its module loads it or lists it in ``__all__``.
 """
 
 import ast
@@ -157,8 +159,11 @@ def test_every_parameter_is_read_by_its_function():
             args = func.args
             params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
                       *(a for a in (args.vararg, args.kwarg) if a is not None)]
-            loaded = {node.id for stmt in func.body for node in ast.walk(stmt)
+            nodes = [node for stmt in func.body for node in ast.walk(stmt)]
+            loaded = {node.id for node in nodes
                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            loaded |= {node.target.id for node in nodes
+                       if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
             unread += [f"{path.name}:{arg.lineno} {name}.{arg.arg}" for arg in params
                        if arg.arg not in ("self", "cls") and not arg.arg.startswith("_")
                        and arg.arg not in loaded
@@ -179,3 +184,20 @@ def test_only_cli_and_data_open_files():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) in FILE_CALLS]
     assert calls == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        used |= {item.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                 for item in node.value.elts}
+        unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name.split('.')[0]}"
+                   for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []

@@ -847,6 +847,17 @@ class TestCompare:
         assert main(["compare", "--csv", str(synth_csv), "--task",
                      "classification", "--out-dir", str(tmp_path / "x")]) == 2
 
+    def test_knn_k_above_the_training_windows_refused_before_training(self, tmp_path,
+                                                                       synth_csv, capsys):
+        out = tmp_path / "cmpk"
+        code = main(["compare", "--csv", str(synth_csv), "--out-dir", str(out),
+                     "--max-epochs", "2", *FAST_NET, "--knn-k", "5000"])
+        assert code == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert re.search(r"knn_k is 5000, above the \d+ training windows", printed.err)
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
+
 
 class TestExplain:
     def test_outputs_thirteen_feature_rows(self, tmp_path, synth_csv, trained, capsys):

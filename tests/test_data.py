@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcast import data as dat
-from gridcast.cli import main
+from gridcast.cli import RunConfig, main
 from gridcast.data import (SCHEMA, TABLE_STATS, Table, fit_scaler,
                            label_zero_state, load_csv, make_windows,
                            moment_report, split_and_scale, split_indices,
@@ -241,8 +241,9 @@ class TestSplitAndScale:
             split(self.make_set(4))
 
     def test_bad_fractions(self):
-        with pytest.raises(ParameterError):
-            split(self.make_set(30), train_frac=1.0)
+        # split_indices takes its fractions from a validated RunConfig
+        with pytest.raises(ParameterError, match="train_frac and val_frac must lie in"):
+            RunConfig(synth_rows=100, train_frac=1.0).validate()
 
     def test_shuffle_flag_is_seeded(self):
         sset = self.make_set(40)
@@ -376,8 +377,8 @@ class TestRoundTrip:
         assert loaded.timestamps == table.timestamps
 
     def test_timestamps_holding_delimiters_round_trip(self, tmp_path):
-        stamps = ["Jan 9, 2020", 'the "noon" reading', "line\nbreak", "plain"]
-        table = Table(np.abs(np.random.default_rng(1).normal(5, 1, (4, 13))), timestamps=stamps)
+        stamps = ["Jan 9, 2020", 'the "noon" reading', "line\nbreak", "plain", " padded "]
+        table = Table(np.abs(np.random.default_rng(1).normal(5, 1, (5, 13))), timestamps=stamps)
         path = tmp_path / "ts.csv"
         write_csv(table, path)
         assert load_csv(path).timestamps == stamps

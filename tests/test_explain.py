@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from gridcast.cli import _write_shapley
-from gridcast.errors import ParameterError, SizeError
+from gridcast.cli import RunConfig, _write_shapley, load_model, save_model
+from gridcast.data import Scaler
+from gridcast.errors import ParameterError, SchemaError
 from gridcast.explain import attribute, shapley_exact, shapley_sample
+from gridcast.network import Network
 from gridcast.tensor import RngState
 
 from oracles import enumerate_shapley, shapley_sample_reference
@@ -112,12 +116,6 @@ class TestShapleyExact:
         shapley_exact(counted, np.ones((2, 3)), np.zeros(3))
         assert stacks == [(8, 2, 3)]
 
-    def test_too_many_columns_routes_to_sampling(self):
-        f = additive_model(np.ones(14))
-        x = np.ones((2, 14))
-        with pytest.raises(SizeError, match="shapley_sample"):
-            shapley_exact(f, x, np.zeros(14))
-
 
 class TestShapleySample:
     def test_within_three_stderr_of_exact(self):
@@ -170,15 +168,9 @@ class TestShapleySample:
         assert np.abs(stderr - ref_stderr).max() < 1e-12
         assert batched_rng._counter == reference_rng._counter
 
-    def test_columns_beyond_a_64_bit_mask_rejected(self):
-        with pytest.raises(SizeError, match="64-bit"):
-            shapley_sample(additive_model(np.ones(64)), np.ones((2, 64)), np.zeros(64),
-                           n_perms=2, rng=RngState(0))
-
     def test_bad_n_perms(self):
-        with pytest.raises(ParameterError):
-            shapley_sample(additive_model([1.0]), np.ones((1, 1)), np.zeros(1),
-                           n_perms=0, rng=RngState(0))
+        with pytest.raises(ParameterError, match="explain_perms must be >= 1, got 0"):
+            RunConfig(synth_rows=100, explain_perms=0).validate()
 
 
 class TestAttribute:
@@ -209,10 +201,18 @@ class TestAttribute:
         assert report.method == "exact"
         assert report.stderr is None
 
-    def test_name_count_must_match(self):
-        with pytest.raises(ParameterError):
-            attribute(additive_model([1.0, 1.0]), np.ones((1, 2, 2)),
-                      np.zeros(2), ["only_one"])
+    def test_name_count_must_match(self, tmp_path):
+        # explain names the schema's columns, and a model trained on others is refused
+        cfg = RunConfig(synth_rows=50, window=3, blocks=1, conv_filters=2, gru_units=2,
+                        attn_dim=2, mlp_hidden=2)
+        path = tmp_path / "model.json"
+        save_model(path, Network.build(cfg.network_config(), RngState(0)),
+                   Scaler(np.zeros(13), np.ones(13), 0.0, 1.0), cfg)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["feature_names"] = payload["feature_names"][:12]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaError, match="model was trained on columns"):
+            load_model(path)
 
     def test_csv_output(self, tmp_path):
         f = additive_model([2.0, 1.0])

@@ -1,16 +1,40 @@
+import base64
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gridcast.errors import DimensionError, ParameterError, StateError
+from gridcast.cli import RunConfig, load_model, save_model
+from gridcast.data import Scaler
+from gridcast.errors import DimensionError, ParameterError, SchemaError, StateError
 from gridcast.layers import (LAYERNORM_EPSILON, Attention, Conv1d, Dense, Dropout, Gru, LayerNorm,
                              Relu)
+from gridcast.network import Network, NetworkConfig
 from gridcast.tensor import RngState
 
 from oracles import check_gradients, gru_reference, max_rel_err, numeric_grad, rel_norm_err
 
 BATCH = 3
+# a one-block network: conv 13 -> 3 channels, GRU 13 -> 4 units, attention width 3
+SMALL_RUN = RunConfig(synth_rows=50, window=5, blocks=1, conv_filters=3, gru_units=4,
+                      attn_dim=3, mlp_hidden=4)
+
+
+def model_file_with(tmp_path, key, shape):
+    """A model file of ``SMALL_RUN``'s network whose parameter ``key`` is zeros of ``shape``.
+
+    Layers take their weights from ``Network.build`` or from a model file,
+    so ``load_model`` is where a wrongly shaped weight is refused.
+    """
+    path = tmp_path / "model.json"
+    net = Network.build(SMALL_RUN.network_config(), RngState(0))
+    save_model(path, net, Scaler(np.zeros(13), np.ones(13), 0.0, 1.0), SMALL_RUN)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    data = base64.b64encode(np.zeros(shape, dtype="<f8").tobytes()).decode("ascii")
+    payload["network"]["params"][key] = {"shape": list(shape), "data": data}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
 
 
 def naive_conv1d(kernels, bias, x):
@@ -63,14 +87,13 @@ class TestConv1dForward:
             x = rng.uniform(-1, 1, (1, t_len, 2))
             assert layer.forward(x).shape == (1, t_len, 3)
 
-    def test_channel_mismatch(self):
-        layer = Conv1d.init(2, 3, 3, RngState(0))
-        with pytest.raises(DimensionError):
-            layer.forward(np.ones((1, 4, 5)))
+    def test_channel_mismatch(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"block0.conv.kernels has shape \[3, 5, 3\]"):
+            load_model(model_file_with(tmp_path, "block0.conv.kernels", (3, 5, 3)))
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ParameterError):
-            Conv1d(np.ones((1, 1, 2)), np.zeros(1))
+        with pytest.raises(ParameterError, match="kernel must be a positive odd integer"):
+            NetworkConfig(window=4, features=2, kernel=2).validate()
 
 
 class TestGruForward:
@@ -114,9 +137,9 @@ class TestGruForward:
             assert (np.abs(layer.forward(x)) <= 1.0 + 1e-12).all()
 
     def test_width_mismatch(self):
-        layer = Gru.init(3, 4, RngState(0))
-        with pytest.raises(DimensionError):
-            layer.forward(np.ones((1, 5, 2)))
+        net = Network.build(SMALL_RUN.network_config(), RngState(0))
+        with pytest.raises(DimensionError, match=r"\(5, 13\)"):
+            net.forward(np.ones((1, 5, 12)))
 
     def test_params_are_four_stacked_arrays(self):
         layer = Gru.init(3, 4, RngState(0))
@@ -125,11 +148,9 @@ class TestGruForward:
 
     @pytest.mark.parametrize("name, shape", [("W", (2, 3, 4)), ("U_rz", (3, 4, 4)),
                                              ("U", (4, 3)), ("b", (3,))])
-    def test_bad_stacked_shape_rejected(self, name, shape):
-        params = dict(Gru.init(3, 4, RngState(0)).params())
-        params[name] = np.zeros(shape)
-        with pytest.raises(ParameterError, match=name):
-            Gru(**params)
+    def test_bad_stacked_shape_rejected(self, tmp_path, name, shape):
+        with pytest.raises(SchemaError, match=f"block0.gru.{name} has shape"):
+            load_model(model_file_with(tmp_path, f"block0.gru.{name}", shape))
 
 
 @pytest.mark.parametrize("batch", [1, 3, 32])
@@ -181,10 +202,9 @@ class TestAttentionForward:
         _, _, _, weights = layer._cache
         assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_width_mismatch(self):
-        layer = Attention.init(4, 3, RngState(0))
-        with pytest.raises(DimensionError):
-            layer.forward(np.ones((1, 5, 3)))
+    def test_width_mismatch(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"block0.attn.K_w has shape \[3, 3\]"):
+            load_model(model_file_with(tmp_path, "block0.attn.K_w", (3, 3)))
 
 
 class TestDenseForward:
@@ -203,10 +223,9 @@ class TestDenseForward:
         out = layer.forward(np.array([[0.2, 0.3]]))
         assert np.array_equal(out, [[0.0]])
 
-    def test_width_mismatch(self):
-        layer = Dense.init(3, 2, RngState(0))
-        with pytest.raises(DimensionError):
-            layer.forward(np.ones((1, 4)))
+    def test_width_mismatch(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"head.hidden.weight has shape \[8, 4\]"):
+            load_model(model_file_with(tmp_path, "head.hidden.weight", (8, 4)))
 
 
 class TestDropout:
@@ -243,10 +262,9 @@ class TestDropout:
         assert np.array_equal(batched, np.concatenate(rows))
 
     def test_bad_rate(self):
-        with pytest.raises(ParameterError):
-            Dropout(1.0)
-        with pytest.raises(ParameterError):
-            Dropout(-0.1)
+        for rate in (1.0, -0.1):
+            with pytest.raises(ParameterError, match="dropout_rate must be in"):
+                NetworkConfig(window=4, features=2, dropout_rate=rate).validate()
 
 
 class TestLayerNorm:
@@ -570,16 +588,6 @@ def _layer_and_input(kind: str, rng: RngState):
     return layer, rng.uniform(-1, 1, (BATCH, 5, width))
 
 
-@pytest.mark.parametrize("kind", ["conv1d", "gru", "attention"])
-def test_sequence_layers_reject_a_2d_window(kind):
-    layer, x = _layer_and_input(kind, RngState(1700))
-    with pytest.raises(DimensionError, match=r"\(B, T, \d+\)"):
-        layer.forward(x[0])
-    out = layer.forward(x)
-    with pytest.raises(DimensionError, match=r"\(B, T, \d+\)"):
-        layer.backward(np.zeros_like(out[0]))
-
-
 @pytest.mark.parametrize("kind", ["conv1d", "gru", "attention", "layernorm", "dense"])
 def test_batch_matches_stacked_single_windows(kind):
     """A batch gives each window's batch-of-1 output and input gradient,
@@ -621,11 +629,3 @@ def test_last_steps_are_the_tail_of_the_full_sequence(kind, steps):
     assert rel_norm_err(layer.backward(up[:, t_len - steps:]), full_dx) <= 1e-12
     for key, g in layer.grads.items():
         assert rel_norm_err(g, full_grads[key]) <= 1e-12, key
-
-
-@pytest.mark.parametrize("kind", ["conv1d", "attention"])
-@pytest.mark.parametrize("steps", [0, 6])
-def test_steps_outside_the_window_rejected(kind, steps):
-    layer, x = _layer_and_input(kind, RngState(2100))
-    with pytest.raises(DimensionError, match=r"steps must be in \[1, 5\]"):
-        layer.forward(x, steps)
