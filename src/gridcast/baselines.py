@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
-from .tensor import RngState, permutation_heads
+from .errors import NumericError
+from .tensor import PermutationHeads, RngState
 
 
 def flatten_windows(inputs: np.ndarray) -> np.ndarray:
@@ -153,35 +153,68 @@ class _Node:
         self.value = value
 
 
-def best_split(x: np.ndarray, y: np.ndarray, sizes, min_leaf: int) -> list:
+def rank_columns(x: np.ndarray) -> np.ndarray:
+    """(d, n + 1) int32 ranks of the columns of an (n, d) matrix, for ``best_split``.
+
+    A larger value has a larger rank and equal values share one (-0.0
+    equals 0.0). Column n, where padding row indices point, ranks above
+    every value. Ranked one column at a time, so the temporaries are a
+    few length-n arrays.
+    """
+    n, d = x.shape
+    ranks = np.empty((d, n + 1), dtype=np.int32)
+    ranks[:, n] = n
+    for f in range(d):
+        ranks[f, :n] = np.unique(x[:, f], return_inverse=True)[1]
+    return ranks
+
+
+def rank_order(r: np.ndarray, n: int) -> np.ndarray:
+    """Argsort along the last axis of ranks ``r`` in [0, n], equal ranks in position order.
+
+    That is the order a stable sort of the ranked values gives. Keys
+    rank * width + position are unique, so numpy's default sort, several
+    times faster than its stable one, finds it; int32 keys sort faster
+    than int64 and hold every key while (n + 1) * width fits.
+    """
+    width = r.shape[-1]
+    dtype = np.int32 if (n + 1) * width <= np.iinfo(np.int32).max else np.int64
+    return np.argsort(r.astype(dtype, copy=False) * width + np.arange(width, dtype=dtype), axis=-1)
+
+
+def best_split(x: np.ndarray, ranks: np.ndarray, feats: np.ndarray, rows: np.ndarray,
+               y: np.ndarray, sizes, min_leaf: int) -> list:
     """Best split of each node in a batch by sum-of-squares reduction.
 
-    Node b holds ``sizes[b]`` rows. ``x`` is (nodes, k, width): its k
-    candidate columns, padded past the node's rows with +inf, which a
-    stable sort puts after every row, so ``x`` must hold no NaN. ``y``
-    is (nodes, width), its padding any finite value. Returns, per node, (gain, column,
-    threshold) with ``column`` indexing the k columns, or None when no
-    column has a split that leaves ``min_leaf`` rows on both sides.
-    Thresholds sit midway between adjacent distinct values; rows with
-    value <= threshold go left. Gain ties resolve to the smallest
-    left-side count within a column and to the lowest column index
-    across columns, so results are order-deterministic. Sorted prefix
-    sums over a padded row equal the unpadded ones bit for bit, and each
-    node reads its totals at its own last row, so a node's result does
-    not depend on the batch it is in.
+    Node b holds the ``sizes[b]`` rows ``rows[b, :sizes[b]]`` of the
+    (n, d) matrix ``x``, padded past them with row n, and searches its k
+    candidate columns ``feats[b]``. ``ranks`` is ``rank_columns(x)``.
+    ``y`` is (nodes, width), the targets of ``rows``, its padding any
+    finite value. Returns, per node, (gain, column, threshold) with
+    ``column`` indexing ``feats[b]``, or None when no column has a split
+    that leaves ``min_leaf`` rows on both sides. Thresholds sit midway
+    between adjacent distinct values; rows with value <= threshold go
+    left. Gain ties resolve to the smallest left-side count within a
+    column and to the lowest column index across columns, so results
+    are order-deterministic. Sorted prefix sums over a padded row equal
+    the unpadded ones bit for bit, and each node reads its totals at its
+    own last row, so a node's result does not depend on the batch it is
+    in.
     """
-    nodes, k, width = x.shape
+    (nodes, width), k = rows.shape, feats.shape[1]
     if width < 2 * min_leaf:
         return [None] * nodes
-    order = np.argsort(x, axis=-1, kind="stable")
+    n = ranks.shape[1] - 1
+    r = ranks.take(feats[:, :, None] * (n + 1) + rows[:, None, :])
+    order = rank_order(r, n)
     node, col = np.arange(nodes), np.arange(k)
     ys = y.take(order + (node * width)[:, None, None])
-    xs = x.take(order + (np.arange(nodes * k) * width).reshape(nodes, k, 1))
+    rs = r.take(order + (np.arange(nodes * k) * width).reshape(nodes, k, 1))
     m = np.asarray(sizes)[:, None, None]
     p = np.arange(min_leaf, width - min_leaf + 1)      # left-side counts
     left = slice(min_leaf - 1, width - min_leaf)       # sorted rows p-1 ...
     right = slice(min_leaf, width - min_leaf + 1)      # ... and p
-    distinct = (p <= m - min_leaf) & (xs[..., left] != xs[..., right])
+    distinct = (p <= m - min_leaf) & (rs[..., left] != rs[..., right])
     csum = np.cumsum(ys, axis=-1)
     csq = np.cumsum(ys * ys, axis=-1)
     last = (node[:, None], col, m[..., 0] - 1)
@@ -203,7 +236,12 @@ def best_split(x: np.ndarray, y: np.ndarray, sizes, min_leaf: int) -> list:
     best = gain[node[:, None], col, at]
     column = best.argmax(axis=-1)
     split = p[at[node, column]]
-    threshold = (xs[node, column, split - 1] + xs[node, column, split]) / 2.0
+    # the rows on either side of the split; a node of at most min_leaf rows,
+    # which has no split, points past its rows at row n, which x lacks
+    below = np.minimum(rows[node, order[node, column, split - 1]], n - 1)
+    above = np.minimum(rows[node, order[node, column, split]], n - 1)
+    f = feats[node, column]
+    threshold = (x[below, f] + x[above, f]) / 2.0
     return [None if g == -np.inf else (g, c, t) for g, c, t in
             zip(best[node, column].tolist(), column.tolist(), threshold.tolist())]
 
@@ -237,11 +275,9 @@ def _grow_trees(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
     """
     n, d = x.shape
     k = min(max(1, round(np.sqrt(d))), d)
-    # column-major x plus a +inf column n, the row index padding points at
-    padded_x = np.full((d, n + 1), np.inf)
-    padded_x[:, :n] = x.T
-    flat_x = padded_x.ravel()
+    ranks = rank_columns(x)
     padded_y = np.append(y, 0.0)
+    draws = PermutationHeads([tree.rng for tree in trees], d, k)
 
     def open_node(rows, depth):
         """A new node valued at its mean target, as a stack entry."""
@@ -265,7 +301,7 @@ def _grow_trees(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
                     break
         if not searched:
             return
-        feats = permutation_heads([trees[t].rng for t, *_ in searched], d, k)
+        feats = draws.take([t for t, *_ in searched])
         batches = {}
         for i, (_, _, rows, _) in enumerate(searched):
             batches.setdefault(_batch_key(i, rows.size), []).append(i)
@@ -274,14 +310,15 @@ def _grow_trees(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
             index = np.full((len(batch), max(sizes)), n)
             for b, i in enumerate(batch):
                 index[b, :sizes[b]] = searched[i][2]
-            cand = flat_x.take(feats[batch][:, :, None] * (n + 1) + index[:, None, :])
-            for i, found in zip(batch, best_split(cand, padded_y[index], sizes, min_leaf)):
+            found_all = best_split(x, ranks, feats[batch], index, padded_y[index], sizes,
+                                   min_leaf)
+            for i, found in zip(batch, found_all):
                 if found is None or found[0] <= 0.0:
                     continue
                 t, node, rows, depth = searched[i]
                 node.feature = int(feats[i, found[1]])
                 node.threshold = found[2]
-                go_left = padded_x[node.feature, rows] <= node.threshold
+                go_left = x[rows, node.feature] <= node.threshold
                 left = open_node(rows[go_left], depth + 1)
                 right = open_node(rows[~go_left], depth + 1)
                 node.left, node.right = left[0], right[0]
@@ -319,8 +356,6 @@ class RandomForest:
     def fit(self, x, y) -> "RandomForest":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if x.shape[0] < 2:
-            raise DataError("forest needs at least two samples")
         master = RngState(self.config.seed)
         n = x.shape[0]
         self.trees = [RegressionTree(master.spawn(i)) for i in range(self.config.n_trees)]

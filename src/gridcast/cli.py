@@ -523,9 +523,11 @@ def cmd_compare(args) -> int:
     cfg, out_dir, model, table = _prepare_run(args, regression_only=True)
     splits = build_splits(cfg, table)
     train, _, test = splits
-    # depends on the data's size, so checked here, before any training
+    # these depend on the data's size, so are checked here, before any training
     if cfg.knn_k > len(train):
         raise ParameterError(f"knn_k is {cfg.knn_k}, above the {len(train)} training windows")
+    if len(train) < 2:
+        raise DataError(f"the random forest needs at least 2 training windows, got {len(train)}")
     if model:
         net, scaler, _ = model
     else:

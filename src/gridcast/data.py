@@ -309,15 +309,25 @@ def make_windows(table: Table, window: int, horizon: int = 1, *,
 
 def fit_scaler(inputs: np.ndarray, targets: np.ndarray) -> Scaler:
     cells = inputs.reshape(-1, inputs.shape[-1])
-    mean = cells.mean(axis=0)
-    std = cells.std(axis=0)
+    # values near the float64 limit overflow these sums; refused below, by column
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = cells.mean(axis=0)
+        std = cells.std(axis=0)
+        t_mean = float(targets.mean())
+        t_std = float(targets.std())
+    overflowed = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflowed.any():
+        names = [SCHEMA[i] for i in np.flatnonzero(overflowed)]
+        raise DataError(f"feature column(s) {names}: training mean or std is not finite; "
+                        "values this large cannot be scaled")
+    if not (math.isfinite(t_mean) and math.isfinite(t_std)):
+        raise DataError(f"target {TARGET_COLUMN}: training mean or std is not finite; "
+                        "values this large cannot be scaled")
     flat = std < 1e-12
     if flat.any():
         names = [SCHEMA[i] for i in np.flatnonzero(flat)]
         warnings.warn(f"constant feature column(s) {names}; scaling with std 1")
         std = np.where(flat, 1.0, std)
-    t_mean = float(targets.mean())
-    t_std = float(targets.std())
     if t_std < 1e-12:
         warnings.warn("constant training target; scaling with std 1")
         t_std = 1.0

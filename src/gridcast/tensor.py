@@ -137,16 +137,63 @@ def _fisher_yates(n: int, partners: np.ndarray) -> list:
     return perm
 
 
-def permutation_heads(streams: list, n: int, k: int) -> np.ndarray:
-    """``s.permutation(n)[:k]`` for each stream in ``streams``, as rows.
+# Heads worked out per stream at each refill of a PermutationHeads. A
+# refill holds a few arrays of (streams * block) * n entries, so with many
+# streams or long permutations the block shrinks to keep them near
+# HEAD_WORDS entries.
+HEAD_BLOCK = 32
+HEAD_WORDS = 1 << 16
 
-    The n - 1 words of every stream come from one mix over a counter
-    block, and each stream advances by n - 1, as ``permutation`` would.
+
+class PermutationHeads:
+    """Successive ``s.permutation(n)[:k]`` draws for each stream ``s`` in ``streams``.
+
+    ``take`` returns the next head of each chosen stream and advances
+    that stream by n - 1 words, as ``permutation`` would, so each
+    stream's draws and final counter are those of one-at-a-time draws
+    however the streams are chosen. Heads are worked out a block per
+    stream ahead: one mix over every word of the block and one
+    Fisher-Yates swap loop over all (stream, head) rows at once. The
+    streams must not be drawn from elsewhere while heads are taken.
     """
-    keys = np.array([s._key for s in streams], dtype=np.uint64)
-    counters = np.array([s._counter for s in streams], dtype=np.uint64)
-    idx = counters[:, None] + np.arange(max(n - 1, 0), dtype=np.uint64)
-    for s in streams:
-        s._counter += idx.shape[1]
-    partners = _mix64(keys[:, None] + _GOLDEN64 * idx) % _moduli(n)
-    return np.array([_fisher_yates(n, row)[:k] for row in partners], dtype=np.int64)
+
+    def __init__(self, streams: list, n: int, k: int):
+        self.streams, self.n, self.k = streams, n, k
+        self.block = min(HEAD_BLOCK, max(1, HEAD_WORDS // (len(streams) * n)))
+        self._heads = np.empty((len(streams), self.block, k), dtype=np.int64)
+        self._used = np.full(len(streams), self.block)
+
+    def take(self, which: list) -> np.ndarray:
+        """The next head of ``streams[i]`` for each distinct ``i`` in ``which``, as rows."""
+        which = np.array(which, dtype=np.int64)
+        spent = which[self._used[which] == self.block]
+        if spent.size:
+            self._refill(spent)
+        heads = self._heads[which, self._used[which]]
+        self._used[which] += 1
+        for i in which.tolist():
+            self.streams[i]._counter += self.n - 1
+        return heads
+
+    def _refill(self, which: np.ndarray):
+        n, block, words = self.n, self.block, self.n - 1
+        streams = [self.streams[i] for i in which.tolist()]
+        keys = np.array([s._key for s in streams], dtype=np.uint64)
+        starts = np.array([s._counter for s in streams], dtype=np.uint64)
+        # row r is head r % block of stream r // block, whose n - 1 words start
+        # (r % block) * (n - 1) past the stream's counter; word t of every row
+        # sits in row t of idx, so each swap step reads one contiguous row
+        firsts = (starts[:, None] + np.arange(block, dtype=np.uint64) * words).ravel()
+        idx = firsts + np.arange(words, dtype=np.uint64)[:, None]
+        mixed = _mix64(np.repeat(keys, block) + _GOLDEN64 * idx) % _moduli(n)[:, None]
+        rows = firsts.size
+        base = np.arange(rows) * n
+        partners = mixed.astype(np.int64) + base
+        perm = np.tile(np.arange(n), rows)
+        for t, i in enumerate(range(n - 1, 0, -1)):
+            here, there = base + i, partners[t]
+            held = perm[here]
+            perm[here] = perm[there]
+            perm[there] = held
+        self._heads[which] = perm.reshape(len(streams), block, n)[..., :self.k]
+        self._used[which] = 0

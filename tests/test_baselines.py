@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcast import data as dat
 from gridcast.baselines import (MIN_LEAF, BayesianRidge, ForestConfig, RandomForest,
                                 RegressionTree, _grow_trees, best_split, flatten_windows,
-                                knn_predict_batch)
+                                knn_predict_batch, rank_columns, rank_order)
 from gridcast.cli import RunConfig
 from gridcast.errors import DataError, NumericError, ParameterError
 from gridcast.tensor import RngState
@@ -169,10 +171,17 @@ class TestBayesianRidge:
             BayesianRidge(alpha=0.0).fit(x, np.arange(5.0))
 
 
+# ties, signed zeros, subnormals and values near the float64 limit
+EDGE_VALUES = [0.0, -0.0, 1.5, 1.5, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
 def one_node(x, y, min_leaf):
     """best_split on one node, a batch of 1: ``x`` is (m,) or (m, k) columns."""
-    cols = np.atleast_2d(np.asarray(x).T)
-    return best_split(cols[None], np.asarray(y)[None], [len(y)], min_leaf)[0]
+    x = np.asarray(x, dtype=np.float64).reshape(len(y), -1)
+    m, k = x.shape
+    return best_split(x, rank_columns(x), np.arange(k)[None], np.arange(m)[None],
+                      np.asarray(y)[None], [m], min_leaf)[0]
 
 
 def as_tuples(node):
@@ -306,12 +315,16 @@ class TestTree:
         xs[2][:, 1] = 0.5
         xs[4][:] = 1.25
         ys = [rng.uniform(-1, 1, m) for m in sizes]
-        x = np.full((len(sizes), k, max(sizes)), np.inf)
+        # the nodes' rows stacked in one matrix, each node's row indices padded with n
+        x = np.concatenate(xs)
+        n = x.shape[0]
+        rows = np.full((len(sizes), max(sizes)), n)
         y = np.full((len(sizes), max(sizes)), 7.0)     # padding targets are never read
         for b, m in enumerate(sizes):
-            x[b, :, :m] = xs[b].T
+            rows[b, :m] = np.arange(m) + sum(sizes[:b])
             y[b, :m] = ys[b]
-        found = best_split(x, y, sizes, min_leaf)
+        feats = np.tile(np.arange(k), (len(sizes), 1))
+        found = best_split(x, rank_columns(x), feats, rows, y, sizes, min_leaf)
         assert len(found) == len(sizes)
         for b in range(len(sizes)):
             assert found[b] == reference_best_split(xs[b], ys[b], min_leaf)
@@ -323,6 +336,33 @@ class TestTree:
             assert abs(gain - max(o[0] for o in oracles if o is not None)) < 1e-9
             assert abs(thr - oracles[column][1]) < 1e-12
         assert found[4] is None
+
+    def test_split_with_keys_past_int32_matches_the_reference(self):
+        # 50,000 rows: (n + 1) * width passes 2**31, so the sort keys are int64; column 0
+        # has a rank per row, which int32 keys would overflow, and column 1 has ties
+        rng = RngState(20)
+        x = rng.uniform(-2, 2, (50_000, 2))
+        x[:, 1] = np.round(x[:, 1] * 100) / 100
+        y = np.where(x[:, 0] > 0.3, 1.0, -1.0) + 0.1 * x[:, 1] + 0.1 * rng.normals(50_000)
+        found = one_node(x, y, min_leaf=2)
+        assert found is not None and found[1] == 0
+        assert found == reference_best_split(x, y, min_leaf=2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rank_order_is_the_stable_float_order(self, data):
+        m = data.draw(st.integers(1, 30))
+        k = data.draw(st.integers(1, 3))
+        value = st.one_of(st.sampled_from(EDGE_VALUES),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        x = np.array(data.draw(st.lists(st.lists(value, min_size=k, max_size=k),
+                                        min_size=m, max_size=m)), dtype=np.float64)
+        # a node's rows, repeated as a bootstrap repeats them, then padding row m
+        rows = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=40))
+        index = np.array(rows + [m] * data.draw(st.integers(0, 5)))
+        padded = np.vstack([x, np.full(k, np.inf)])
+        expected = np.argsort(padded[index].T, axis=-1, kind="stable")
+        assert np.array_equal(rank_order(rank_columns(x)[:, index], m), expected)
 
     def test_min_leaf_respected(self):
         x = np.arange(10, dtype=float).reshape(-1, 1)

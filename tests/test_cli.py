@@ -628,6 +628,27 @@ class TestExitCodes:
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "file").read_text() == "x"
 
+    @pytest.mark.parametrize("row", [
+        pytest.param(1, id="1e308-first-row"),
+        pytest.param(1000, id="1e308-row-mid-train"),
+    ])
+    def test_csv_row_of_1e308_is_data_error(self, tmp_path, capsys, row):
+        # data row ``row`` set to 1e308 overflows the training mean and std; the first
+        # placement used to train on the non-finite scaler and exit 0, the second to
+        # stop at a nan loss with exit 4
+        path = tmp_path / "big.csv"
+        assert main(["synth", "--rows", "2000", "--seed", "1", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        lines[row] = ",".join(["1e308"] * 13)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["train", "--csv", str(path), "--max-epochs", "1", "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "'pv_kw'" in err and "'reopt_llc'" in err
+        assert "training mean or std is not finite" in err
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
+
     def test_bad_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -856,6 +877,21 @@ class TestCompare:
         printed = capsys.readouterr()
         assert printed.out == ""
         assert re.search(r"knn_k is 5000, above the \d+ training windows", printed.err)
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
+
+    @pytest.mark.filterwarnings("ignore:constant training target")
+    def test_one_training_window_refused_before_training(self, tmp_path, capsys):
+        # 10 rows make 2 windows of 8; validating on the test split leaves 1 to train on
+        path = tmp_path / "tiny.csv"
+        assert main(["synth", "--rows", "10", "--seed", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "cmp1"
+        code = main(["compare", "--csv", str(path), "--validate-on-test", "--knn-k", "1",
+                     "--max-epochs", "1", "--out-dir", str(out)])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "the random forest needs at least 2 training windows, got 1" in printed.err
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
 
 

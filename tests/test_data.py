@@ -398,6 +398,19 @@ class TestScalerEdge:
             scaler = fit_scaler(inputs, np.full(10, 3.0))
         assert scaler.target_std == 1.0
 
+    def test_non_finite_statistics_name_the_column(self):
+        # 1e308 overflows the squared deviations; eight copies overflow the sum too
+        inputs = np.random.default_rng(3).normal(0, 1, (10, 8, 13))
+        inputs[2, 1, SCHEMA.index("fuel_cost")] = 1e308
+        inputs[:, :, SCHEMA.index("pv_om")] = 1e308
+        with pytest.raises(DataError, match=r"\['pv_om', 'fuel_cost'\]: training mean or std "
+                                            "is not finite"):
+            fit_scaler(inputs, np.arange(10.0))
+        targets = np.arange(10.0)
+        targets[3] = 1e308
+        with pytest.raises(DataError, match="target generator_kw: training mean or std"):
+            fit_scaler(np.random.default_rng(4).normal(0, 1, (10, 8, 13)), targets)
+
 
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):

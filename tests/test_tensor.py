@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcast.tensor import RngState, sigmoid, softmax_rows
+from gridcast.tensor import HEAD_BLOCK, PermutationHeads, RngState, sigmoid, softmax_rows
 
 from oracles import fisher_yates_reference
 
@@ -121,3 +121,42 @@ class TestRngState:
     def test_integers_bounds(self):
         draws = RngState(3).integers(7, 1000)
         assert draws.min() >= 0 and draws.max() < 7
+
+
+class TestPermutationHeads:
+    """Block draws equal ``permutation(n)[:k]`` drawn one at a time, counters included."""
+
+    @staticmethod
+    def draw(n, k, rounds, live, streams=3):
+        """Takes ``live(r)`` in round r and checks each head against its own stream."""
+        mine = [RngState(seed).spawn(4) for seed in range(streams)]
+        refs = [RngState(seed).spawn(4) for seed in range(streams)]
+        heads = PermutationHeads(mine, n, k)
+        for r in range(rounds):
+            which = live(r)
+            got = heads.take(which)
+            assert got.shape == (len(which), k)
+            for row, i in zip(got, which):
+                assert np.array_equal(row, refs[i].permutation(n)[:k])
+        assert [s._counter for s in mine] == [s._counter for s in refs]
+        return heads
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (13, 4), (104, 10), (104, 104)])
+    def test_draws_across_block_boundaries(self, n, k):
+        heads = self.draw(n, k, 2 * HEAD_BLOCK + 5, lambda r: [0, 1, 2])
+        assert heads.block == HEAD_BLOCK
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (13, 4)])
+    def test_streams_that_stop_early_leave_the_others_unchanged(self, n, k):
+        # stream i draws in the first stops[i] rounds, as a tree searches nodes until it
+        # is finished; the stops fall inside blocks and on either side of a block end
+        stops = [3, HEAD_BLOCK - 1, HEAD_BLOCK, HEAD_BLOCK + 1, 2 * HEAD_BLOCK + 7]
+        self.draw(n, k, max(stops), lambda r: [i for i, stop in enumerate(stops) if r < stop],
+                  streams=len(stops))
+
+    def test_streams_taken_out_of_step(self):
+        self.draw(13, 4, 80, lambda r: [i for i in range(4) if (r + i) % (i + 2)], streams=4)
+
+    def test_many_long_streams_take_smaller_blocks(self):
+        heads = self.draw(1000, 32, 30, lambda r: [0, 1, 2, 3, 4], streams=5)
+        assert 1 < heads.block < HEAD_BLOCK
