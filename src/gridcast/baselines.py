@@ -11,6 +11,9 @@ CART trees over bootstrap samples.
 
 from __future__ import annotations
 
+import os
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,17 +172,24 @@ def rank_columns(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank_order(r: np.ndarray, n: int) -> np.ndarray:
-    """Argsort along the last axis of ranks ``r`` in [0, n], equal ranks in position order.
+def rank_sort(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, sorted ranks)`` along the last axis of ranks ``r`` in [0, n].
 
-    That is the order a stable sort of the ranked values gives. Keys
-    rank * width + position are unique, so numpy's default sort, several
-    times faster than its stable one, finds it; int32 keys sort faster
-    than int64 and hold every key while (n + 1) * width fits.
+    Equal ranks keep position order, which is the order a stable sort
+    of the ranked values gives. Each key packs a rank above its
+    position, ``(rank << shift) | position`` with ``shift`` the bit
+    length of width - 1, so keys are unique and one in-place default
+    sort, several times faster than a stable argsort, orders them;
+    int32 keys sort faster than int64 and hold every key while
+    (n + 1) << shift fits.
     """
     width = r.shape[-1]
-    dtype = np.int32 if (n + 1) * width <= np.iinfo(np.int32).max else np.int64
-    return np.argsort(r.astype(dtype, copy=False) * width + np.arange(width, dtype=dtype), axis=-1)
+    shift = (width - 1).bit_length()
+    dtype = np.int32 if (n + 1) << shift <= np.iinfo(np.int32).max else np.int64
+    keys = np.left_shift(r, shift, dtype=dtype)
+    keys |= np.arange(width, dtype=dtype)
+    keys.sort(axis=-1)
+    return keys & ((1 << shift) - 1), keys >> shift
 
 
 def best_split(x: np.ndarray, ranks: np.ndarray, feats: np.ndarray, rows: np.ndarray,
@@ -206,10 +216,9 @@ def best_split(x: np.ndarray, ranks: np.ndarray, feats: np.ndarray, rows: np.nda
         return [None] * nodes
     n = ranks.shape[1] - 1
     r = ranks.take(feats[:, :, None] * (n + 1) + rows[:, None, :])
-    order = rank_order(r, n)
+    order, rs = rank_sort(r, n)
     node, col = np.arange(nodes), np.arange(k)
     ys = y.take(order + (node * width)[:, None, None])
-    rs = r.take(order + (np.arange(nodes * k) * width).reshape(nodes, k, 1))
     m = np.asarray(sizes)[:, None, None]
     p = np.arange(min_leaf, width - min_leaf + 1)      # left-side counts
     left = slice(min_leaf - 1, width - min_leaf)       # sorted rows p-1 ...
@@ -220,12 +229,12 @@ def best_split(x: np.ndarray, ranks: np.ndarray, feats: np.ndarray, rows: np.nda
     last = (node[:, None], col, m[..., 0] - 1)
     total = csum[last][..., None]
     total_csq = csq[last][..., None]
-    # Column totals are squared one at a time as numpy scalars, which
+    # Column totals are squared one at a time as Python floats, which
     # calls libm pow; an array's ** 2 multiplies instead, and the two
     # differ in the last bit now and then. One ulp can flip a near-tie
     # split, so the scalar form keeps fitted forests, and compare.csv,
     # reproducible across releases.
-    total_sq = np.array([t ** 2 for t in total.ravel()]).reshape(total.shape)
+    total_sq = np.array([t ** 2 for t in total.ravel().tolist()]).reshape(total.shape)
     total_sse = total_csq - total_sq / m
     left_sse = csq[..., left] - csum[..., left] ** 2 / p
     right_sum = total - csum[..., left]
@@ -325,6 +334,135 @@ def _grow_trees(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
                 stacks[t] += (right, left)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or the host's count
+    where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _grow_in_processes(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
+                       max_depth: int, min_leaf: int, jobs: int):
+    """``_grow_trees`` with the trees split by stride over ``jobs`` processes.
+
+    The caller grows share 0, ``trees[::jobs]``; share j of the others
+    grows in a forked child, which sends its trees back through a pipe
+    as ``_pack_trees`` bytes and ends. Every tree grows as it would grow
+    alone, so the trees are the serial fit's, bit for bit. Every pipe is
+    read to its end before any child is reaped, so no child blocks on a
+    full pipe. Whatever happens, every child is reaped before this
+    returns, killed first if this process failed; a child that exits
+    non-zero or sends a short payload raises ``ChildProcessError``.
+    """
+    workers = []        # (pid, read end of its pipe) of each child
+    payloads = []
+    try:
+        for j in range(1, jobs):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _grow_in_child(write, trees[j::jobs], x, y, roots[j::jobs], max_depth,
+                               min_leaf)
+            os.close(write)
+            workers.append((pid, read))
+        _grow_trees(trees[::jobs], x, y, roots[::jobs], max_depth, min_leaf)
+        for _, read in workers:
+            chunks = []
+            while chunk := os.read(read, 1 << 20):
+                chunks.append(chunk)
+            payloads.append(b"".join(chunks))
+    finally:
+        statuses = []
+        for pid, read in workers:
+            if len(payloads) < len(workers):
+                os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for j, ((pid, _), status, payload) in enumerate(zip(workers, statuses, payloads), 1):
+        if status != 0:
+            raise ChildProcessError(f"forest worker {pid} exited with status {status}")
+        _unpack_trees(payload, trees[j::jobs])
+
+
+def _grow_in_child(write: int, trees: list, x, y, roots, max_depth, min_leaf):
+    """Runs in a forked child: grows ``trees``, writes them to the pipe end
+    ``write`` and ends the process, never returning. ``os._exit`` skips the
+    flush of stdio buffers copied from the parent, which would write their
+    contents a second time."""
+    status = 1
+    try:
+        _grow_trees(trees, x, y, roots, max_depth, min_leaf)
+        view = memoryview(_pack_trees(trees))
+        while view:
+            view = view[os.write(write, view):]
+        status = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _pack_trees(trees: list) -> bytes:
+    """Grown trees as flat arrays, the bytes ``_unpack_trees`` reads.
+
+    int64 node count and final ``rng._counter`` of each tree, then
+    int64 feature, left and right and float64 threshold and value of
+    each node: the trees in order, each tree's nodes depth first, left
+    before right, with ``left`` and ``right`` indexing the tree's own
+    nodes (-1 at a leaf).
+    """
+    nodes, counts, left, right = [], [], [], []
+    for tree in trees:
+        order, stack = [], [tree.root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if node.left is not None:
+                stack += (node.right, node.left)
+        where = {id(node): i for i, node in enumerate(order)}
+        left += [where.get(id(node.left), -1) for node in order]
+        right += [where.get(id(node.right), -1) for node in order]
+        nodes += order
+        counts.append(len(order))
+    head = np.array([counts, [tree.rng._counter for tree in trees]], dtype=np.int64)
+    ints = np.array([[node.feature for node in nodes], left, right], dtype=np.int64)
+    floats = np.array([[node.threshold for node in nodes], [node.value for node in nodes]])
+    return head.tobytes() + ints.tobytes() + floats.tobytes()
+
+
+def _unpack_trees(payload: bytes, trees: list):
+    """Links the ``_Node`` trees that ``_pack_trees`` wrote into ``trees``,
+    their fields Python ints and floats, and sets each tree's rng counter."""
+    t = len(trees)
+    total = int(np.frombuffer(payload, np.int64, count=t).sum()) if len(payload) >= 8 * t else 0
+    if len(payload) != 8 * (2 * t + 5 * total):
+        raise ChildProcessError(f"forest worker sent {len(payload)} bytes for {t} trees")
+    ints = np.frombuffer(payload, np.int64, count=2 * t + 3 * total)
+    counts, counters = ints[:2 * t].reshape(2, t).tolist()
+    feature, left, right = ints[2 * t:].reshape(3, total).tolist()
+    threshold, value = np.frombuffer(payload, offset=ints.nbytes).reshape(2, total).tolist()
+    start = 0
+    for tree, count, counter in zip(trees, counts, counters):
+        stop = start + count
+        nodes = [_Node(v) for v in value[start:stop]]
+        for node, f, th, lo, hi in zip(nodes, feature[start:stop], threshold[start:stop],
+                                       left[start:stop], right[start:stop]):
+            node.feature, node.threshold = f, th
+            if lo >= 0:
+                node.left, node.right = nodes[lo], nodes[hi]
+        tree.root = nodes[0]
+        tree.rng._counter = counter
+        start = stop
+
+
 class RegressionTree:
     """Greedy CART regressor with mean-valued leaves, grown by ``_grow_trees``.
 
@@ -360,7 +498,8 @@ class RandomForest:
         n = x.shape[0]
         self.trees = [RegressionTree(master.spawn(i)) for i in range(self.config.n_trees)]
         bootstraps = [tree.rng.integers(n, n) for tree in self.trees]
-        _grow_trees(self.trees, x, y, bootstraps, self.config.max_depth, MIN_LEAF)
+        jobs = min(usable_cpus(), len(self.trees)) if hasattr(os, "fork") else 1
+        _grow_in_processes(self.trees, x, y, bootstraps, self.config.max_depth, MIN_LEAF, jobs)
         return self
 
     def predict(self, x) -> np.ndarray:

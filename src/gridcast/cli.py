@@ -39,9 +39,6 @@ from .tensor import RngState
 from .train import INFERENCE_CHUNK, TrainConfig, fit, predict_all
 
 MODEL_FORMAT = "gridcast-model-v2"
-# windows scaled at a time by ``forecast``; a multiple of INFERENCE_CHUNK,
-# so the network sees the same batches as one whole-array predict_all
-FORECAST_SLICE = 8 * INFERENCE_CHUNK
 NOT_REPRODUCED = ("SVR", "XGB")
 
 
@@ -390,13 +387,14 @@ def _decode_param(key: str, entry) -> np.ndarray:
 def forecast(net: Network, scaler: dat.Scaler, windows: np.ndarray) -> np.ndarray:
     """The model's outputs for raw (n, window, 13) windows.
 
-    ``windows`` are scaled with the model's own ``scaler``,
-    ``FORECAST_SLICE`` at a time; regression outputs come back in kW,
+    ``windows`` are scaled with the model's own ``scaler`` and
+    predicted ``INFERENCE_CHUNK`` at a time, the batches of one
+    whole-array ``predict_all``; regression outputs come back in kW,
     classification ones are the head's zero-state probabilities.
     """
     raw = np.empty(windows.shape[0])
-    for start in range(0, windows.shape[0], FORECAST_SLICE):
-        stop = start + FORECAST_SLICE
+    for start in range(0, windows.shape[0], INFERENCE_CHUNK):
+        stop = start + INFERENCE_CHUNK
         raw[start:stop] = predict_all(net, scaler.scale_inputs(windows[start:stop]))
     return scaler.unscale_targets(raw) if net.config.head == "regression" else raw
 
@@ -602,7 +600,9 @@ def cmd_predict(args) -> int:
             rep = regression_metrics(preds[has_real], reals[has_real])
             print(f"r2 on rows with targets: {rep.r2!r}")
         except NumericError:
-            pass  # every target is the same, as on a night-only slice: r2 is undefined
+            # r2 is undefined: every target is the same, as on a night-only slice,
+            # or a prediction or target is too large
+            pass
     return 0
 
 

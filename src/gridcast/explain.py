@@ -7,7 +7,7 @@ outputs, and both estimators score all the coalitions they need in one
 model call per window. Exact enumeration of the schema's 13 players
 takes 2^13 = 8,192 coalitions per window: at window 8 their mixed-input
 stack is 0.85 M float64 values (6.8 MB), and one window takes
-0.29-0.44 s with the default network on 2 CPUs. By construction every
+0.13-0.15 s with the default network on 2 CPUs. By construction every
 sampled permutation's marginals sum to f(x) - f(background), so the
 sampling estimator satisfies the efficiency axiom exactly as well.
 """

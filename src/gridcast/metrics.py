@@ -45,17 +45,29 @@ class ClassificationReport:
 
 
 def regression_metrics(pred, real) -> RegressionReport:
-    """MAE, RMSE and the coefficient of determination about mean(real)."""
+    """MAE, RMSE and the coefficient of determination about mean(real).
+
+    Raises ``NumericError`` when any of the three is not finite, as a
+    huge or non-finite prediction or target makes it, so no report
+    carries an inf or a NaN.
+    """
     pred = np.asarray(pred, dtype=np.float64)
     real = np.asarray(real, dtype=np.float64)
-    err = pred - real
-    mae = float(np.abs(err).mean())
-    rmse = float(np.sqrt((err * err).mean()))
-    ss_tot = float(((real - real.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        raise NumericError("R2 is undefined: real values have zero variance")
-    r2 = 1.0 - float((err * err).sum()) / ss_tot
-    return RegressionReport(mae, rmse, r2)
+    # overflow shows in the results, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = pred - real
+        mae = float(np.abs(err).mean())
+        rmse = float(np.sqrt((err * err).mean()))
+        ss_tot = float(((real - real.mean()) ** 2).sum())
+        if ss_tot == 0.0:
+            raise NumericError("R2 is undefined: real values have zero variance")
+        r2 = 1.0 - float((err * err).sum()) / ss_tot
+    report = RegressionReport(mae, rmse, r2)
+    bad = [name for name, value in report.to_dict().items() if not np.isfinite(value)]
+    if bad:
+        raise NumericError(f"{' and '.join(bad)} not finite: a prediction or target is too "
+                           "large or not finite")
+    return report
 
 
 def classification_metrics(scores, labels) -> ClassificationReport:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcast import baselines
 from gridcast import data as dat
 from gridcast.baselines import (MIN_LEAF, BayesianRidge, ForestConfig, RandomForest,
                                 RegressionTree, _grow_trees, best_split, flatten_windows,
-                                knn_predict_batch, rank_columns, rank_order)
+                                knn_predict_batch, rank_columns, rank_sort)
 from gridcast.cli import RunConfig
 from gridcast.errors import DataError, NumericError, ParameterError
 from gridcast.tensor import RngState
@@ -338,7 +340,7 @@ class TestTree:
         assert found[4] is None
 
     def test_split_with_keys_past_int32_matches_the_reference(self):
-        # 50,000 rows: (n + 1) * width passes 2**31, so the sort keys are int64; column 0
+        # 50,000 rows: (n + 1) << 16 passes 2**31, so the sort keys are int64; column 0
         # has a rank per row, which int32 keys would overflow, and column 1 has ties
         rng = RngState(20)
         x = rng.uniform(-2, 2, (50_000, 2))
@@ -362,7 +364,10 @@ class TestTree:
         index = np.array(rows + [m] * data.draw(st.integers(0, 5)))
         padded = np.vstack([x, np.full(k, np.inf)])
         expected = np.argsort(padded[index].T, axis=-1, kind="stable")
-        assert np.array_equal(rank_order(rank_columns(x)[:, index], m), expected)
+        r = rank_columns(x)[:, index]
+        order, ranks = rank_sort(r, m)
+        assert np.array_equal(order, expected)
+        assert np.array_equal(ranks, np.sort(r, axis=-1))
 
     def test_min_leaf_respected(self):
         x = np.arange(10, dtype=float).reshape(-1, 1)
@@ -392,21 +397,65 @@ class TestTree:
 class TestForest:
     @pytest.mark.parametrize("n_trees", [1, 3, 10])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_lockstep_trees_match_reference_grower(self, n_trees, seed):
+    def test_lockstep_trees_match_reference_grower(self, n_trees, seed, monkeypatch):
         # 300 rows: nodes fall in every batch class, from batches of 1 to <= 32 rows
         x, y = forest_data(seed)
         config = ForestConfig(n_trees=n_trees, max_depth=12, seed=seed)
-        forest = RandomForest(config).fit(x, y)
         expected = []
-        for i, tree in enumerate(forest.trees):
+        for i in range(n_trees):
             rng = RngState(seed).spawn(i)
             idx = rng.integers(len(y), len(y))
-            expected.append(reference_tree(x[idx], y[idx], rng, config.max_depth, MIN_LEAF))
-            assert as_tuples(tree.root) == expected[-1]
-            assert tree.rng._counter == rng._counter
+            expected.append((reference_tree(x[idx], y[idx], rng, config.max_depth, MIN_LEAF),
+                             rng._counter))
         queries = forest_data(seed + 100, n=50)[0]
-        reference = np.stack([predict_tuples(t, queries) for t in expected]).mean(axis=0)
-        assert np.array_equal(forest.predict(queries), reference)
+        reference = np.stack([predict_tuples(t, queries) for t, _ in expected]).mean(axis=0)
+        # one process, then trees split over this one and a forked child, on any host
+        for workers in (1, 2):
+            monkeypatch.setattr(baselines, "usable_cpus", lambda: workers)
+            forest = RandomForest(config).fit(x, y)
+            assert [(as_tuples(t.root), t.rng._counter) for t in forest.trees] == expected
+            assert np.array_equal(forest.predict(queries), reference)
+
+    def test_trees_from_a_child_have_python_fields(self, monkeypatch):
+        monkeypatch.setattr(baselines, "usable_cpus", lambda: 2)
+        x, y = forest_data(4)
+        child_tree = RandomForest(ForestConfig(n_trees=2, seed=4)).fit(x, y).trees[1]
+        stack = [child_tree.root]
+        while stack:
+            node = stack.pop()
+            assert (type(node.feature), type(node.threshold), type(node.value)) == (int, float,
+                                                                                     float)
+            if node.left is not None:
+                stack += (node.left, node.right)
+            else:
+                assert (node.feature, node.threshold, node.right) == (-1, 0.0, None)
+
+    @pytest.mark.parametrize("failure, raised, match", [
+        pytest.param("child-exits-3", ChildProcessError, "exited with status 3",
+                     id="child-exits-3"),
+        pytest.param("child-sends-short-payload", ChildProcessError,
+                     "sent \\d+ bytes for 2 trees", id="child-sends-short-payload"),
+        pytest.param("parent-raises", RuntimeError, "parent failed", id="parent-raises"),
+    ])
+    def test_failed_fit_raises_and_leaves_no_child(self, monkeypatch, failure, raised, match):
+        parent, grow, pack = os.getpid(), baselines._grow_trees, baselines._pack_trees
+
+        def failing_grow(trees, *args):
+            if failure == "child-exits-3" and os.getpid() != parent:
+                os._exit(3)
+            if failure == "parent-raises" and os.getpid() == parent:
+                raise RuntimeError("parent failed")
+            grow(trees, *args)
+
+        monkeypatch.setattr(baselines, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(baselines, "_grow_trees", failing_grow)
+        if failure == "child-sends-short-payload":
+            monkeypatch.setattr(baselines, "_pack_trees", lambda trees: pack(trees)[:-8])
+        x, y = forest_data(5)
+        with pytest.raises(raised, match=match):
+            RandomForest(ForestConfig(n_trees=4, seed=5)).fit(x, y)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_constant_targets(self):
         x = RngState(7).uniform(-1, 1, (25, 4))

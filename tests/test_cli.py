@@ -1,5 +1,6 @@
 import argparse
 import base64
+import contextlib
 import csv
 import json
 import os
@@ -17,14 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcast import cli
-from gridcast.cli import (FORECAST_SLICE, RunConfig, build_parser, forecast, load_model, main,
-                          save_model)
+from gridcast import baselines, cli
+from gridcast.cli import RunConfig, build_parser, forecast, load_model, main, save_model
 from gridcast.errors import GridcastError, ParameterError
 from gridcast.metrics import regression_metrics
 from gridcast.network import Network
 from gridcast.tensor import RngState
-from gridcast.train import fit, predict_all
+from gridcast.train import INFERENCE_CHUNK, fit, predict_all
 
 REPO = Path(__file__).resolve().parents[1]
 FAST_NET = ["--blocks", "1", "--conv-filters", "3", "--gru-units", "3",
@@ -649,6 +649,24 @@ class TestExitCodes:
         assert "training mean or std is not finite" in err
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
 
+    def test_test_split_row_of_1e308_is_numeric_error(self, tmp_path, capsys):
+        # data row 1990 lies in the test split, which the scaler never sees: the model
+        # trains, its test predictions overflow, and the metrics refuse them
+        path = tmp_path / "big.csv"
+        assert main(["synth", "--rows", "2000", "--seed", "1", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        lines[1990] = ",".join(["1e308"] * 13)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the network's own overflow
+            code = main(["train", "--csv", str(path), "--max-epochs", "1", "--out-dir", str(out)])
+        assert code == 4
+        assert "not finite" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt", "model.json",
+                                                         "trainlog.csv"]
+
     def test_bad_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -799,7 +817,7 @@ class TestModelFile:
 class TestForecast:
     def test_slices_give_the_bits_of_one_whole_predict(self, trained):
         net, scaler, meta = load_model(trained / "model.json")
-        windows = RngState(3).uniform(0, 100, (FORECAST_SLICE * 2 + 45, meta["window"], 13))
+        windows = RngState(3).uniform(0, 100, (INFERENCE_CHUNK * 2 + 45, meta["window"], 13))
         whole = scaler.unscale_targets(predict_all(net, scaler.scale_inputs(windows)))
         assert np.array_equal(forecast(net, scaler, windows), whole)
 
@@ -863,6 +881,32 @@ class TestCompare:
         first = read_bytes_map(out)
         assert main(argv) == 0
         assert read_bytes_map(out) == first
+
+    def test_worker_processes_write_the_serial_table(self, tmp_path, synth_csv, trained,
+                                                     monkeypatch):
+        tables = []
+        for workers in (1, 2):
+            monkeypatch.setattr(baselines, "usable_cpus", lambda: workers)
+            out = tmp_path / f"cmp{workers}"
+            assert main(["compare", "--model", str(trained / "model.json"), "--csv",
+                         str(synth_csv), "--out-dir", str(out), "--trees", "10"]) == 0
+            tables.append((out / "compare.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_worker_processes_print_each_line_once(self, tmp_path, synth_csv, trained,
+                                                   monkeypatch):
+        # a line still in the log's buffer when the children fork, as perfbench's log
+        # holds earlier runs' lines: a child that flushed on exit would write it again
+        monkeypatch.setattr(baselines, "usable_cpus", lambda: 2)
+        out = tmp_path / "cmp"
+        with open(tmp_path / "log.txt", "w", encoding="utf-8") as log:
+            log.write("before compare\n")
+            with contextlib.redirect_stdout(log):
+                assert main(["compare", "--model", str(trained / "model.json"), "--csv",
+                             str(synth_csv), "--out-dir", str(out), "--trees", "4"]) == 0
+        lines = (tmp_path / "log.txt").read_text().splitlines()
+        assert lines[0] == "before compare" and lines[-1].startswith("comparison table in")
+        assert len(lines) == len(set(lines)) > 5
 
     def test_classification_task_rejected(self, tmp_path, synth_csv):
         assert main(["compare", "--csv", str(synth_csv), "--task",

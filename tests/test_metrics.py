@@ -32,6 +32,17 @@ class TestRegressionMetrics:
         with pytest.raises(NumericError):
             regression_metrics([1.0, 2.0], [3.0, 3.0])
 
+    @pytest.mark.parametrize("pred, real, named", [
+        pytest.param([np.nan, np.nan], [1.0, 2.0], "mae and rmse and r2", id="all-nan-predictions"),
+        pytest.param([1e308, 2.0], [-1e308, 3.0], "mae and rmse and r2", id="overflowing-error"),
+        pytest.param([1e200, 2.0], [1.0, 3.0], "rmse and r2", id="overflowing-square"),
+        pytest.param([1.0, 2.0], [np.inf, 3.0], "mae and rmse and r2", id="infinite-target"),
+    ])
+    def test_non_finite_result_is_numeric_error(self, pred, real, named, recwarn):
+        with pytest.raises(NumericError, match=f"^{named} not finite"):
+            regression_metrics(pred, real)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=50),
            st.integers(0, 10_000))
     @settings(max_examples=300, deadline=None)
