@@ -21,6 +21,7 @@ import argparse
 import base64
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -49,14 +50,10 @@ class RunConfig:
     # data source (exactly one of csv / synth_rows)
     csv: str | None = None
     synth_rows: int | None = None
-    synth_regime: str = "default"
-    on_missing: str = "reject"
     window: int = 8
     horizon: int = 1
     train_frac: float = 0.8
     val_frac: float = 0.1
-    shuffle_split: bool = False
-    validate_on_test: bool = False
     # task & architecture
     task: str = "regression"
     blocks: int = 2
@@ -66,7 +63,6 @@ class RunConfig:
     attn_dim: int = 16
     mlp_hidden: int = 32
     dropout_rate: float = 0.2
-    conv_activation: str = "relu"
     # training
     max_epochs: int = 10000
     early_stop_patience: int = 300
@@ -99,10 +95,6 @@ class RunConfig:
                      "forest_depth"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        # checked here, not only by the loader of the source in use
-        for name, allowed in (("synth_regime", dat.REGIMES), ("on_missing", dat.ON_MISSING)):
-            if getattr(self, name) not in allowed:
-                problems.append(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         problems += self.network_config().violations() + self.train_config().violations()
         if problems:
             raise ParameterError("invalid run config: " + "; ".join(problems))
@@ -194,7 +186,7 @@ def _make_dir(path: Path, what: str):
 
 def _write_json(payload: dict, path: Path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -237,15 +229,13 @@ def _write_shapley(path: Path, report):
 
 def load_table(cfg: RunConfig) -> dat.Table:
     if cfg.csv is not None:
-        return dat.load_csv(cfg.csv, on_missing=cfg.on_missing)
-    return dat.synth_generate(cfg.synth_rows, cfg.seed, cfg.synth_regime)
+        return dat.load_csv(cfg.csv)
+    return dat.synth_generate(cfg.synth_rows, cfg.seed)
 
 
 def split_indices(cfg: RunConfig, n: int) -> dict[str, np.ndarray]:
     """The run's train/val/test positions among ``n`` windows."""
-    return dat.split_indices(n, train_frac=cfg.train_frac, val_frac_of_train=cfg.val_frac,
-                             shuffle=cfg.shuffle_split, seed=cfg.seed,
-                             validate_on_test=cfg.validate_on_test)
+    return dat.split_indices(n, train_frac=cfg.train_frac, val_frac_of_train=cfg.val_frac)
 
 
 def build_splits(cfg: RunConfig, table: dat.Table):
@@ -325,6 +315,10 @@ def _read_model(payload: dict) -> tuple[Network, dat.Scaler]:
             raise SchemaError(f"network config {field.name} must be {field.type}, "
                               f"got {value!r}")
         values[field.name] = value
+    # older files name the convolution activation; any value but relu would load as relu
+    if raw_config.get("conv_activation", "relu") != "relu":
+        raise SchemaError(f"network config conv_activation must be 'relu', "
+                          f"got {raw_config['conv_activation']!r}")
     config = NetworkConfig(**values)
     problems = config.violations()
     if problems:
@@ -460,12 +454,11 @@ def cmd_synth(args) -> int:
     meta_path = Path(str(out) + ".meta.json")
     # both targets are checked before either is written, so neither is left alone
     for path in (out, meta_path):
-        if path.is_dir():
+        if os.path.isdir(path):
             raise ParameterError(f"cannot write {path}: it is a directory")
-    table = dat.synth_generate(args.rows, args.seed, args.regime)
+    table = dat.synth_generate(args.rows, args.seed)
     _make_dir(out.parent, "the directory of --out")
-    meta = {"rows": args.rows, "seed": args.seed, "regime": args.regime,
-            "columns": list(dat.SCHEMA)}
+    meta = {"rows": args.rows, "seed": args.seed, "columns": list(dat.SCHEMA)}
     try:
         dat.write_csv(table, out)
         _write_json(meta, meta_path)
@@ -473,7 +466,7 @@ def cmd_synth(args) -> int:
         raise ParameterError(f"cannot write {err.filename}: {err.strerror}") from None
     print(f"wrote {len(table)} rows to {out}")
     print(f"{'feature':<16}{'target mean':>16}{'achieved':>16}{'target var':>14}{'achieved':>14}")
-    for row in dat.moment_report(table, args.regime):
+    for row in dat.moment_report(table):
         print(f"{row['feature']:<16}{row['target_mean']:>16.2f}{row['achieved_mean']:>16.2f}"
               f"{row['target_variance']:>14.2f}{row['achieved_variance']:>14.2f}")
     return 0
@@ -638,10 +631,9 @@ def cmd_explain(args) -> int:
 _FLAG_NAMES = {"dropout_rate": "--dropout", "early_stop_patience": "--patience",
                "initial_lr": "--lr", "n_trees": "--trees", "explain_windows": "--windows",
                "explain_perms": "--perms", "explain_exact": "--exact"}
-_CHOICES = {"task": HEADS, "synth_regime": dat.REGIMES}
+_CHOICES = {"task": HEADS}
 _HELP = {"csv": "input CSV path"}
-_DATA_FIELDS = ("csv", "synth_rows", "synth_regime", "window", "shuffle_split",
-                "validate_on_test")
+_DATA_FIELDS = ("csv", "synth_rows", "window")
 _NET_FIELDS = ("task", "blocks", "conv_filters", "kernel", "gru_units", "attn_dim",
                "mlp_hidden", "dropout_rate", "max_epochs", "early_stop_patience",
                "lr_patience", "initial_lr", "batch_size")
@@ -669,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     synth.add_argument("--rows", type=int, required=True)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--regime", default="default", choices=dat.REGIMES)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 

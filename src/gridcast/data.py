@@ -25,8 +25,6 @@ from .tensor import RngState
 
 log = logging.getLogger(__name__)
 
-ON_MISSING = ("reject", "ffill")
-
 SCHEMA = [
     "pv_kw",
     "battery_kw",
@@ -111,9 +109,6 @@ _PHASE_OFFSETS = {
 # and the mean output is the reference 18.55 kW
 _GEN_THRESHOLD = -0.36842489
 _GEN_SCALE = 29.3815595
-# factor on every reference mean, and on generator_kw, per synthetic regime
-_MEAN_SCALE = {"default": 1.0, "kenya": 0.9}
-REGIMES = tuple(_MEAN_SCALE)
 
 
 @dataclass
@@ -180,17 +175,14 @@ def _normalize(name: str) -> str:
     return name.strip().lower()
 
 
-def load_csv(path, on_missing: str = "reject") -> Table:
+def load_csv(path) -> Table:
     """Read a schema-conformant CSV into a Table.
 
     Header matching is case/whitespace-insensitive, and a known column
     named twice raises a SchemaError. Rows with empty cells are dropped
-    (``reject``) or forward-filled (``ffill``); any other unparsable
-    cell raises a RowError citing the file line. Timestamp cells are
-    kept as written, spaces included.
+    with a warning; any other unparsable cell raises a RowError citing
+    the file line. Timestamp cells are kept as written, spaces included.
     """
-    if on_missing not in ON_MISSING:
-        raise ParameterError(f"on_missing must be one of {ON_MISSING}, got {on_missing!r}")
     try:
         # utf-8-sig drops the byte-order mark a spreadsheet export may start with
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -219,21 +211,15 @@ def load_csv(path, on_missing: str = "reject") -> Table:
     timestamps = [] if ts_col is not None else None
     dropped = 0
     kept = 0
-    prev = None
     for row_idx, row in enumerate(rows[1:]):
         line = row_idx + 2
         if len(row) != len(header):
             raise RowError(line, f"expected {len(header)} cells, got {len(row)}")
         values = []
-        gap = False
-        for j, name in enumerate(SCHEMA):
+        for name in SCHEMA:
             text = row[col_of[name]].strip()
             if text == "":
-                gap = True
-                if on_missing == "reject" or prev is None:
-                    break
-                values.append(prev[j])
-                continue
+                break
             try:
                 value = float(text)
             except ValueError:
@@ -241,14 +227,13 @@ def load_csv(path, on_missing: str = "reject") -> Table:
             if not math.isfinite(value):
                 raise RowError(line, f"non-finite value in column {name}")
             values.append(value)
-        if gap and (on_missing == "reject" or prev is None):
+        if len(values) < len(SCHEMA):
             dropped += 1
             continue
         if values[TARGET_INDEX] < 0:
             raise RowError(line, f"{TARGET_COLUMN} must be >= 0, got {values[TARGET_INDEX]}")
         features[kept] = values
         kept += 1
-        prev = values
         if timestamps is not None:
             timestamps.append(row[ts_col])
     if dropped:
@@ -334,32 +319,23 @@ def fit_scaler(inputs: np.ndarray, targets: np.ndarray) -> Scaler:
     return Scaler(mean, std, t_mean, t_std)
 
 
-def split_indices(n: int, train_frac: float = 0.8, val_frac_of_train: float = 0.1,
-                  shuffle: bool = False, seed: int = 0,
-                  validate_on_test: bool = False) -> dict[str, np.ndarray]:
+def split_indices(n: int, train_frac: float = 0.8,
+                  val_frac_of_train: float = 0.1) -> dict[str, np.ndarray]:
     """Chronological train/val/test positions of ``n`` samples.
 
-    The first ``train_frac`` of samples trains (its last tenth becomes
-    the validation set unless ``validate_on_test`` reuses the test
-    split); the remainder tests. ``shuffle`` exists only for comparison
-    against shuffled protocols and is off by default because shuffled
-    windows leak near-duplicates across the split boundary.
+    The first ``train_frac`` of samples trains, and the last
+    ``val_frac_of_train`` of those becomes the validation set; the
+    remainder tests. The split is never shuffled: shuffled windows
+    leak near-duplicates across the split boundary.
     """
-    order = RngState(seed).permutation(n) if shuffle else np.arange(n)
+    positions = np.arange(n)
     n_train_total = int(np.floor(train_frac * n))
-    if validate_on_test:
-        parts = {
-            "train": order[:n_train_total],
-            "val": order[n_train_total:],
-            "test": order[n_train_total:],
-        }
-    else:
-        n_val = int(np.floor(val_frac_of_train * n_train_total))
-        parts = {
-            "train": order[:n_train_total - n_val],
-            "val": order[n_train_total - n_val:n_train_total],
-            "test": order[n_train_total:],
-        }
+    n_val = int(np.floor(val_frac_of_train * n_train_total))
+    parts = {
+        "train": positions[:n_train_total - n_val],
+        "val": positions[n_train_total - n_val:n_train_total],
+        "test": positions[n_train_total:],
+    }
     for name, idx in parts.items():
         if idx.size == 0:
             raise DataError(f"{name} split is empty with n={n}")
@@ -429,16 +405,13 @@ def synth_latent(n: int, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
     return persist, shortfall
 
 
-def synth_generate(n: int, seed: int, regime: str = "default") -> Table:
+def synth_generate(n: int, seed: int) -> Table:
     """Draw ``n`` schema rows with reference moments and a learnable target."""
     if n < 1:
         raise ParameterError(f"row count must be >= 1, got {n}")
-    if regime not in REGIMES:
-        raise ParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
     rng = RngState(seed)
     persist, shortfall = synth_latent(n, rng)
-    mean_scale = _MEAN_SCALE[regime]
-    generator = _GEN_SCALE * mean_scale * np.clip(shortfall - _GEN_THRESHOLD, 0.0, None)
+    generator = _GEN_SCALE * np.clip(shortfall - _GEN_THRESHOLD, 0.0, None)
 
     feat_rng = rng.spawn(2)
     features = np.empty((n, len(SCHEMA)))
@@ -450,22 +423,21 @@ def synth_generate(n: int, seed: int, regime: str = "default") -> Table:
         w = _LOADINGS[name]
         mix = _CYCLE_WEIGHT * _cycle(n, _PHASE_OFFSETS[name]) + _PERSIST_WEIGHT * persist
         noise = feat_rng.normals(n)
-        features[:, j] = mean * mean_scale + np.sqrt(variance) * (
+        features[:, j] = mean + np.sqrt(variance) * (
             w * mix + np.sqrt(1.0 - w * w) * noise
         )
     return Table(features)
 
 
-def moment_report(table: Table, regime: str = "default") -> list[dict]:
+def moment_report(table: Table) -> list[dict]:
     """Achieved vs reference mean/variance per column, for synth provenance."""
-    scale = _MEAN_SCALE[regime]
     rows = []
     for j, name in enumerate(SCHEMA):
         mean, variance = TABLE_STATS[name]
         col = table.features[:, j]
         rows.append({
             "feature": name,
-            "target_mean": mean * scale,
+            "target_mean": mean,
             "achieved_mean": float(col.mean()),
             "target_variance": variance,
             "achieved_variance": float(col.var()),

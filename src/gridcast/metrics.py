@@ -40,7 +40,6 @@ class ClassificationReport:
             "accuracy": self.accuracy,
             "precision": self.precision,
             "auc": self.auc,
-            "roc_points": [list(p) for p in self.roc_points],
         }
 
 

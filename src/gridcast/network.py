@@ -53,7 +53,6 @@ class NetworkConfig:
     mlp_hidden: int = 32
     dropout_rate: float = 0.2
     head: str = "regression"
-    conv_activation: str = "relu"
 
     def violations(self) -> list[str]:
         problems = []
@@ -67,8 +66,6 @@ class NetworkConfig:
             problems.append(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.head not in HEADS:
             problems.append(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.conv_activation not in ("relu", "identity"):
-            problems.append(f"conv_activation must be relu or identity, got {self.conv_activation!r}")
         return problems
 
     def param_count(self) -> int:
@@ -137,11 +134,10 @@ class Network:
         width = config.features
         for _ in range(config.blocks):
             conv = Conv1d.init(width, config.conv_filters, config.kernel, rng)
-            conv_act = Relu() if config.conv_activation == "relu" else None
             gru = Gru.init(width, config.gru_units, rng)
             attn = Attention.init(config.gru_units, config.attn_dim, rng)
             norm = LayerNorm.init(config.conv_filters + config.gru_units)
-            blocks.append(_Block(conv, conv_act, gru, attn, norm))
+            blocks.append(_Block(conv, Relu(), gru, attn, norm))
             width = config.conv_filters + config.gru_units
         head_hidden = Dense.init(width, config.mlp_hidden, rng, activation="relu")
         head_drop = Dropout(config.dropout_rate)
@@ -183,9 +179,7 @@ class Network:
         for i, block in enumerate(self.blocks):
             # the head reads only the top block's last step
             steps = 1 if i == len(self.blocks) - 1 else cfg.window
-            conv_out = block.conv.forward(x, steps, training)
-            if block.conv_act is not None:
-                conv_out = block.conv_act.forward(conv_out, training)
+            conv_out = block.conv_act.forward(block.conv.forward(x, steps, training), training)
             attn_out = block.attn.forward(block.gru.forward(x, training), steps, training)
             x = block.norm.forward(np.concatenate([conv_out, attn_out], axis=2), training)
         hidden = self.head_hidden.forward(x[:, -1], training)
@@ -207,9 +201,7 @@ class Network:
         for block in reversed(self.blocks):
             g = block.norm.backward(grad_seq)
             g_conv, g_attn = g[:, :, :cfg.conv_filters], g[:, :, cfg.conv_filters:]
-            if block.conv_act is not None:
-                g_conv = block.conv_act.backward(g_conv)
-            dx_conv = block.conv.backward(g_conv)
+            dx_conv = block.conv.backward(block.conv_act.backward(g_conv))
             dx_gru = block.gru.backward(block.attn.backward(g_attn))
             grad_seq = dx_conv + dx_gru
         self.input_grad = grad_seq.reshape(self._input_shape)

@@ -283,9 +283,7 @@ def full_sequence_network(net, x, loss_grad, training=False, rng=None):
     cfg = net.config
     x = np.asarray(x, dtype=np.float64)
     for block in net.blocks:
-        conv_out = block.conv.forward(x)
-        if block.conv_act is not None:
-            conv_out = block.conv_act.forward(conv_out)
+        conv_out = block.conv_act.forward(block.conv.forward(x))
         attn_out = block.attn.forward(block.gru.forward(x))
         x = block.norm.forward(np.concatenate([conv_out, attn_out], axis=2))
     hidden = net.head_drop.forward(net.head_hidden.forward(x[:, -1, :]), training, rng)
@@ -297,9 +295,8 @@ def full_sequence_network(net, x, loss_grad, training=False, rng=None):
     for block in reversed(net.blocks):
         g = block.norm.backward(grad_seq)
         g_conv, g_attn = g[:, :, :cfg.conv_filters], g[:, :, cfg.conv_filters:]
-        if block.conv_act is not None:
-            g_conv = block.conv_act.backward(g_conv)
-        grad_seq = block.conv.backward(g_conv) + block.gru.backward(block.attn.backward(g_attn))
+        grad_seq = (block.conv.backward(block.conv_act.backward(g_conv))
+                    + block.gru.backward(block.attn.backward(g_attn)))
     layers = [(f"block{i}.{name}", getattr(block, name))
               for i, block in enumerate(net.blocks) for name in ("conv", "gru", "attn", "norm")]
     layers += [("head.hidden", net.head_hidden), ("head.out", net.head_out)]

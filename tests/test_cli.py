@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from gridcast import baselines, cli
 from gridcast.cli import RunConfig, build_parser, forecast, load_model, main, save_model
+from gridcast.data import SCHEMA, Table, synth_generate, write_csv
 from gridcast.errors import GridcastError, ParameterError
 from gridcast.metrics import regression_metrics
 from gridcast.network import Network
@@ -48,6 +49,15 @@ def trained(tmp_path_factory, synth_csv):
     return out
 
 
+@pytest.fixture(scope="module")
+def classified(tmp_path_factory, synth_csv):
+    out = tmp_path_factory.mktemp("classified")
+    code = main(["train", "--csv", str(synth_csv), "--task", "classification",
+                 "--seed", "2", "--out-dir", str(out), "--max-epochs", "3", *FAST_NET])
+    assert code == 0
+    return out
+
+
 def read_bytes_map(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.is_file()}
 
@@ -64,14 +74,13 @@ BAD_CONFIG_VALUES = list(dict.fromkeys(
     + [(f.name, text) for f in fields(RunConfig) if f.type == "float"
        for text in ("nan", "inf", "-inf")]))
 
-DATA_OPTIONS = {"--csv", "--synth-rows", "--synth-regime", "--window", "--shuffle-split",
-                "--validate-on-test"}
+DATA_OPTIONS = {"--csv", "--synth-rows", "--window"}
 NET_OPTIONS = {"--task", "--blocks", "--conv-filters", "--kernel", "--gru-units",
                "--attn-dim", "--mlp-hidden", "--dropout", "--max-epochs", "--patience",
                "--lr-patience", "--lr", "--batch-size"}
 RUN_OPTIONS = {"--config", "--seed", "--out-dir"}
 COMMAND_OPTIONS = {
-    "synth": {"--rows", "--seed", "--regime", "--out"},
+    "synth": {"--rows", "--seed", "--out"},
     "train": RUN_OPTIONS | DATA_OPTIONS | NET_OPTIONS,
     "compare": RUN_OPTIONS | DATA_OPTIONS | NET_OPTIONS | {"--model", "--knn-k", "--trees"},
     "predict": RUN_OPTIONS | {"--model", "--csv", "--split"},
@@ -87,8 +96,6 @@ OPTION_HELP = {"synth": {}, "train": DATA_HELP, "predict": RUN_HELP, "explain": 
 # a None value is a switch
 EVERY_FLAG_RUNS = {
     "compare": [("--seed", "seed", "3"), ("--window", "window", "5"),
-                ("--shuffle-split", "shuffle_split", None),
-                ("--validate-on-test", "validate_on_test", None),
                 ("--task", "task", "regression"), ("--blocks", "blocks", "1"),
                 ("--conv-filters", "conv_filters", "3"), ("--kernel", "kernel", "5"),
                 ("--gru-units", "gru_units", "3"), ("--attn-dim", "attn_dim", "2"),
@@ -99,7 +106,7 @@ EVERY_FLAG_RUNS = {
                 ("--trees", "n_trees", "2")],
     # the trained fixture's window is 6, and explain adopts the model's window
     "explain": [("--seed", "seed", "4"), ("--synth-rows", "synth_rows", "120"),
-                ("--synth-regime", "synth_regime", "kenya"), ("--window", "window", "6"),
+                ("--window", "window", "6"),
                 ("--windows", "explain_windows", "1"), ("--perms", "explain_perms", "3"),
                 ("--exact", "explain_exact", None)],
 }
@@ -111,13 +118,19 @@ class TestSynth:
         assert main(["synth", "--rows", "120", "--seed", "3", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 121
 
-    def test_regime_recorded_in_metadata(self, tmp_path):
+    def test_metadata_records_rows_seed_and_columns(self, tmp_path):
         out = tmp_path / "k.csv"
-        main(["synth", "--rows", "50", "--seed", "3", "--regime", "kenya",
-              "--out", str(out)])
+        main(["synth", "--rows", "50", "--seed", "3", "--out", str(out)])
         meta = json.loads((tmp_path / "k.csv.meta.json").read_text())
-        assert meta["regime"] == "kenya"
-        assert meta["rows"] == 50
+        assert meta == {"rows": 50, "seed": 3, "columns": list(SCHEMA)}
+
+    def test_name_too_long_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / ("a" * 300 + ".csv")
+        assert main(["synth", "--rows", "20", "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert f"configuration error: cannot write {out}: File name too long" in printed.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "same.csv"
@@ -135,20 +148,22 @@ class TestTrain:
         metrics = json.loads((trained / "metrics.json").read_text())
         assert {"mae", "rmse", "r2"} <= set(metrics)
 
-    def test_classification_metric_keys_and_roc(self, tmp_path, synth_csv):
-        out = tmp_path / "cls"
-        code = main(["train", "--csv", str(synth_csv), "--task", "classification",
-                     "--seed", "2", "--out-dir", str(out), "--max-epochs", "3",
-                     *FAST_NET])
-        assert code == 0
-        metrics = json.loads((out / "metrics.json").read_text())
+    def test_classification_metric_keys_and_roc(self, classified):
+        metrics = json.loads((classified / "metrics.json").read_text())
         assert {"accuracy", "precision", "auc", "confusion",
                 "mae", "rmse", "r2"} <= set(metrics)
         assert {"tp", "tn", "fp", "fn"} == set(metrics["confusion"])
-        roc = (out / "roc.csv").read_text().strip().splitlines()
+        assert "roc_points" not in metrics
+        roc = (classified / "roc.csv").read_text().strip().splitlines()
         assert roc[0] == "fpr,tpr,threshold"
-        assert len(roc) == len(metrics["roc_points"]) + 1
+        assert roc[1].split(",")[2] == "inf"
         assert len(roc) > 2
+
+    def test_classification_metrics_json_is_strict(self, classified):
+        def refuse(name):
+            raise AssertionError(f"metrics.json holds {name}")
+
+        json.loads((classified / "metrics.json").read_text(), parse_constant=refuse)
 
     def test_single_epoch_single_log_row(self, tmp_path, synth_csv, monkeypatch):
         logs = []
@@ -215,20 +230,6 @@ class TestConfigFile:
         assert entry.split()[0] in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("entry, source", [
-        ("synth_regime = bogus", "--csv"), ("on_missing = bogus", "--synth-rows")],
-        ids=["synth_regime-with-csv", "on_missing-with-synth"])
-    def test_setting_of_the_other_source_is_checked(self, tmp_path, synth_csv, capsys, entry,
-                                                    source):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(entry + "\n")
-        out = tmp_path / "none"
-        value = str(synth_csv) if source == "--csv" else "200"
-        assert main(["train", "--config", str(cfg), source, value, "--out-dir", str(out),
-                     "--max-epochs", "1", *FAST_NET]) == 2
-        assert f"{entry.split()[0]} must be one of" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("key, text", BAD_CONFIG_VALUES,
                              ids=[f"{key}={text}" for key, text in BAD_CONFIG_VALUES])
     def test_unreadable_value_is_config_error(self, tmp_path, synth_csv, capsys, key, text):
@@ -262,6 +263,25 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("banana = 3\n")
         assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["shuffle_split", "validate_on_test", "synth_regime",
+                                     "on_missing", "conv_activation"])
+    def test_removed_setting_is_an_unknown_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"synth_rows = 100\n{key} = x\n")
+        out = tmp_path / "none"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"{cfg}:2: unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_line_without_equals_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# settings\nseed 3\n")
+        out = tmp_path / "none"
+        assert main(["train", "--config", str(cfg), "--synth-rows", "100",
+                     "--out-dir", str(out)]) == 2
+        assert f"{cfg}:2: expected key = value, got 'seed 3'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFlags:
@@ -422,6 +442,15 @@ class TestExitCodes:
         assert main(["predict", "--model", str(bad), "--csv", str(synth_csv),
                      "--out-dir", str(out)]) == 3
         assert "feature_std must hold 13 finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_that_is_not_json_is_schema_error(self, tmp_path, synth_csv, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": ')
+        out = tmp_path / "x"
+        assert main(["predict", "--model", str(bad), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 3
+        assert f"{bad} is not valid JSON" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_model_is_data_error(self, tmp_path, synth_csv):
@@ -813,6 +842,35 @@ class TestModelFile:
         save_model(tmp_path / "model.json", net, scaler, cfg)
         assert (tmp_path / "model.json").read_bytes() == (trained / "model.json").read_bytes()
 
+    @staticmethod
+    def with_conv_activation(tmp_path, trained, value) -> Path:
+        """The trained model file with the ``conv_activation`` key older files hold."""
+        payload = json.loads((trained / "model.json").read_text())
+        payload["network"]["config"]["conv_activation"] = value
+        path = tmp_path / f"{value}.json"
+        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        return path
+
+    def test_older_file_naming_relu_predicts_the_same_bytes(self, tmp_path, synth_csv, trained):
+        old = self.with_conv_activation(tmp_path, trained, "relu")
+        for model, out in ((trained / "model.json", "new"), (old, "old")):
+            assert main(["predict", "--model", str(model), "--csv", str(synth_csv),
+                         "--out-dir", str(tmp_path / out)]) == 0
+        assert (tmp_path / "old" / "predictions.csv").read_bytes() == \
+            (tmp_path / "new" / "predictions.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ["identity", None], ids=["identity", "null"])
+    def test_older_file_naming_another_activation_is_schema_error(self, tmp_path, synth_csv,
+                                                                   trained, capsys, value):
+        old = self.with_conv_activation(tmp_path, trained, value)
+        out = tmp_path / "x"
+        assert main(["predict", "--model", str(old), "--csv", str(synth_csv),
+                     "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"network config conv_activation must be 'relu', got {value!r}" in err
+        assert str(old) in err
+        assert not out.exists()
+
 
 class TestForecast:
     def test_slices_give_the_bits_of_one_whole_predict(self, trained):
@@ -923,14 +981,25 @@ class TestCompare:
         assert re.search(r"knn_k is 5000, above the \d+ training windows", printed.err)
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
 
+    def test_classification_model_refused_before_out_dir(self, tmp_path, synth_csv, classified,
+                                                         capsys):
+        model = classified / "model.json"
+        out = tmp_path / "x"
+        assert main(["compare", "--csv", str(synth_csv), "--model", str(model),
+                     "--out-dir", str(out)]) == 2
+        assert f"model {model} has head 'classification'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:constant training target")
     def test_one_training_window_refused_before_training(self, tmp_path, capsys):
-        # 10 rows make 2 windows of 8; validating on the test split leaves 1 to train on
+        # 11 rows make 3 windows of 8; a validation half of the 2 training ones leaves 1
         path = tmp_path / "tiny.csv"
-        assert main(["synth", "--rows", "10", "--seed", "3", "--out", str(path)]) == 0
+        assert main(["synth", "--rows", "11", "--seed", "3", "--out", str(path)]) == 0
+        cfg = tmp_path / "half.cfg"
+        cfg.write_text("val_frac = 0.5\n")
         capsys.readouterr()
         out = tmp_path / "cmp1"
-        code = main(["compare", "--csv", str(path), "--validate-on-test", "--knn-k", "1",
+        code = main(["compare", "--csv", str(path), "--config", str(cfg), "--knn-k", "1",
                      "--max-epochs", "1", "--out-dir", str(out)])
         assert code == 3
         printed = capsys.readouterr()
@@ -991,16 +1060,15 @@ class TestExplain:
 
     def test_scores_windows_like_predict_on_another_regime(self, tmp_path, synth_csv, trained,
                                                              capsys):
-        # kenya-regime columns sit at other means: scaling them with the
-        # explain CSV's own statistics would disagree with predict
-        kenya = tmp_path / "kenya.csv"
-        assert main(["synth", "--rows", "260", "--seed", "8", "--regime", "kenya",
-                     "--out", str(kenya)]) == 0
+        # columns at 0.9 of the reference values sit at other means: scaling them with
+        # the explain CSV's own statistics would disagree with predict
+        scaled = tmp_path / "scaled.csv"
+        write_csv(Table(synth_generate(260, 8).features * 0.9), scaled)
         model = str(trained / "model.json")
-        assert main(["predict", "--model", model, "--csv", str(kenya), "--split", "test",
+        assert main(["predict", "--model", model, "--csv", str(scaled), "--split", "test",
                      "--out-dir", str(tmp_path / "pred")]) == 0
         capsys.readouterr()
-        assert main(["explain", "--model", model, "--csv", str(kenya), "--seed", "4",
+        assert main(["explain", "--model", model, "--csv", str(scaled), "--seed", "4",
                      "--windows", "3", "--perms", "6", "--out-dir", str(tmp_path / "exp")]) == 0
         chosen = [int(w) for w in re.findall(r"^window (\d+):", capsys.readouterr().out, re.M)]
         assert len(chosen) == 3

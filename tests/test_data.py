@@ -111,13 +111,6 @@ class TestLoadCsv:
             table = load_csv(rows_csv(tmp_path, rows))
         assert len(table) == 2
 
-    def test_missing_cell_forward_filled_on_request(self, tmp_path):
-        rows = [simple_row(base=2.0), simple_row(base=3.0)]
-        rows[1][0] = ""
-        table = load_csv(rows_csv(tmp_path, rows), on_missing="ffill")
-        assert len(table) == 2
-        assert column(table, "pv_kw")[1] == column(table, "pv_kw")[0]
-
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400"])
     def test_non_finite_cell_cites_file_line(self, tmp_path, text):
         rows = [simple_row() for _ in range(3)]
@@ -132,12 +125,6 @@ class TestLoadCsv:
         with pytest.warns(UserWarning, match="dropped 3"):
             table = load_csv(rows_csv(tmp_path, rows))
         assert np.array_equal(table.features, np.array([rows[i] for i in (1, 2, 4)]))
-        # ffill still drops a gap before the first kept row
-        with pytest.warns(UserWarning, match="dropped 1"):
-            filled = load_csv(rows_csv(tmp_path, rows), on_missing="ffill")
-        assert np.array_equal(filled.features[:2], table.features[:2])
-        assert filled.features[2, 4] == rows[2][4]       # file row 3 filled from row 2
-        assert len(filled) == 5
 
     def test_negative_generator_rejected(self, tmp_path):
         rows = [simple_row(gen=-1.0)]
@@ -166,6 +153,11 @@ class TestMakeWindows:
         for i in range(len(sset)):
             assert sset.targets_raw[i] == i + 5
             assert sset.targets_raw[i] not in sset.inputs[i][:, gen_col]
+
+    @pytest.mark.parametrize("window, horizon", [(0, 1), (4, 0)])
+    def test_window_or_horizon_below_one(self, window, horizon):
+        with pytest.raises(ParameterError, match="window and horizon must be >= 1"):
+            make_windows(Table(np.ones((10, 13))), window, horizon)
 
     def test_too_few_rows(self):
         with pytest.raises(DataError):
@@ -245,18 +237,12 @@ class TestSplitAndScale:
         with pytest.raises(ParameterError, match="train_frac and val_frac must lie in"):
             RunConfig(synth_rows=100, train_frac=1.0).validate()
 
-    def test_shuffle_flag_is_seeded(self):
-        sset = self.make_set(40)
-        a = split(sset, shuffle=True, seed=5)[0]
-        b = split(sset, shuffle=True, seed=5)[0]
-        c = split(sset, shuffle=True, seed=6)[0]
-        assert np.array_equal(a.indices, b.indices)
-        assert not np.array_equal(a.indices, c.indices)
-
-    def test_validate_on_test_reuses_test_split(self):
-        train, val, test = split(self.make_set(50), validate_on_test=True)
-        assert np.array_equal(val.indices, test.indices)
-        assert len(train) == 40
+    def test_model_targets_need_a_scaled_set_and_a_known_task(self):
+        with pytest.raises(ParameterError, match="set is unscaled; run split_and_scale first"):
+            self.make_set(20).model_targets("regression")
+        train, _, _ = split(self.make_set(100))
+        with pytest.raises(ParameterError, match="unknown task 'ranking'"):
+            train.model_targets("ranking")
 
     def test_constant_column_scales_with_std_one(self):
         feats = np.ones((30, 13))
@@ -311,15 +297,10 @@ class TestSynthGenerate:
         b = synth_generate(500, seed=21)
         assert np.array_equal(a.features, b.features)
 
-    def test_kenya_regime_scales_means(self):
-        table = synth_generate(4000, seed=2, regime="kenya")
-        assert abs(column(table, "pv_kw").mean() - 0.9 * 70.84) < 1.0
-
-    @pytest.mark.parametrize("regime, mean_scale", [("default", 1.0), ("kenya", 0.9)])
-    def test_generator_is_shortfall_rule_on_shared_latent(self, regime, mean_scale):
+    def test_generator_is_shortfall_rule_on_shared_latent(self):
         _, shortfall = synth_latent(300, RngState(5))
-        rule = dat._GEN_SCALE * mean_scale * np.clip(shortfall - dat._GEN_THRESHOLD, 0.0, None)
-        table = synth_generate(300, seed=5, regime=regime)
+        rule = dat._GEN_SCALE * np.clip(shortfall - dat._GEN_THRESHOLD, 0.0, None)
+        table = synth_generate(300, seed=5)
         assert np.array_equal(column(table, "generator_kw"), rule)
 
     def test_calibration_script_agrees_with_frozen_constants(self):
@@ -335,8 +316,6 @@ class TestSynthGenerate:
     def test_bad_args(self):
         with pytest.raises(ParameterError):
             synth_generate(0, seed=0)
-        with pytest.raises(ParameterError):
-            synth_generate(10, seed=0, regime="mars")
 
     def test_moment_report_shape(self):
         report = moment_report(synth_generate(100, seed=1))

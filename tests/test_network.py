@@ -34,7 +34,6 @@ EDGE_CONFIGS = {
     "window-1": {"window": 1},
     "blocks-1": {"blocks": 1},
     "blocks-3": {"blocks": 3},
-    "identity-conv": {"conv_activation": "identity"},
     "classification": {"head": "classification"},
 }
 

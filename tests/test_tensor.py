@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcast.errors import ParameterError
 from gridcast.tensor import HEAD_BLOCK, PermutationHeads, RngState, sigmoid, softmax_rows
 
 from oracles import fisher_yates_reference
@@ -121,6 +122,10 @@ class TestRngState:
     def test_integers_bounds(self):
         draws = RngState(3).integers(7, 1000)
         assert draws.min() >= 0 and draws.max() < 7
+
+    def test_integers_bound_must_be_positive(self):
+        with pytest.raises(ParameterError, match="integers bound must be positive, got 0"):
+            RngState(3).integers(0, 5)
 
 
 class TestPermutationHeads:

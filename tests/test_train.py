@@ -216,6 +216,11 @@ class TestFit:
         with pytest.raises(DataError):
             fit(tiny_net(), (x[:0], y[:0]), (x, y), TrainConfig(max_epochs=1))
 
+    def test_invalid_config_refused(self):
+        x, y = linear_problem(n=20)
+        with pytest.raises(ParameterError, match="invalid train config: batch_size must be >= 1"):
+            fit(tiny_net(), (x[:16], y[:16]), (x[16:], y[16:]), TrainConfig(batch_size=0))
+
     def test_never_runs_past_max_epochs_and_reason_is_valid(self):
         x, y = linear_problem(n=40)
         net = tiny_net()
