@@ -384,13 +384,23 @@ def forecast(net: Network, scaler: dat.Scaler, windows: np.ndarray) -> np.ndarra
     ``windows`` are scaled with the model's own ``scaler`` and
     predicted ``INFERENCE_CHUNK`` at a time, the batches of one
     whole-array ``predict_all``; regression outputs come back in kW,
-    classification ones are the head's zero-state probabilities.
+    classification ones are the head's zero-state probabilities. A
+    chunk whose arithmetic overflows or turns invalid, as windows of
+    values near the float64 limit do, raises NumericError naming its
+    windows, instead of ending in finite but meaningless outputs.
     """
-    raw = np.empty(windows.shape[0])
+    out = np.empty(windows.shape[0])
     for start in range(0, windows.shape[0], INFERENCE_CHUNK):
-        stop = start + INFERENCE_CHUNK
-        raw[start:stop] = predict_all(net, scaler.scale_inputs(windows[start:stop]))
-    return scaler.unscale_targets(raw) if net.config.head == "regression" else raw
+        stop = min(start + INFERENCE_CHUNK, windows.shape[0])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                raw = predict_all(net, scaler.scale_inputs(windows[start:stop]))
+                out[start:stop] = (scaler.unscale_targets(raw)
+                                   if net.config.head == "regression" else raw)
+        except FloatingPointError as err:
+            raise NumericError(f"the forecast of windows {start} to {stop - 1} is not finite "
+                               f"({err})") from None
+    return out
 
 
 def evaluate_on_test(preds: np.ndarray, test: dat.SupervisedSet, task: str

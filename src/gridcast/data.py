@@ -13,6 +13,7 @@ zero-generation and the target is learnable from the feature history.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import warnings
@@ -182,17 +183,30 @@ def load_csv(path) -> Table:
     named twice raises a SchemaError. Rows with empty cells are dropped
     with a warning; any other unparsable cell raises a RowError citing
     the file line. Timestamp cells are kept as written, spaces included.
+
+    The file is read once. A plain file, one with no quote, no lone
+    carriage return and the header's comma count on every line, is
+    parsed by numpy's C reader; every other file, and any plain file
+    that reader refuses or whose values fail a check, goes through the
+    row scan, which alone words the RowError or drops rows. Both give
+    the same table, bit for bit.
     """
     try:
         # utf-8-sig drops the byte-order mark a spreadsheet export may start with
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path}: {err}") from None
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [_normalize(cell) for cell in rows[0]]
+    lines = _plain_lines(text)
+    rows = None
+    if lines is not None:
+        header = lines[0].split(",")
+    else:
+        rows = _csv_rows(text)
+        if not rows:
+            raise DataError(f"{path}: empty file")
+        header = rows[0]
+    header = [_normalize(cell) for cell in header]
     col_of = {}
     for name in SCHEMA + ["timestamp"]:
         if header.count(name) > 1:
@@ -207,14 +221,86 @@ def load_csv(path) -> Table:
         if idx not in known:
             warnings.warn(f"{path}: ignoring unknown column {name!r}")
 
-    features = np.empty((len(rows) - 1, len(SCHEMA)))
+    table = None if lines is None else _parse_plain(lines[1:], col_of, ts_col)
+    if table is None:
+        if rows is None:
+            rows = _csv_rows(text)
+        table = _scan_rows(path, rows[1:], len(header), col_of, ts_col)
+    if len(table):
+        log.info("%s: loaded %d rows", path, len(table))
+    return table
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """The rows ``csv.reader`` gives over a file holding ``text``."""
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """``text``'s lines when splitting each on commas gives ``csv.reader``'s rows.
+
+    That holds when it has no quote and no lone carriage return (CRLF
+    is folded to LF), its first line is not empty, every line has the
+    first line's comma count, and no line is longer than the csv
+    module's field size limit; otherwise this returns None. A blank
+    line fails the comma count, which keeps it away from
+    ``np.loadtxt``, since that reader skips blank lines.
+    """
+    if '"' in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or not lines[0]:
+        return None
+    commas = lines[0].count(",")
+    if any(line.count(",") != commas for line in lines):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _parse_plain(lines: list[str], col_of: dict, ts_col: int | None) -> Table | None:
+    """The Table of a plain file's data ``lines``, or None when numpy's reader
+    refuses a cell or a value fails a check, which leaves the file to the row scan.
+
+    ``np.loadtxt`` rounds every cell it takes as ``float`` does.
+    """
+    if not lines:
+        return None
+    try:
+        features = np.loadtxt(lines, delimiter=",", usecols=[col_of[name] for name in SCHEMA],
+                              comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not (np.isfinite(features).all() and (features[:, TARGET_INDEX] >= 0).all()):
+        return None
+    timestamps = None
+    if ts_col is not None:
+        timestamps = [line.split(",", ts_col + 1)[ts_col] for line in lines]
+    return Table(features, timestamps)
+
+
+def _scan_rows(path, rows: list[list[str]], width: int, col_of: dict,
+               ts_col: int | None) -> Table:
+    """The Table of the data ``rows``, one cell at a time with ``float``.
+
+    Rows with an empty cell are dropped with a warning; a ragged row, an
+    unparsable or non-finite cell, or a negative target raises a RowError
+    citing the file line.
+    """
+    features = np.empty((len(rows), len(SCHEMA)))
     timestamps = [] if ts_col is not None else None
     dropped = 0
     kept = 0
-    for row_idx, row in enumerate(rows[1:]):
+    for row_idx, row in enumerate(rows):
         line = row_idx + 2
-        if len(row) != len(header):
-            raise RowError(line, f"expected {len(header)} cells, got {len(row)}")
+        if len(row) != width:
+            raise RowError(line, f"expected {width} cells, got {len(row)}")
         values = []
         for name in SCHEMA:
             text = row[col_of[name]].strip()
@@ -241,9 +327,7 @@ def load_csv(path) -> Table:
     if not kept:
         warnings.warn(f"{path}: no data rows")
         return Table(np.empty((0, len(SCHEMA))), timestamps)
-    table = Table(features[:kept], timestamps)
-    log.info("%s: loaded %d rows", path, len(table))
-    return table
+    return Table(features[:kept], timestamps)
 
 
 def csv_cell(text: str) -> str:

@@ -1,3 +1,4 @@
+import errno
 import os
 import tracemalloc
 
@@ -436,9 +437,13 @@ class TestForest:
         pytest.param("child-sends-short-payload", ChildProcessError,
                      "sent \\d+ bytes for 2 trees", id="child-sends-short-payload"),
         pytest.param("parent-raises", RuntimeError, "parent failed", id="parent-raises"),
+        pytest.param("fork-fails", OSError, "no process to spare", id="fork-fails"),
     ])
     def test_failed_fit_raises_and_leaves_no_child(self, monkeypatch, failure, raised, match):
         parent, grow, pack = os.getpid(), baselines._grow_trees, baselines._pack_trees
+
+        def failing_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
 
         def failing_grow(trees, *args):
             if failure == "child-exits-3" and os.getpid() != parent:
@@ -451,9 +456,16 @@ class TestForest:
         monkeypatch.setattr(baselines, "_grow_trees", failing_grow)
         if failure == "child-sends-short-payload":
             monkeypatch.setattr(baselines, "_pack_trees", lambda trees: pack(trees)[:-8])
+        if failure == "fork-fails":
+            monkeypatch.setattr(baselines.os, "fork", failing_fork)
         x, y = forest_data(5)
-        with pytest.raises(raised, match=match):
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(raised, match=match) as err:
             RandomForest(ForestConfig(n_trees=4, seed=5)).fit(x, y)
+        if failure == "fork-fails":
+            assert err.value.errno == errno.EAGAIN
+        # every pipe end is closed and every child reaped
+        assert sorted(os.listdir("/proc/self/fd")) == fds
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

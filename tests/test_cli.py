@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridcast import baselines, cli
@@ -678,28 +678,56 @@ class TestExitCodes:
         assert "training mean or std is not finite" in err
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
 
-    def test_test_split_row_of_1e308_is_numeric_error(self, tmp_path, capsys):
+    def test_test_split_row_of_1e308_is_numeric_error(self, tmp_path, capsys, huge_test_row_csv):
         # data row 1990 lies in the test split, which the scaler never sees: the model
-        # trains, its test predictions overflow, and the metrics refuse them
-        path = tmp_path / "big.csv"
-        assert main(["synth", "--rows", "2000", "--seed", "1", "--out", str(path)]) == 0
-        lines = path.read_text().splitlines()
-        lines[1990] = ",".join(["1e308"] * 13)
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
+        # trains, and the forecast of its test windows overflows
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # the network's own overflow
-            code = main(["train", "--csv", str(path), "--max-epochs", "1", "--out-dir", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--csv", str(huge_test_row_csv), "--max-epochs", "1",
+                         "--out-dir", str(out)])
         assert code == 4
+        assert caught == []
         assert "not finite" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt", "model.json",
                                                          "trainlog.csv"]
+
+    @pytest.mark.parametrize("argv, windows", [
+        # --split all: the row is data row 1989, in windows 1984-1989 of the chunk from 1920
+        pytest.param(["predict"], "windows 1920 to 1994", id="predict"),
+        # every test window is explained, in a seeded order; the first forecast takes all
+        pytest.param(["explain", "--windows", "1000"], r"windows \d+ to \d+", id="explain"),
+    ])
+    def test_forecast_overflow_is_numeric_error(self, tmp_path, capsys, trained,
+                                                huge_test_row_csv, argv, windows):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--model", str(trained / "model.json"),
+                         "--csv", str(huge_test_row_csv), "--out-dir", str(out)])
+        assert code == 4
+        assert caught == []
+        err = capsys.readouterr().err
+        assert re.match(f"numeric error: the forecast of {windows} is not finite", err)
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
 
     def test_bad_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["train", "--csv", str(bad), "--out-dir", str(tmp_path / "x")]) == 3
+
+
+@pytest.fixture(scope="module")
+def huge_test_row_csv(tmp_path_factory):
+    """The 2,000-row ``synth --seed 1`` CSV with data row 1990 set to 1e308 in every
+    column; the row lies in the test split."""
+    path = tmp_path_factory.mktemp("huge") / "big.csv"
+    assert main(["synth", "--rows", "2000", "--seed", "1", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    lines[1990] = ",".join(["1e308"] * 13)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def json_paths(node, path=()):
@@ -755,6 +783,80 @@ class TestModelFileMutations:
             if refused:
                 assert code == 3
                 assert not out.exists()
+
+
+# what a byte mutation writes: delimiters, line ends, quotes, parts of numbers,
+# special values, a byte-order mark and bytes that are not UTF-8
+_MUTANT_BYTES = [b",", b"\n", b"\r", b"\r\n", b'"', b" ", b"=", b"#", b"-", b"e", b".", b"9",
+                 b"_", b"\x00", b"\xff", "é".encode(), "١".encode(), b"nan", b"inf", b"1e308",
+                 b"\xef\xbb\xbf"]
+
+
+def mutate_bytes(data, original: bytes, max_edits: int) -> bytes:
+    """``original`` after 1 to ``max_edits`` inserts, replacements or deletions."""
+    out = bytearray(original)
+    for _ in range(data.draw(st.integers(1, max_edits), label="edits")):
+        at = data.draw(st.integers(0, len(out)), label="at")
+        edit = data.draw(st.sampled_from(["insert", "replace", "delete"]), label="edit")
+        chunk = data.draw(st.sampled_from(_MUTANT_BYTES) | st.binary(min_size=1, max_size=2),
+                          label="bytes")
+        if edit == "insert":
+            out[at:at] = chunk
+        elif edit == "replace":
+            out[at:at + 1] = chunk
+        else:
+            out[at:at + data.draw(st.integers(1, 8), label="length")] = b""
+    return bytes(out)
+
+
+# settings whose size sets the network's: a mutation that makes one large would
+# test the host's memory, not the program's checks
+_SIZE_KEYS = ("window", "blocks", "conv_filters", "kernel", "gru_units", "attn_dim",
+              "mlp_hidden", "batch_size")
+
+
+class TestInputFileMutations:
+    """A few edited bytes in a CSV or a config file never crash a command."""
+
+    @pytest.fixture(scope="class")
+    def small_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("small") / "small.csv"
+        table = synth_generate(20, seed=7)
+        write_csv(Table(table.features, [f"2020-01-01T{i:02d}" for i in range(20)]), path)
+        return path.read_bytes()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_predict_on_an_edited_csv_exits_0_3_or_4(self, small_csv, trained, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(mutate_bytes(data, small_csv, 3))
+            with contextlib.redirect_stdout(None), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(["predict", "--model", str(trained / "model.json"),
+                             "--csv", str(path), "--out-dir", str(Path(tmp) / "out")])
+            assert code in (0, 3, 4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_train_with_an_edited_config_exits_0_2_3_or_4(self, synth_csv, data):
+        original = ("window = 6\ntask = regression\nblocks = 1\nkernel = 3\n"
+                    "conv_filters = 3\ngru_units = 3\nattn_dim = 3\nmlp_hidden = 4\n"
+                    "dropout_rate = 0.1  # per layer\ninitial_lr = 0.001\nbatch_size = 16\n"
+                    "train_frac = 0.8\nval_frac = 0.1\nseed = 3\n").encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_bytes(mutate_bytes(data, original, 3))
+            try:
+                entries = cli.read_config_file(path)
+            except ParameterError:
+                entries = {}
+            assume(all(entries.get(key) is None or entries[key] <= 64 for key in _SIZE_KEYS))
+            with contextlib.redirect_stdout(None), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(["train", "--config", str(path), "--csv", str(synth_csv),
+                             "--max-epochs", "1", "--out-dir", str(Path(tmp) / "out")])
+            assert code in (0, 2, 3, 4)
 
 
 class TestPredict:
@@ -1118,3 +1220,39 @@ class TestExplain:
         first = read_bytes_map(out)
         assert main(argv) == 0
         assert read_bytes_map(out) == first
+
+
+# train, compare and explain one after another, in one process, under ``sys.argv[1]``
+_THREE_COMMANDS = """
+import sys
+from gridcast.cli import main
+out, data = sys.argv[1], sys.argv[2]
+for argv in (["train", "--csv", data, "--max-epochs", "2", "--out-dir", out + "/train"],
+             ["compare", "--csv", data, "--max-epochs", "2", "--trees", "10",
+              "--out-dir", out + "/compare"],
+             ["explain", "--csv", data, "--model", out + "/train/model.json",
+              "--windows", "20", "--out-dir", out + "/explain"]):
+    assert main(argv) == 0, argv
+"""
+
+
+class TestBlasThreads:
+    def test_one_and_two_blas_threads_write_the_same_bytes(self, tmp_path):
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--rows", "400", "--seed", "5", "--out", str(data)]) == 0
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            # a subprocess, since OpenBLAS reads its thread count when numpy loads
+            done = subprocess.run(
+                [sys.executable, "-c", _THREE_COMMANDS, str(out), str(data)],
+                env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+                     "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+                timeout=120)
+            assert done.returncode == 0, done.stderr
+            # effective_config.txt and the printed lines name the out-dir
+            files = {p.relative_to(out): p.read_bytes().replace(str(out).encode(), b"OUT")
+                     for p in out.rglob("*") if p.is_file()}
+            runs[threads] = files, done.stdout.replace(str(out), "OUT")
+        assert len(runs["1"][0]) == 12   # 4 from train, 5 from compare, 3 from explain
+        assert runs["1"] == runs["2"]

@@ -4,7 +4,9 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from gridcast import data as dat
 from gridcast.cli import RunConfig, main
-from gridcast.data import (SCHEMA, TABLE_STATS, Table, fit_scaler,
+from gridcast.data import (SCHEMA, TABLE_STATS, Table, csv_cell, fit_scaler,
                            label_zero_state, load_csv, make_windows,
                            moment_report, split_and_scale, split_indices,
                            synth_generate, synth_latent, write_csv)
@@ -452,3 +454,129 @@ class TestLoadCsvProperties:
         code, err = _train_exit_code(rows_csv(scratch, rows, header=header))
         assert code == 3
         assert f"column {name!r} appears 2 times" in err
+
+
+def _load_outcome(path, row_scan: bool = False):
+    """``load_csv``'s table (shape, feature bytes, timestamps) or its exception
+    (type, message), and its warnings; ``row_scan`` sends every file through the
+    row scan."""
+    with contextlib.ExitStack() as stack:
+        if row_scan:
+            stack.enter_context(mock.patch.object(dat, "_plain_lines", lambda text: None))
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        try:
+            table = load_csv(path)
+            result = (table.features.shape, table.features.tobytes(), table.timestamps)
+        except Exception as err:  # noqa: BLE001 - the two paths must fail alike
+            result = (type(err), str(err))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# timestamp and unknown-column text; a comma, quote or line break gets the cell quoted
+_WORDS = st.text(st.sampled_from(["a", "7", " ", ":", "\x1c", "é", ",", '"', "\n", "\r"]),
+                 max_size=4)
+# what a mutated cell holds, as written in the file
+_CELL_MUTANTS = ["", " ", "\t", "1_000", "١٢", "１２", "\x1c", "\x1c5\x1c", "5\x00", "nan",
+                 "inf", "-Infinity", "1e400", "1e-400", "-3.5", "#5", '"5"', '"5', " 7 ",
+                 "+.5e-3", "0x10", "5\r", "\xa05"]
+_GEN = SCHEMA.index("generator_kw")
+
+
+def _with_note(text: str, first_note: str) -> str:
+    """``text`` with a ``note`` column, ``first_note`` on the first data line."""
+    header, first, *rest = text.splitlines()
+    notes = [header + ",note", first + "," + first_note] + [line + ",x" for line in rest]
+    return "\n".join(notes) + "\n"
+
+
+class TestPlainParse:
+    """numpy's reader takes plain files; the row scan is the reference."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_file_loads_as_the_row_scan_loads_it(self, scratch, data):
+        n = data.draw(st.integers(1, 4), label="rows")
+        values = data.draw(st.lists(st.floats(-1e308, 1e308), min_size=13 * n,
+                                    max_size=13 * n), label="values")
+        features = np.array(values).reshape(n, 13)
+        features[:, _GEN] = np.abs(features[:, _GEN])
+        stamps = data.draw(st.none() | st.lists(_WORDS, min_size=n, max_size=n), label="stamps")
+        path = scratch / "parity.csv"
+        write_csv(Table(features, stamps), path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        # unknown columns, a shuffled column order and header spellings
+        for name in data.draw(st.lists(st.sampled_from(["note", "site"]), unique=True)):
+            rows[0].append(name)
+            for row in rows[1:]:
+                row.append(data.draw(_WORDS))
+        order = data.draw(st.permutations(range(len(rows[0]))), label="order")
+        cells = [[csv_cell(row[i]) for i in order] for row in rows]
+        cells[0] = [data.draw(st.sampled_from([name, name.upper(), f" {name}"]))
+                    for name in cells[0]]
+        gen_col = next(i for i, c in enumerate(cells[0]) if c.strip().lower() == "generator_kw")
+        for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+            kind = data.draw(st.sampled_from(["cell", "target", "blank-line", "space-line",
+                                              "ragged"]), label="kind")
+            at = data.draw(st.integers(1, len(cells) - 1), label="line")
+            if kind == "cell":
+                col = data.draw(st.integers(0, len(cells[at]) - 1), label="col") \
+                    if cells[at] else 0
+                cells[at][col:col + 1] = [data.draw(st.sampled_from(_CELL_MUTANTS))]
+            elif kind == "target" and len(cells[at]) > gen_col:
+                cells[at][gen_col] = data.draw(st.sampled_from(["-0.5", "-0.0", "-1e-300"]))
+            elif kind == "blank-line":
+                cells.insert(at, [])
+            elif kind == "space-line":
+                cells.insert(at, [" "])
+            elif kind == "ragged":
+                cells[at] = cells[at][:-1] if data.draw(st.booleans()) else cells[at] + ["1"]
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+        lines = [",".join(row) for row in cells]
+        cr_at = data.draw(st.none() | st.integers(1, len(lines) - 1), label="lone CR before line")
+        text = (newline.join(lines) if cr_at is None else
+                newline.join(lines[:cr_at]) + "\r" + newline.join(lines[cr_at:]))
+        text += data.draw(st.sampled_from([newline, ""]), label="last newline")
+        if data.draw(st.booleans(), label="BOM"):
+            text = "\ufeff" + text
+        path.write_bytes(text.encode("utf-8"))
+        assert _load_outcome(path) == _load_outcome(path, row_scan=True)
+
+    @pytest.mark.parametrize("stamps", [None, "plain"], ids=["no-timestamps", "timestamps"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_plain_file_skips_the_row_scan(self, tmp_path, monkeypatch, stamps, newline):
+        table = synth_generate(300, seed=1)
+        if stamps:
+            table.timestamps = [f"2020-01-01 {i:04d}" for i in range(300)]
+        path = tmp_path / "plain.csv"
+        write_csv(table, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", newline.encode()))
+        monkeypatch.setattr(dat, "_scan_rows", None)
+        loaded = load_csv(path)
+        assert loaded.features.tobytes() == table.features.tobytes()
+        assert loaded.timestamps == table.timestamps
+
+    @pytest.mark.parametrize("stamp", ["Jan 9, 2020", 'say "noon"', "line\nbreak", "a\rb"])
+    def test_file_with_quoted_cells_skips_numpy(self, tmp_path, monkeypatch, stamp):
+        table = Table(synth_generate(5, seed=2).features, timestamps=[stamp] * 5)
+        path = tmp_path / "quoted.csv"
+        write_csv(table, path)
+        monkeypatch.setattr(dat, "_parse_plain", None)
+        loaded = load_csv(path)
+        assert loaded.features.tobytes() == table.features.tobytes()
+        assert loaded.timestamps == table.timestamps
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda text: text.replace(",", ",\n", 1), id="ragged-line"),
+        pytest.param(lambda text: text + "\n", id="blank-last-line"),
+        pytest.param(lambda text: text.replace("\n", "\n\n", 2), id="blank-line"),
+        pytest.param(lambda text: text.replace("5", "١", 1), id="arabic-indic-digit"),
+        pytest.param(lambda text: _with_note(text, "a" * (csv.field_size_limit() + 1)),
+                     id="cell-over-the-csv-field-limit"),
+    ])
+    def test_file_numpy_refuses_still_loads_through_the_row_scan(self, tmp_path, edit):
+        path = tmp_path / "edited.csv"
+        write_csv(synth_generate(6, seed=3), path)
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        assert _load_outcome(path) == _load_outcome(path, row_scan=True)
