@@ -172,6 +172,9 @@ def rank_columns(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
 def rank_sort(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(order, sorted ranks)`` along the last axis of ranks ``r`` in [0, n].
 
@@ -185,7 +188,7 @@ def rank_sort(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     width = r.shape[-1]
     shift = (width - 1).bit_length()
-    dtype = np.int32 if (n + 1) << shift <= np.iinfo(np.int32).max else np.int64
+    dtype = np.int32 if (n + 1) << shift <= _INT32_MAX else np.int64
     keys = np.left_shift(r, shift, dtype=dtype)
     keys |= np.arange(width, dtype=dtype)
     keys.sort(axis=-1)

@@ -133,7 +133,9 @@ class Scaler:
     target_std: float
 
     def scale_inputs(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.feature_mean) / self.feature_std
+        scaled = x - self.feature_mean
+        scaled /= self.feature_std    # in place: no second array of x's size
+        return scaled
 
     def scale_targets(self, y: np.ndarray) -> np.ndarray:
         return (y - self.target_mean) / self.target_std
@@ -202,7 +204,7 @@ def load_csv(path) -> Table:
     if lines is not None:
         header = lines[0].split(",")
     else:
-        rows = _csv_rows(text)
+        rows = _csv_rows(path, text)
         if not rows:
             raise DataError(f"{path}: empty file")
         header = rows[0]
@@ -224,16 +226,21 @@ def load_csv(path) -> Table:
     table = None if lines is None else _parse_plain(lines[1:], col_of, ts_col)
     if table is None:
         if rows is None:
-            rows = _csv_rows(text)
+            rows = _csv_rows(path, text)
         table = _scan_rows(path, rows[1:], len(header), col_of, ts_col)
     if len(table):
         log.info("%s: loaded %d rows", path, len(table))
     return table
 
 
-def _csv_rows(text: str) -> list[list[str]]:
-    """The rows ``csv.reader`` gives over a file holding ``text``."""
-    return list(csv.reader(io.StringIO(text, newline="")))
+def _csv_rows(path, text: str) -> list[list[str]]:
+    """The rows ``csv.reader`` gives over a file holding ``text``; a DataError
+    naming ``path`` when it refuses the file, as it does a cell over its field
+    size limit."""
+    try:
+        return list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as err:
+        raise DataError(f"{path}: {err}") from None
 
 
 def _plain_lines(text: str) -> list[str] | None:
@@ -339,14 +346,19 @@ def csv_cell(text: str) -> str:
 
 
 def write_csv(table: Table, path):
-    """Write a Table back out; float repr keeps round trips bit-exact."""
+    """Write a Table back out; float repr keeps round trips bit-exact.
+
+    ``tolist`` hands each row over as Python floats, so no cell is
+    boxed as a numpy scalar before ``repr`` formats it.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         header = (["timestamp"] if table.timestamps is not None else []) + SCHEMA
         fh.write(",".join(header) + "\n")
-        for i in range(len(table)):
-            cells = [csv_cell(table.timestamps[i])] if table.timestamps is not None else []
-            cells += [repr(float(v)) for v in table.features[i]]
-            fh.write(",".join(cells) + "\n")
+        for i, row in enumerate(table.features):
+            line = ",".join(map(repr, row.tolist()))
+            if table.timestamps is not None:
+                line = csv_cell(table.timestamps[i]) + "," + line
+            fh.write(line + "\n")
 
 
 # --- windowing / splitting -------------------------------------------------
@@ -432,12 +444,13 @@ def split_and_scale(samples: SupervisedSet, parts: dict[str, np.ndarray]):
     Inputs and targets are z-scaled with a ``Scaler`` fitted on the
     train positions alone, which every returned set carries.
     """
-    scaler = fit_scaler(samples.inputs[parts["train"]], samples.targets_raw[parts["train"]])
+    train_inputs = samples.inputs[parts["train"]]
+    scaler = fit_scaler(train_inputs, samples.targets_raw[parts["train"]])
     out = []
     for name in ("train", "val", "test"):
         idx = parts[name]
         out.append(SupervisedSet(
-            inputs=scaler.scale_inputs(samples.inputs[idx]),
+            inputs=scaler.scale_inputs(train_inputs if name == "train" else samples.inputs[idx]),
             targets_raw=samples.targets_raw[idx].copy(),
             scaler=scaler,
             indices=samples.indices[idx].copy(),
@@ -475,13 +488,13 @@ def synth_latent(n: int, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
     ``rng.spawn(3)``; ``scripts/calibrate_synth.py`` calibrates the
     shortfall rule on this function's output.
     """
-    eps = rng.spawn(1).normals(n)
-    persist = np.empty(n)
-    persist[0] = eps[0]
-    innov = np.sqrt(1.0 - _AR_RHO ** 2)
+    # Python floats run the recursion with the same IEEE operations as
+    # numpy scalars, without boxing one per step
+    persist = rng.spawn(1).normals(n).tolist()
+    innov = float(np.sqrt(1.0 - _AR_RHO ** 2))
     for i in range(1, n):
-        persist[i] = _AR_RHO * persist[i - 1] + innov * eps[i]
-    persist = _standardized(persist)
+        persist[i] = _AR_RHO * persist[i - 1] + innov * persist[i]
+    persist = _standardized(np.array(persist))
 
     signal = np.sqrt(1.0 - _TARGET_NOISE ** 2)
     latent = _CYCLE_WEIGHT * _cycle(n) + _PERSIST_WEIGHT * persist

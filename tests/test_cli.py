@@ -341,6 +341,19 @@ class TestExitCodes:
                      "--out-dir", str(out)]) == 3
         assert not out.exists()
 
+    def test_cell_over_the_csv_field_limit_is_data_error(self, tmp_path, trained, capsys):
+        table = synth_generate(20, seed=7)
+        stamps = ["a" * (csv.field_size_limit() + 1)] + [f"t{i}" for i in range(1, 20)]
+        path, out = tmp_path / "long.csv", tmp_path / "out"
+        write_csv(Table(table.features, stamps), path)
+        code = main(["predict", "--model", str(trained / "model.json"), "--csv", str(path),
+                     "--out-dir", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["compare", "--knn-k", "0"], "knn_k must be >= 1, got 0", id="knn-k-0"),
         pytest.param(["compare", "--trees", "0"], "n_trees must be >= 1, got 0", id="trees-0"),

@@ -299,6 +299,25 @@ class TestSynthGenerate:
         b = synth_generate(500, seed=21)
         assert np.array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7919])
+    @pytest.mark.parametrize("n", [1, 2, 3, 2000])
+    def test_latent_matches_the_numpy_scalar_recursion(self, n, seed):
+        # the AR(1) recursion on numpy scalars, as it ran before it moved to Python floats
+        rng = RngState(seed)
+        eps = rng.spawn(1).normals(n)
+        persist = np.empty(n)
+        persist[0] = eps[0]
+        innov = np.sqrt(1.0 - dat._AR_RHO ** 2)
+        for i in range(1, n):
+            persist[i] = dat._AR_RHO * persist[i - 1] + innov * eps[i]
+        persist = dat._standardized(persist)
+        signal = np.sqrt(1.0 - dat._TARGET_NOISE ** 2)
+        latent = dat._CYCLE_WEIGHT * dat._cycle(n) + dat._PERSIST_WEIGHT * persist
+        shortfall = signal * latent + dat._TARGET_NOISE * rng.spawn(3).normals(n)
+        got_persist, got_shortfall = synth_latent(n, RngState(seed))
+        assert got_persist.tobytes() == persist.tobytes()
+        assert got_shortfall.tobytes() == shortfall.tobytes()
+
     def test_generator_is_shortfall_rule_on_shared_latent(self):
         _, shortfall = synth_latent(300, RngState(5))
         rule = dat._GEN_SCALE * np.clip(shortfall - dat._GEN_THRESHOLD, 0.0, None)
@@ -567,16 +586,82 @@ class TestPlainParse:
         assert loaded.features.tobytes() == table.features.tobytes()
         assert loaded.timestamps == table.timestamps
 
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda text: text.replace(",", ",\n", 1), id="ragged-line"),
-        pytest.param(lambda text: text + "\n", id="blank-last-line"),
-        pytest.param(lambda text: text.replace("\n", "\n\n", 2), id="blank-line"),
-        pytest.param(lambda text: text.replace("5", "١", 1), id="arabic-indic-digit"),
+    @pytest.mark.parametrize("edit, error", [
+        pytest.param(lambda text: text.replace(",", ",\n", 1), SchemaError, id="ragged-line"),
+        pytest.param(lambda text: text + "\n", RowError, id="blank-last-line"),
+        pytest.param(lambda text: text.replace("\n", "\n\n", 2), RowError, id="blank-line"),
+        pytest.param(lambda text: text.replace("5", "١", 1), None, id="arabic-indic-digit"),
         pytest.param(lambda text: _with_note(text, "a" * (csv.field_size_limit() + 1)),
-                     id="cell-over-the-csv-field-limit"),
+                     DataError, id="cell-over-the-csv-field-limit"),
     ])
-    def test_file_numpy_refuses_still_loads_through_the_row_scan(self, tmp_path, edit):
+    def test_file_numpy_refuses_still_loads_through_the_row_scan(self, tmp_path, edit, error):
         path = tmp_path / "edited.csv"
         write_csv(synth_generate(6, seed=3), path)
         path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
-        assert _load_outcome(path) == _load_outcome(path, row_scan=True)
+        outcome = _load_outcome(path)
+        assert outcome == _load_outcome(path, row_scan=True)
+        if error is None:
+            assert outcome[0][0] == (6, 13)
+        else:
+            assert outcome[0][0] is error
+
+
+def _per_cell_write_csv(table: Table, path):
+    """``write_csv`` as it boxed each cell as a numpy scalar: the byte reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        header = (["timestamp"] if table.timestamps is not None else []) + SCHEMA
+        fh.write(",".join(header) + "\n")
+        for i in range(len(table)):
+            cells = [csv_cell(table.timestamps[i])] if table.timestamps is not None else []
+            cells += [repr(float(v)) for v in table.features[i]]
+            fh.write(",".join(cells) + "\n")
+
+
+# the extremes of float64, integral values and values whose repr switches notation
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1e-5,
+                1.7976931348623157e308, -1.7976931348623157e308, 3.0, -12.0, 2.0 ** 53,
+                123456789.0, 0.1]
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestWriteCsv:
+    """``write_csv`` writes the per-cell writer's bytes, and ``load_csv`` reads them back."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_bytes_match_the_per_cell_writer_and_round_trip(self, scratch, data):
+        n = data.draw(st.sampled_from([0, 1, 2, 2001]), label="rows")
+        values = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+        if data.draw(st.booleans(), label="non-finite cells"):
+            values |= st.sampled_from(_NON_FINITE)
+        if n <= 2:
+            features = np.array(data.draw(st.lists(values, min_size=13 * n, max_size=13 * n),
+                                          label="values")).reshape(n, 13)
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+            features = rng.normal(0, 1, (n, 13)) * 10.0 ** rng.integers(-300, 300, (n, 13))
+            features[:, 0] = rng.integers(-1000, 1000, n)
+            for _ in range(data.draw(st.integers(0, 30), label="edge cells")):
+                at = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, 12)))
+                features[at] = data.draw(values)
+        features[:, _GEN] = np.abs(features[:, _GEN])
+        kind = data.draw(st.sampled_from([None, "plain", "edited"]), label="stamps")
+        stamps = None if kind is None else [f"2020-01-01 {i:05d}" for i in range(n)]
+        if kind == "edited" and n:
+            # _WORDS holds commas, quotes and line breaks, which get a cell quoted
+            for _ in range(data.draw(st.integers(1, 5), label="edited stamps")):
+                stamps[data.draw(st.integers(0, n - 1))] = data.draw(_WORDS)
+        table = Table(features, stamps)
+        reference, path = scratch / "reference.csv", scratch / "written.csv"
+        _per_cell_write_csv(table, reference)
+        write_csv(table, path)
+        assert path.read_bytes() == reference.read_bytes()
+        if not np.isfinite(features).all():
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = load_csv(path)
+        assert [str(w.message) for w in caught] == ([f"{path}: no data rows"] if n == 0 else [])
+        assert loaded.features.shape == (n, 13)
+        assert loaded.features.tobytes() == features.tobytes()
+        assert loaded.timestamps == stamps
