@@ -7,6 +7,9 @@ is an exact search (a bounded Gram-matrix prefilter, then the direct
 distance on the few surviving rows), Bayesian ridge a closed-form
 posterior mean, and the forest an ensemble of greedy variance-reduction
 CART trees over bootstrap samples.
+
+``compare`` runs them with fixed settings: ``KNN_K`` neighbours, prior
+precision ``RIDGE_ALPHA``, and ``ForestConfig``'s ``max_depth``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ def flatten_windows(inputs: np.ndarray) -> np.ndarray:
 # --- KNN ---------------------------------------------------------------------
 
 
+KNN_K = 5  # neighbours per query in compare
 # Queries per prefilter chunk: each chunk holds a few (KNN_CHUNK, n)
 # arrays, never a (q, n) distance matrix.
 KNN_CHUNK = 16
@@ -97,6 +101,9 @@ def knn_predict_batch(train_x, train_y, queries, k: int) -> np.ndarray:
 # --- Bayesian ridge ------------------------------------------------------------
 
 
+RIDGE_ALPHA = 1e-6  # compare's prior precision
+
+
 class BayesianRidge:
     """Posterior-mean linear regression with a Gaussian weight prior.
 
@@ -104,7 +111,7 @@ class BayesianRidge:
     noise precision; the intercept re-attaches the training means.
     """
 
-    def __init__(self, alpha: float = 1e-6):
+    def __init__(self, alpha: float):
         self.alpha = alpha
         self.weights = None
         self.intercept = None

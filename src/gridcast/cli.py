@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dat
-from .baselines import BayesianRidge, ForestConfig, RandomForest, flatten_windows, knn_predict_batch
+from .baselines import (KNN_K, RIDGE_ALPHA, BayesianRidge, ForestConfig, RandomForest,
+                        flatten_windows, knn_predict_batch)
 from .errors import DataError, GridcastError, NumericError, ParameterError, SchemaError
 from .explain import attribute
 from .metrics import (DECISION_THRESHOLD, ClassificationReport, RegressionReport,
@@ -47,52 +48,41 @@ NOT_REPRODUCED = ("SVR", "XGB")
 class RunConfig:
     """Flat union of data, architecture, training, and reporting options."""
 
-    # data source (exactly one of csv / synth_rows)
+    # data
     csv: str | None = None
-    synth_rows: int | None = None
     window: int = 8
     horizon: int = 1
-    train_frac: float = 0.8
-    val_frac: float = 0.1
-    # task & architecture
+    # task & architecture; a field shared with NetworkConfig or TrainConfig
+    # takes that class's default
     task: str = "regression"
-    blocks: int = 2
-    conv_filters: int = 16
-    kernel: int = 3
-    gru_units: int = 16
-    attn_dim: int = 16
-    mlp_hidden: int = 32
-    dropout_rate: float = 0.2
+    blocks: int = NetworkConfig.blocks
+    conv_filters: int = NetworkConfig.conv_filters
+    kernel: int = NetworkConfig.kernel
+    gru_units: int = NetworkConfig.gru_units
+    attn_dim: int = NetworkConfig.attn_dim
+    mlp_hidden: int = NetworkConfig.mlp_hidden
+    dropout_rate: float = NetworkConfig.dropout_rate
     # training
-    max_epochs: int = 10000
-    early_stop_patience: int = 300
-    initial_lr: float = 0.001
-    lr_patience: int = 100
-    batch_size: int = 32
+    max_epochs: int = TrainConfig.max_epochs
+    early_stop_patience: int = TrainConfig.early_stop_patience
+    initial_lr: float = TrainConfig.initial_lr
+    lr_patience: int = TrainConfig.lr_patience
+    batch_size: int = TrainConfig.batch_size
     # baselines
-    knn_k: int = 5
     n_trees: int = 100
-    forest_depth: int = 12
-    ridge_alpha: float = 1e-6
     # explanation
     explain_windows: int = 100
     explain_perms: int = 50
     explain_exact: bool = False
     # shared
-    seed: int = 0
+    seed: int = TrainConfig.seed
     out_dir: str = "out"
 
     def validate(self):
         problems = []
-        if (self.csv is None) == (self.synth_rows is None):
-            problems.append("exactly one data source required: set csv or synth_rows")
-        if not 0 <= self.ridge_alpha < math.inf:
-            problems.append(f"ridge_alpha must be finite and >= 0, got {self.ridge_alpha}")
-        if not (0.0 < self.train_frac < 1.0 and 0.0 < self.val_frac < 1.0):
-            problems.append(f"train_frac and val_frac must lie in (0, 1), "
-                            f"got {self.train_frac}, {self.val_frac}")
-        for name in ("horizon", "explain_windows", "explain_perms", "knn_k", "n_trees",
-                     "forest_depth"):
+        if self.csv is None:
+            problems.append("csv is required")
+        for name in ("horizon", "explain_windows", "explain_perms", "n_trees"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
         problems += self.network_config().violations() + self.train_config().violations()
@@ -227,20 +217,9 @@ def _write_shapley(path: Path, report):
 # --- dataset / model plumbing -------------------------------------------------
 
 
-def load_table(cfg: RunConfig) -> dat.Table:
-    if cfg.csv is not None:
-        return dat.load_csv(cfg.csv)
-    return dat.synth_generate(cfg.synth_rows, cfg.seed)
-
-
-def split_indices(cfg: RunConfig, n: int) -> dict[str, np.ndarray]:
-    """The run's train/val/test positions among ``n`` windows."""
-    return dat.split_indices(n, train_frac=cfg.train_frac, val_frac_of_train=cfg.val_frac)
-
-
 def build_splits(cfg: RunConfig, table: dat.Table):
     windows = dat.make_windows(table, cfg.window, cfg.horizon)
-    return dat.split_and_scale(windows, split_indices(cfg, len(windows)))
+    return dat.split_and_scale(windows, dat.split_indices(len(windows)))
 
 
 # the NetworkConfig fields that set how many parameters there are
@@ -449,7 +428,7 @@ def _prepare_run(args, regression_only: bool = False):
                 raise ParameterError(f"{key} is {getattr(cfg, key)}, the model's is {meta[key]}")
             setattr(cfg, key, meta[key])
     cfg.validate()
-    table = load_table(cfg)
+    table = dat.load_csv(cfg.csv)
     out_dir = Path(cfg.out_dir)
     _make_dir(out_dir, "out-dir")
     dump_effective_config(cfg, out_dir)
@@ -524,11 +503,6 @@ def cmd_compare(args) -> int:
     cfg, out_dir, model, table = _prepare_run(args, regression_only=True)
     splits = build_splits(cfg, table)
     train, _, test = splits
-    # these depend on the data's size, so are checked here, before any training
-    if cfg.knn_k > len(train):
-        raise ParameterError(f"knn_k is {cfg.knn_k}, above the {len(train)} training windows")
-    if len(train) < 2:
-        raise DataError(f"the random forest needs at least 2 training windows, got {len(train)}")
     if model:
         net, scaler, _ = model
     else:
@@ -540,9 +514,9 @@ def cmd_compare(args) -> int:
     flat_test = flatten_windows(test.inputs)
     targets = train.targets_raw
 
-    knn_pred = knn_predict_batch(flat_train, targets, flat_test, cfg.knn_k)
-    ridge_pred = BayesianRidge(alpha=cfg.ridge_alpha).fit(flat_train, targets).predict(flat_test)
-    forest_cfg = ForestConfig(n_trees=cfg.n_trees, max_depth=cfg.forest_depth, seed=cfg.seed)
+    knn_pred = knn_predict_batch(flat_train, targets, flat_test, KNN_K)
+    ridge_pred = BayesianRidge(RIDGE_ALPHA).fit(flat_train, targets).predict(flat_test)
+    forest_cfg = ForestConfig(n_trees=cfg.n_trees, seed=cfg.seed)
     forest_pred = RandomForest(forest_cfg).fit(flat_train, targets).predict(flat_test)
 
     results = []
@@ -570,7 +544,7 @@ def cmd_predict(args) -> int:
     inputs, reals, keep = windows.inputs, windows.targets_raw, windows.indices
     if args.split != "all":
         # the last `horizon` windows have no target and belong to no split
-        keep = split_indices(cfg, max(len(keep) - cfg.horizon, 0))[args.split]
+        keep = dat.split_indices(max(len(keep) - cfg.horizon, 0))[args.split]
         inputs, reals = inputs[keep], reals[keep]
     target_rows = keep + cfg.window + cfg.horizon - 1
 
@@ -612,7 +586,7 @@ def cmd_predict(args) -> int:
 def cmd_explain(args) -> int:
     cfg, out_dir, (net, scaler, _), table = _prepare_run(args)
     windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs
-    test = split_indices(cfg, len(windows))["test"]
+    test = dat.split_indices(len(windows))["test"]
     picker = RngState(cfg.seed).spawn(30)
     count = min(cfg.explain_windows, len(test))
     chosen = picker.permutation(len(test))[:count]
@@ -643,7 +617,7 @@ _FLAG_NAMES = {"dropout_rate": "--dropout", "early_stop_patience": "--patience",
                "explain_perms": "--perms", "explain_exact": "--exact"}
 _CHOICES = {"task": HEADS}
 _HELP = {"csv": "input CSV path"}
-_DATA_FIELDS = ("csv", "synth_rows", "window")
+_DATA_FIELDS = ("csv", "window")
 _NET_FIELDS = ("task", "blocks", "conv_filters", "kernel", "gru_units", "attn_dim",
                "mlp_hidden", "dropout_rate", "max_epochs", "early_stop_patience",
                "lr_patience", "initial_lr", "batch_size")
@@ -688,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = command("compare", cmd_compare, "benchmark the network against baselines")
     _add_flags(compare, *_DATA_FIELDS, *_NET_FIELDS)
     compare.add_argument("--model", help="reuse a trained model file")
-    _add_flags(compare, "knn_k", "n_trees")
+    _add_flags(compare, "n_trees")
 
     predict = command("predict", cmd_predict, "write per-window predictions for a CSV")
     predict.add_argument("--model", required=True)

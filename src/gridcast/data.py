@@ -415,18 +415,21 @@ def fit_scaler(inputs: np.ndarray, targets: np.ndarray) -> Scaler:
     return Scaler(mean, std, t_mean, t_std)
 
 
-def split_indices(n: int, train_frac: float = 0.8,
-                  val_frac_of_train: float = 0.1) -> dict[str, np.ndarray]:
+TRAIN_FRAC = 0.8
+VAL_FRAC_OF_TRAIN = 0.1
+
+
+def split_indices(n: int) -> dict[str, np.ndarray]:
     """Chronological train/val/test positions of ``n`` samples.
 
-    The first ``train_frac`` of samples trains, and the last
-    ``val_frac_of_train`` of those becomes the validation set; the
+    The first ``TRAIN_FRAC`` of samples trains, and the last
+    ``VAL_FRAC_OF_TRAIN`` of those becomes the validation set; the
     remainder tests. The split is never shuffled: shuffled windows
     leak near-duplicates across the split boundary.
     """
     positions = np.arange(n)
-    n_train_total = int(np.floor(train_frac * n))
-    n_val = int(np.floor(val_frac_of_train * n_train_total))
+    n_train_total = int(np.floor(TRAIN_FRAC * n))
+    n_val = int(np.floor(VAL_FRAC_OF_TRAIN * n_train_total))
     parts = {
         "train": positions[:n_train_total - n_val],
         "val": positions[n_train_total - n_val:n_train_total],

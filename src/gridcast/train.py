@@ -202,11 +202,15 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
     batched forward and backward; the batch-mean loss makes the
     gradient the mean of the per-window gradients. A non-finite batch
     loss, validation loss or parameter gradient raises ``NumericError``
-    naming the epoch (and, for a gradient, the parameter).
+    naming the epoch (and, for a gradient, the parameter); inputs and
+    targets of different lengths raise ``DimensionError``.
     """
     cfg.validate()
     train_x, train_y = (as_tensor(a) for a in train_set)
     val_x, val_y = (as_tensor(a) for a in val_set)
+    for name, x, y in (("train", train_x, train_y), ("validation", val_x, val_y)):
+        if x.shape[0] != y.shape[0]:
+            raise DimensionError(f"{name} set has {x.shape[0]} inputs and {y.shape[0]} targets")
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise DataError("fit needs non-empty train and validation sets")
     head = net.config.head

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from gridcast import baselines
 from gridcast import data as dat
-from gridcast.baselines import (MIN_LEAF, BayesianRidge, ForestConfig, RandomForest,
-                                RegressionTree, _grow_trees, best_split, flatten_windows,
-                                knn_predict_batch, rank_columns, rank_sort)
+from gridcast.baselines import (KNN_K, MIN_LEAF, RIDGE_ALPHA, BayesianRidge, ForestConfig,
+                                RandomForest, RegressionTree, _grow_trees, best_split,
+                                flatten_windows, knn_predict_batch, rank_columns, rank_sort)
 from gridcast.cli import RunConfig
 from gridcast.errors import DataError, NumericError, ParameterError
 from gridcast.tensor import RngState
@@ -117,12 +117,21 @@ class TestKnn:
         assert peak < 399 * 1434 * 8 / 2
 
     def test_empty_train_and_bad_k(self):
-        # compare refuses both before it calls knn_predict_batch; a k above
-        # the training-window count is refused there too (see test_cli.py)
+        # compare runs with k = KNN_K, and refuses an empty train split before
+        # it calls knn_predict_batch
+        assert KNN_K >= 1
         with pytest.raises(DataError, match="train split is empty"):
             dat.split_indices(1)
-        with pytest.raises(ParameterError, match="knn_k must be >= 1, got 0"):
-            RunConfig(synth_rows=100, knn_k=0).validate()
+
+    def test_every_split_leaves_enough_training_windows_for_compare(self):
+        # why compare checks no training-window count: a split either raises
+        # or leaves at least KNN_K windows for KNN and 2 for the forest
+        for n in range(1, 2001):
+            try:
+                train = dat.split_indices(n)["train"]
+            except DataError:
+                continue
+            assert train.size >= max(KNN_K, 2), n
 
 
 class TestBayesianRidge:
@@ -149,7 +158,7 @@ class TestBayesianRidge:
 
     def test_zero_targets_zero_weights(self):
         x = RngState(1).uniform(-1, 1, (20, 3))
-        model = BayesianRidge().fit(x, np.zeros(20))
+        model = BayesianRidge(RIDGE_ALPHA).fit(x, np.zeros(20))
         assert np.abs(model.weights).max() < 1e-12
 
     def test_huge_prior_shrinks_to_mean_prediction(self):
@@ -516,6 +525,5 @@ class TestForest:
         assert ((pred - y) ** 2).mean() < 0.2
 
     def test_config_validation(self):
-        for field in ("n_trees", "forest_depth"):
-            with pytest.raises(ParameterError, match=f"{field} must be >= 1, got 0"):
-                RunConfig(synth_rows=100, **{field: 0}).validate()
+        with pytest.raises(ParameterError, match="n_trees must be >= 1, got 0"):
+            RunConfig(csv="data.csv", n_trees=0).validate()

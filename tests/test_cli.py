@@ -74,7 +74,7 @@ BAD_CONFIG_VALUES = list(dict.fromkeys(
     + [(f.name, text) for f in fields(RunConfig) if f.type == "float"
        for text in ("nan", "inf", "-inf")]))
 
-DATA_OPTIONS = {"--csv", "--synth-rows", "--window"}
+DATA_OPTIONS = {"--csv", "--window"}
 NET_OPTIONS = {"--task", "--blocks", "--conv-filters", "--kernel", "--gru-units",
                "--attn-dim", "--mlp-hidden", "--dropout", "--max-epochs", "--patience",
                "--lr-patience", "--lr", "--batch-size"}
@@ -82,7 +82,7 @@ RUN_OPTIONS = {"--config", "--seed", "--out-dir"}
 COMMAND_OPTIONS = {
     "synth": {"--rows", "--seed", "--out"},
     "train": RUN_OPTIONS | DATA_OPTIONS | NET_OPTIONS,
-    "compare": RUN_OPTIONS | DATA_OPTIONS | NET_OPTIONS | {"--model", "--knn-k", "--trees"},
+    "compare": RUN_OPTIONS | DATA_OPTIONS | NET_OPTIONS | {"--model", "--trees"},
     "predict": RUN_OPTIONS | {"--model", "--csv", "--split"},
     "explain": RUN_OPTIONS | DATA_OPTIONS | {"--model", "--windows", "--perms", "--exact"},
 }
@@ -102,11 +102,9 @@ EVERY_FLAG_RUNS = {
                 ("--mlp-hidden", "mlp_hidden", "4"), ("--dropout", "dropout_rate", "0.25"),
                 ("--max-epochs", "max_epochs", "1"), ("--patience", "early_stop_patience", "7"),
                 ("--lr-patience", "lr_patience", "6"), ("--lr", "initial_lr", "0.002"),
-                ("--batch-size", "batch_size", "16"), ("--knn-k", "knn_k", "3"),
-                ("--trees", "n_trees", "2")],
+                ("--batch-size", "batch_size", "16"), ("--trees", "n_trees", "2")],
     # the trained fixture's window is 6, and explain adopts the model's window
-    "explain": [("--seed", "seed", "4"), ("--synth-rows", "synth_rows", "120"),
-                ("--window", "window", "6"),
+    "explain": [("--seed", "seed", "4"), ("--window", "window", "6"),
                 ("--windows", "explain_windows", "1"), ("--perms", "explain_perms", "3"),
                 ("--exact", "explain_exact", None)],
 }
@@ -184,12 +182,6 @@ class TestTrain:
         assert int(first[0]) == 1
         assert float(first[1]) == logs[0].epochs[0].train_loss
 
-    def test_synth_source(self, tmp_path):
-        out = tmp_path / "fromsynth"
-        code = main(["train", "--synth-rows", "150", "--seed", "4",
-                     "--out-dir", str(out), "--max-epochs", "1", *FAST_NET])
-        assert code == 0
-
     def test_rerun_byte_identical(self, tmp_path, synth_csv):
         out = tmp_path / "det"
         argv = ["train", "--csv", str(synth_csv), "--seed", "9",
@@ -217,10 +209,7 @@ class TestConfigFile:
                      "--window", "7"]) == 0
         assert "window = 7" in (out2 / "effective_config.txt").read_text()
 
-    @pytest.mark.parametrize("entry", ["train_frac = 1.0", "val_frac = 0", "horizon = 0",
-                                       "forest_depth = 0", "ridge_alpha = -1"],
-                             ids=["train_frac", "val_frac", "horizon", "forest_depth",
-                                  "ridge_alpha"])
+    @pytest.mark.parametrize("entry", ["horizon = 0"], ids=["horizon"])
     def test_file_setting_rejected_before_out_dir(self, tmp_path, synth_csv, capsys, entry):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entry + "\n")
@@ -244,20 +233,22 @@ class TestConfigFile:
 
     def test_unreadable_flag_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as stop:
-            main(["train", "--synth-rows", "100", "--window", "abc",
+            main(["train", "--csv", "data.csv", "--window", "abc",
                   "--out-dir", str(tmp_path / "none")])
         assert stop.value.code == 2
         assert "argument --window: window must be int, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
 
-    def test_optional_fields_read_none_and_empty(self, tmp_path, synth_csv):
+    def test_optional_fields_read_none_and_empty(self, tmp_path, synth_csv, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"csv = {synth_csv}\nsynth_rows = 50\nsynth_rows = none\n"
-                       "synth_rows =\n")
+        for text in ("none", "None", ""):
+            cfg.write_text(f"csv = {synth_csv}\ncsv = {text}\n")
+            assert cli.read_config_file(cfg) == {"csv": None}
         out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
-                     "--max-epochs", "1", *FAST_NET]) == 0
-        assert "synth_rows = None" in (out / "effective_config.txt").read_text()
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "configuration error: invalid run config: csv is required" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -265,20 +256,22 @@ class TestConfigFile:
         assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("key", ["shuffle_split", "validate_on_test", "synth_regime",
-                                     "on_missing", "conv_activation"])
-    def test_removed_setting_is_an_unknown_key(self, tmp_path, capsys, key):
+                                     "on_missing", "conv_activation", "synth_rows",
+                                     "train_frac", "val_frac", "knn_k", "forest_depth",
+                                     "ridge_alpha"])
+    def test_removed_setting_is_an_unknown_key(self, tmp_path, synth_csv, capsys, key):
         cfg = tmp_path / "old.cfg"
-        cfg.write_text(f"synth_rows = 100\n{key} = x\n")
+        cfg.write_text(f"csv = {synth_csv}\n{key} = x\n")
         out = tmp_path / "none"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert f"{cfg}:2: unknown config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_line_without_equals_is_config_error(self, tmp_path, capsys):
+    def test_line_without_equals_is_config_error(self, tmp_path, synth_csv, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("# settings\nseed 3\n")
         out = tmp_path / "none"
-        assert main(["train", "--config", str(cfg), "--synth-rows", "100",
+        assert main(["train", "--config", str(cfg), "--csv", str(synth_csv),
                      "--out-dir", str(out)]) == 2
         assert f"{cfg}:2: expected key = value, got 'seed 3'" in capsys.readouterr().err
         assert not out.exists()
@@ -313,9 +306,9 @@ class TestFlags:
     @pytest.mark.parametrize("command", list(EVERY_FLAG_RUNS))
     def test_every_flag_lands_in_its_field(self, tmp_path, synth_csv, trained, command):
         out = tmp_path / "run"
-        source = {"compare": ["--csv", str(synth_csv)],
-                  "explain": ["--model", str(trained / "model.json")]}[command]
-        argv = [command, "--out-dir", str(out), *source]
+        argv = [command, "--out-dir", str(out), "--csv", str(synth_csv)]
+        if command == "explain":
+            argv += ["--model", str(trained / "model.json")]
         for flag, _, value in EVERY_FLAG_RUNS[command]:
             argv += [flag] if value is None else [flag, value]
         assert main(argv) == 0
@@ -323,17 +316,26 @@ class TestFlags:
         assert f"out_dir = {out}" in lines
         for _, field, value in EVERY_FLAG_RUNS[command]:
             assert f"{field} = {True if value is None else value}" in lines
-        if command == "compare":
-            assert f"csv = {synth_csv}" in lines
+        assert f"csv = {synth_csv}" in lines
 
 
 class TestExitCodes:
     def test_no_data_source_is_config_error(self, tmp_path):
         assert main(["train", "--out-dir", str(tmp_path / "x")]) == 2
 
-    def test_both_data_sources_is_config_error(self, tmp_path, synth_csv):
-        assert main(["train", "--csv", str(synth_csv), "--synth-rows", "10",
-                     "--out-dir", str(tmp_path / "x")]) == 2
+    @pytest.mark.parametrize("argv", [["train", "--synth-rows", "100"],
+                                      ["compare", "--synth-rows", "100"],
+                                      ["explain", "--synth-rows", "100", "--model", "m.json"],
+                                      ["compare", "--knn-k", "3"]],
+                             ids=["train-synth-rows", "compare-synth-rows",
+                                  "explain-synth-rows", "compare-knn-k"])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, synth_csv, capsys, argv):
+        out = tmp_path / "none"
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, "--csv", str(synth_csv), "--out-dir", str(out)])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_csv_is_data_error(self, tmp_path):
         out = tmp_path / "x"
@@ -355,7 +357,6 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        pytest.param(["compare", "--knn-k", "0"], "knn_k must be >= 1, got 0", id="knn-k-0"),
         pytest.param(["compare", "--trees", "0"], "n_trees must be >= 1, got 0", id="trees-0"),
         pytest.param(["train", "--blocks", "0"], "blocks must be >= 1, got 0", id="blocks-0"),
         pytest.param(["train", "--batch-size", "0"], "batch_size must be >= 1, got 0",
@@ -383,12 +384,11 @@ class TestExitCodes:
         assert not out.exists()
 
     # flags and config lines never read as these; a Python caller can still pass them
-    @pytest.mark.parametrize("field, value", [("ridge_alpha", float("inf")),
-                                              ("initial_lr", float("nan")),
+    @pytest.mark.parametrize("field, value", [("initial_lr", float("nan")),
                                               ("initial_lr", float("inf"))])
     def test_non_finite_setting_is_refused_by_validate(self, field, value):
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
-            RunConfig(synth_rows=100, **{field: value}).validate()
+            RunConfig(csv="data.csv", **{field: value}).validate()
 
     @pytest.mark.parametrize("case", ["broadcastable-shape", "wrong-shape", "missing-key",
                                       "not-base64", "stray-character", "byte-count"])
@@ -626,20 +626,20 @@ class TestExitCodes:
         assert "not a gridcast-model-v2 file" in capsys.readouterr().err
 
     # in {tmp}, "file" is a file, "dir" a directory holding the directory x.csv.meta.json,
-    # bad.cfg and bad.csv are not UTF-8, and bom.csv is a header of two columns after a
-    # UTF-8 byte-order mark
+    # data.csv a synthetic table, bad.cfg and bad.csv are not UTF-8, and bom.csv is a
+    # header of two columns after a UTF-8 byte-order mark
     @pytest.mark.parametrize("argv, code, named", [
-        pytest.param("train --synth-rows 200 --config {tmp}/nope.cfg --out-dir {tmp}/out", 2,
+        pytest.param("train --csv {tmp}/data.csv --config {tmp}/nope.cfg --out-dir {tmp}/out", 2,
                      "{tmp}/nope.cfg", id="config-missing"),
-        pytest.param("train --synth-rows 200 --config {tmp}/dir --out-dir {tmp}/out", 2,
+        pytest.param("train --csv {tmp}/data.csv --config {tmp}/dir --out-dir {tmp}/out", 2,
                      "{tmp}/dir", id="config-dir"),
-        pytest.param("train --synth-rows 200 --config {tmp}/bad.cfg --out-dir {tmp}/out", 2,
+        pytest.param("train --csv {tmp}/data.csv --config {tmp}/bad.cfg --out-dir {tmp}/out", 2,
                      "{tmp}/bad.cfg", id="config-not-utf8"),
         pytest.param("train --csv {tmp}/bad.csv --out-dir {tmp}/out", 3, "{tmp}/bad.csv",
                      id="csv-not-utf8"),
-        pytest.param("train --synth-rows 200 --out-dir {tmp}/file", 2, "{tmp}/file",
+        pytest.param("train --csv {tmp}/data.csv --out-dir {tmp}/file", 2, "{tmp}/file",
                      id="out-dir-is-file"),
-        pytest.param("train --synth-rows 200 --out-dir {tmp}/file/out", 2, "{tmp}/file/out",
+        pytest.param("train --csv {tmp}/data.csv --out-dir {tmp}/file/out", 2, "{tmp}/file/out",
                      id="out-dir-under-file"),
         pytest.param("synth --rows 10 --out {tmp}/file/synth.csv", 2, "{tmp}/file",
                      id="synth-out-under-file"),
@@ -655,6 +655,7 @@ class TestExitCodes:
     def test_unusable_path_is_named_without_a_traceback(self, tmp_path, argv, code, named):
         (tmp_path / "file").write_text("x")
         (tmp_path / "dir" / "x.csv.meta.json").mkdir(parents=True)
+        write_csv(synth_generate(20, seed=1), tmp_path / "data.csv")
         (tmp_path / "bad.cfg").write_bytes(b"\xff\xfe seed = 1\n")
         (tmp_path / "bad.csv").write_bytes(b"pv_kw\n\xff\n")
         (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbfpv_kw,battery_kw\n")
@@ -856,7 +857,7 @@ class TestInputFileMutations:
         original = ("window = 6\ntask = regression\nblocks = 1\nkernel = 3\n"
                     "conv_filters = 3\ngru_units = 3\nattn_dim = 3\nmlp_hidden = 4\n"
                     "dropout_rate = 0.1  # per layer\ninitial_lr = 0.001\nbatch_size = 16\n"
-                    "train_frac = 0.8\nval_frac = 0.1\nseed = 3\n").encode()
+                    "seed = 3\n").encode()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.cfg"
             path.write_bytes(mutate_bytes(data, original, 3))
@@ -1085,17 +1086,6 @@ class TestCompare:
         assert main(["compare", "--csv", str(synth_csv), "--task",
                      "classification", "--out-dir", str(tmp_path / "x")]) == 2
 
-    def test_knn_k_above_the_training_windows_refused_before_training(self, tmp_path,
-                                                                       synth_csv, capsys):
-        out = tmp_path / "cmpk"
-        code = main(["compare", "--csv", str(synth_csv), "--out-dir", str(out),
-                     "--max-epochs", "2", *FAST_NET, "--knn-k", "5000"])
-        assert code == 2
-        printed = capsys.readouterr()
-        assert printed.out == ""
-        assert re.search(r"knn_k is 5000, above the \d+ training windows", printed.err)
-        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
-
     def test_classification_model_refused_before_out_dir(self, tmp_path, synth_csv, classified,
                                                          capsys):
         model = classified / "model.json"
@@ -1104,23 +1094,6 @@ class TestCompare:
                      "--out-dir", str(out)]) == 2
         assert f"model {model} has head 'classification'" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.filterwarnings("ignore:constant training target")
-    def test_one_training_window_refused_before_training(self, tmp_path, capsys):
-        # 11 rows make 3 windows of 8; a validation half of the 2 training ones leaves 1
-        path = tmp_path / "tiny.csv"
-        assert main(["synth", "--rows", "11", "--seed", "3", "--out", str(path)]) == 0
-        cfg = tmp_path / "half.cfg"
-        cfg.write_text("val_frac = 0.5\n")
-        capsys.readouterr()
-        out = tmp_path / "cmp1"
-        code = main(["compare", "--csv", str(path), "--config", str(cfg), "--knn-k", "1",
-                     "--max-epochs", "1", "--out-dir", str(out)])
-        assert code == 3
-        printed = capsys.readouterr()
-        assert printed.out == ""
-        assert "the random forest needs at least 2 training windows, got 1" in printed.err
-        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
 
 
 class TestExplain:

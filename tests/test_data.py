@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcast import data as dat
-from gridcast.cli import RunConfig, main
+from gridcast.cli import main
 from gridcast.data import (SCHEMA, TABLE_STATS, Table, csv_cell, fit_scaler,
                            label_zero_state, load_csv, make_windows,
                            moment_report, split_and_scale, split_indices,
@@ -191,8 +191,8 @@ class TestMakeWindows:
             sset.inputs[0, 0, 0] = 1.0
 
 
-def split(sset, **settings):
-    return split_and_scale(sset, split_indices(len(sset), **settings))
+def split(sset):
+    return split_and_scale(sset, split_indices(len(sset)))
 
 
 class TestSplitAndScale:
@@ -233,11 +233,6 @@ class TestSplitAndScale:
     def test_empty_split_errors(self):
         with pytest.raises(DataError):
             split(self.make_set(4))
-
-    def test_bad_fractions(self):
-        # split_indices takes its fractions from a validated RunConfig
-        with pytest.raises(ParameterError, match="train_frac and val_frac must lie in"):
-            RunConfig(synth_rows=100, train_frac=1.0).validate()
 
     def test_model_targets_need_a_scaled_set_and_a_known_task(self):
         with pytest.raises(ParameterError, match="set is unscaled; run split_and_scale first"):

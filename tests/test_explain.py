@@ -170,7 +170,7 @@ class TestShapleySample:
 
     def test_bad_n_perms(self):
         with pytest.raises(ParameterError, match="explain_perms must be >= 1, got 0"):
-            RunConfig(synth_rows=100, explain_perms=0).validate()
+            RunConfig(csv="data.csv", explain_perms=0).validate()
 
 
 class TestAttribute:
@@ -203,8 +203,8 @@ class TestAttribute:
 
     def test_name_count_must_match(self, tmp_path):
         # explain names the schema's columns, and a model trained on others is refused
-        cfg = RunConfig(synth_rows=50, window=3, blocks=1, conv_filters=2, gru_units=2,
-                        attn_dim=2, mlp_hidden=2)
+        cfg = RunConfig(window=3, blocks=1, conv_filters=2, gru_units=2, attn_dim=2,
+                        mlp_hidden=2)
         path = tmp_path / "model.json"
         save_model(path, Network.build(cfg.network_config(), RngState(0)),
                    Scaler(np.zeros(13), np.ones(13), 0.0, 1.0), cfg)

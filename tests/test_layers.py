@@ -17,8 +17,8 @@ from oracles import check_gradients, gru_reference, max_rel_err, numeric_grad, r
 
 BATCH = 3
 # a one-block network: conv 13 -> 3 channels, GRU 13 -> 4 units, attention width 3
-SMALL_RUN = RunConfig(synth_rows=50, window=5, blocks=1, conv_filters=3, gru_units=4,
-                      attn_dim=3, mlp_hidden=4)
+SMALL_RUN = RunConfig(window=5, blocks=1, conv_filters=3, gru_units=4, attn_dim=3,
+                      mlp_hidden=4)
 
 
 def model_file_with(tmp_path, key, shape):

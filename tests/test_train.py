@@ -216,6 +216,18 @@ class TestFit:
         with pytest.raises(DataError):
             fit(tiny_net(), (x[:0], y[:0]), (x, y), TrainConfig(max_epochs=1))
 
+    # 10 windows with 12 targets once trained on mispaired rows; with 8, an
+    # index past the targets raised a bare IndexError
+    @pytest.mark.parametrize("targets", [12, 8], ids=["more-targets", "fewer-targets"])
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    def test_inputs_and_targets_of_different_lengths_refused(self, split, targets):
+        x, y = linear_problem(n=30)
+        sets = {"train": (x[:10], y[:10]), "validation": (x[10:20], y[10:20])}
+        sets[split] = (sets[split][0], y[:targets])
+        with pytest.raises(DimensionError, match=f"{split} set has 10 inputs and {targets} "
+                                                 "targets"):
+            fit(tiny_net(), sets["train"], sets["validation"], TrainConfig(max_epochs=1))
+
     def test_invalid_config_refused(self):
         x, y = linear_problem(n=20)
         with pytest.raises(ParameterError, match="invalid train config: batch_size must be >= 1"):
