@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from gridcast import baselines, cli
 from gridcast.cli import RunConfig, build_parser, forecast, load_model, main, save_model
-from gridcast.data import SCHEMA, Table, synth_generate, write_csv
+from gridcast.data import SCHEMA, Table, split_indices, synth_generate, write_csv
 from gridcast.errors import GridcastError, ParameterError
 from gridcast.metrics import regression_metrics
 from gridcast.network import Network
@@ -67,11 +67,15 @@ UNREADABLE = {"int": "1.5", "int | None": "abc", "float": "x", "bool": "maybe"}
 # config values, each pinned by name, that must never escape as a traceback (exit 1)
 TRACEBACK_PROBES = [("window", "abc"), ("window", "none"), ("blocks", "1.5"),
                     ("max_epochs", "1e3"), ("dropout_rate", "x"), ("seed", "none")]
+# deleted settings, with the type each had; a config line with one is an unknown key
+REMOVED_SETTINGS = {"synth_rows": "int | None", "train_frac": "float", "val_frac": "float",
+                    "knn_k": "int", "forest_depth": "int", "ridge_alpha": "float"}
+SETTING_TYPES = {f.name: f.type for f in fields(RunConfig)} | REMOVED_SETTINGS
 BAD_CONFIG_VALUES = list(dict.fromkeys(
     TRACEBACK_PROBES
-    + [(f.name, UNREADABLE[f.type]) for f in fields(RunConfig) if f.type in UNREADABLE]
-    + [(f.name, "none") for f in fields(RunConfig) if not f.type.endswith(" | None")]
-    + [(f.name, text) for f in fields(RunConfig) if f.type == "float"
+    + [(name, UNREADABLE[kind]) for name, kind in SETTING_TYPES.items() if kind in UNREADABLE]
+    + [(name, "none") for name, kind in SETTING_TYPES.items() if not kind.endswith(" | None")]
+    + [(name, text) for name, kind in SETTING_TYPES.items() if kind == "float"
        for text in ("nan", "inf", "-inf")]))
 
 DATA_OPTIONS = {"--csv", "--window"}
@@ -209,7 +213,10 @@ class TestConfigFile:
                      "--window", "7"]) == 0
         assert "window = 7" in (out2 / "effective_config.txt").read_text()
 
-    @pytest.mark.parametrize("entry", ["horizon = 0"], ids=["horizon"])
+    @pytest.mark.parametrize("entry", ["train_frac = 1.0", "val_frac = 0", "horizon = 0",
+                                       "forest_depth = 0", "ridge_alpha = -1"],
+                             ids=["train_frac", "val_frac", "horizon", "forest_depth",
+                                  "ridge_alpha"])
     def test_file_setting_rejected_before_out_dir(self, tmp_path, synth_csv, capsys, entry):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entry + "\n")
@@ -227,8 +234,9 @@ class TestConfigFile:
         out = tmp_path / "none"
         assert main(["train", "--config", str(cfg), "--csv", str(synth_csv),
                      "--out-dir", str(out)]) == 2
-        kind = next(f.type for f in fields(RunConfig) if f.name == key)
-        assert f"{cfg}:2: {key} must be {kind}, got {text!r}" in capsys.readouterr().err
+        expected = (f"unknown config key {key!r}" if key in REMOVED_SETTINGS
+                    else f"{key} must be {SETTING_TYPES[key]}, got {text!r}")
+        assert f"{cfg}:2: {expected}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unreadable_flag_is_usage_error(self, tmp_path, capsys):
@@ -1086,6 +1094,22 @@ class TestCompare:
         assert main(["compare", "--csv", str(synth_csv), "--task",
                      "classification", "--out-dir", str(tmp_path / "x")]) == 2
 
+    def test_knn_k_above_the_training_windows_refused_before_training(self, tmp_path, capsys):
+        # 20 rows make 12 windows of 8, the most that split_indices refuses; one more
+        # window leaves KNN_K or more for KNN to train on
+        assert split_indices(13)["train"].size >= baselines.KNN_K
+        path = tmp_path / "small.csv"
+        assert main(["synth", "--rows", "20", "--seed", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "cmpk"
+        code = main(["compare", "--csv", str(path), "--out-dir", str(out),
+                     "--max-epochs", "1"])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "val split is empty with n=12" in printed.err
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
+
     def test_classification_model_refused_before_out_dir(self, tmp_path, synth_csv, classified,
                                                          capsys):
         model = classified / "model.json"
@@ -1094,6 +1118,20 @@ class TestCompare:
                      "--out-dir", str(out)]) == 2
         assert f"model {model} has head 'classification'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_training_window_refused_before_training(self, tmp_path, capsys):
+        # 11 rows make 3 windows of 8: 2 train in all, of which no whole window validates
+        path = tmp_path / "tiny.csv"
+        assert main(["synth", "--rows", "11", "--seed", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "cmp1"
+        code = main(["compare", "--csv", str(path), "--max-epochs", "1",
+                     "--out-dir", str(out)])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "val split is empty with n=3" in printed.err
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
 
 
 class TestExplain:
