@@ -51,23 +51,19 @@ class RunConfig:
     # data
     csv: str | None = None
     window: int = 8
-    horizon: int = 1
     # task & architecture; a field shared with NetworkConfig or TrainConfig
     # takes that class's default
     task: str = "regression"
     blocks: int = NetworkConfig.blocks
     conv_filters: int = NetworkConfig.conv_filters
-    kernel: int = NetworkConfig.kernel
     gru_units: int = NetworkConfig.gru_units
     attn_dim: int = NetworkConfig.attn_dim
     mlp_hidden: int = NetworkConfig.mlp_hidden
-    dropout_rate: float = NetworkConfig.dropout_rate
     # training
     max_epochs: int = TrainConfig.max_epochs
     early_stop_patience: int = TrainConfig.early_stop_patience
     initial_lr: float = TrainConfig.initial_lr
     lr_patience: int = TrainConfig.lr_patience
-    batch_size: int = TrainConfig.batch_size
     # baselines
     n_trees: int = 100
     # explanation
@@ -82,7 +78,7 @@ class RunConfig:
         problems = []
         if self.csv is None:
             problems.append("csv is required")
-        for name in ("horizon", "explain_windows", "explain_perms", "n_trees"):
+        for name in ("explain_windows", "explain_perms", "n_trees"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
         problems += self.network_config().violations() + self.train_config().violations()
@@ -218,7 +214,7 @@ def _write_shapley(path: Path, report):
 
 
 def build_splits(cfg: RunConfig, table: dat.Table):
-    windows = dat.make_windows(table, cfg.window, cfg.horizon)
+    windows = dat.make_windows(table, cfg.window)
     return dat.split_and_scale(windows, dat.split_indices(len(windows)))
 
 
@@ -234,8 +230,9 @@ def save_model(path, net: Network, scaler: dat.Scaler, cfg: RunConfig):
     params = {key: {"shape": list(arr.shape),
                     "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
               for key, arr in net.params().items()}
+    # every model forecasts one step ahead; perfbench's prediction check reads "horizon"
     payload = {
-        "format": MODEL_FORMAT, "task": cfg.task, "window": cfg.window, "horizon": cfg.horizon,
+        "format": MODEL_FORMAT, "task": cfg.task, "window": cfg.window, "horizon": 1,
         "feature_names": list(dat.SCHEMA),
         "scaler": {"feature_mean": scaler.feature_mean.tolist(),
                    "feature_std": scaler.feature_std.tolist(),
@@ -280,11 +277,13 @@ def _read_model(payload: dict) -> tuple[Network, dat.Scaler]:
     names = _get(payload, "feature_names", "model")
     if names != list(dat.SCHEMA):
         raise SchemaError(f"model was trained on columns {names}, expected {list(dat.SCHEMA)}")
-    for key in ("window", "horizon"):
-        value = _get(payload, key, "model")
-        # a bool is an int to isinstance, so the type is compared exactly
-        if type(value) is not int or value < 1:
-            raise SchemaError(f"{key} must be an int >= 1, got {value!r}")
+    window, horizon = _get(payload, "window", "model"), _get(payload, "horizon", "model")
+    # a bool is an int to isinstance, so the type is compared exactly
+    if type(window) is not int or window < 1:
+        raise SchemaError(f"window must be an int >= 1, got {window!r}")
+    # every network forecasts the row after its window
+    if type(horizon) is not int or horizon != 1:
+        raise SchemaError(f"horizon must be 1, got {horizon!r}")
     network = _get(payload, "network", "model")
     raw_config = _get(network, "config", "network")
     values = {}
@@ -326,8 +325,8 @@ def _read_model(payload: dict) -> tuple[Network, dat.Scaler]:
     if not (math.isfinite(t_mean) and math.isfinite(t_std) and t_std > 0):
         raise SchemaError(f"scaler target_mean must be finite and target_std finite and "
                           f"positive, got {t_mean!r}, {t_std!r}")
-    if payload["window"] != config.window:
-        raise SchemaError(f"window {payload['window']} differs from the network's {config.window}")
+    if window != config.window:
+        raise SchemaError(f"window {window} differs from the network's {config.window}")
     net = Network.build(config, RngState(0))
     live = net.params()
     if params.keys() != live.keys():
@@ -405,13 +404,12 @@ def _prepare_run(args, regression_only: bool = False):
     """The preamble every modelling command shares.
 
     Resolves the run config, loads ``--model`` (if the command has one)
-    and adopts its window and horizon (setting either to another value
-    is a configuration error), validates the result and loads
-    the data table; only then makes the out-dir and dumps the effective
-    config into it, so a bad setting, model file or CSV leaves no
-    out-dir. Returns ``(cfg, out_dir, model, table)`` with ``model`` the
-    ``load_model`` triple or None. ``regression_only`` rejects a
-    classification config or model head.
+    and adopts its window (setting another is a configuration error),
+    validates the result and loads the data table; only then makes the
+    out-dir and dumps the effective config into it, so a bad setting,
+    model file or CSV leaves no out-dir. Returns ``(cfg, out_dir, model,
+    table)`` with ``model`` the ``load_model`` triple or None.
+    ``regression_only`` rejects a classification config or model head.
     """
     cfg, given = resolve_config(args)
     if regression_only and cfg.task != "regression":
@@ -423,10 +421,9 @@ def _prepare_run(args, regression_only: bool = False):
         net, _, meta = model
         if regression_only and net.config.head != "regression":
             raise ParameterError(f"model {args.model} has head {net.config.head!r}")
-        for key in ("window", "horizon"):
-            if key in given and getattr(cfg, key) != meta[key]:
-                raise ParameterError(f"{key} is {getattr(cfg, key)}, the model's is {meta[key]}")
-            setattr(cfg, key, meta[key])
+        if "window" in given and cfg.window != meta["window"]:
+            raise ParameterError(f"window is {cfg.window}, the model's is {meta['window']}")
+        cfg.window = meta["window"]
     cfg.validate()
     table = dat.load_csv(cfg.csv)
     out_dir = Path(cfg.out_dir)
@@ -482,7 +479,7 @@ def cmd_train(args) -> int:
     splits = build_splits(cfg, table)
     train, _, test = splits
     net, log = _train_pipeline(cfg, splits, out_dir)
-    windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs[test.indices]
+    windows = dat.make_windows(table, cfg.window).inputs[test.indices]
     payload, report = evaluate_on_test(forecast(net, train.scaler, windows), test, cfg.task)
     payload["stop_reason"] = log.stop_reason
     payload["epochs_run"] = len(log.epochs)
@@ -508,7 +505,7 @@ def cmd_compare(args) -> int:
     else:
         net, _ = _train_pipeline(cfg, splits, out_dir)
         scaler = train.scaler
-    windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs[test.indices]
+    windows = dat.make_windows(table, cfg.window).inputs[test.indices]
     net_pred = forecast(net, scaler, windows)
     flat_train = flatten_windows(train.inputs)
     flat_test = flatten_windows(test.inputs)
@@ -539,14 +536,14 @@ def cmd_compare(args) -> int:
 def cmd_predict(args) -> int:
     cfg, out_dir, (net, scaler, _), table = _prepare_run(args)
     task = net.config.head
-    # trailing windows predict past the data; their real value is NaN
-    windows = dat.make_windows(table, cfg.window, cfg.horizon, trailing=True)
+    # the trailing window predicts past the data; its real value is NaN
+    windows = dat.make_windows(table, cfg.window, trailing=True)
     inputs, reals, keep = windows.inputs, windows.targets_raw, windows.indices
     if args.split != "all":
-        # the last `horizon` windows have no target and belong to no split
-        keep = dat.split_indices(max(len(keep) - cfg.horizon, 0))[args.split]
+        # the last window has no target and belongs to no split
+        keep = dat.split_indices(len(keep) - 1)[args.split]
         inputs, reals = inputs[keep], reals[keep]
-    target_rows = keep + cfg.window + cfg.horizon - 1
+    target_rows = keep + cfg.window
 
     preds = forecast(net, scaler, inputs)
     has_real = ~np.isnan(reals)
@@ -585,7 +582,7 @@ def cmd_predict(args) -> int:
 
 def cmd_explain(args) -> int:
     cfg, out_dir, (net, scaler, _), table = _prepare_run(args)
-    windows = dat.make_windows(table, cfg.window, cfg.horizon).inputs
+    windows = dat.make_windows(table, cfg.window).inputs
     test = dat.split_indices(len(windows))["test"]
     picker = RngState(cfg.seed).spawn(30)
     count = min(cfg.explain_windows, len(test))
@@ -612,15 +609,14 @@ def cmd_explain(args) -> int:
 
 
 # flags named otherwise than their RunConfig field; field ``a_b`` is ``--a-b``
-_FLAG_NAMES = {"dropout_rate": "--dropout", "early_stop_patience": "--patience",
-               "initial_lr": "--lr", "n_trees": "--trees", "explain_windows": "--windows",
-               "explain_perms": "--perms", "explain_exact": "--exact"}
+_FLAG_NAMES = {"early_stop_patience": "--patience", "initial_lr": "--lr", "n_trees": "--trees",
+               "explain_windows": "--windows", "explain_perms": "--perms",
+               "explain_exact": "--exact"}
 _CHOICES = {"task": HEADS}
 _HELP = {"csv": "input CSV path"}
 _DATA_FIELDS = ("csv", "window")
-_NET_FIELDS = ("task", "blocks", "conv_filters", "kernel", "gru_units", "attn_dim",
-               "mlp_hidden", "dropout_rate", "max_epochs", "early_stop_patience",
-               "lr_patience", "initial_lr", "batch_size")
+_NET_FIELDS = ("task", "blocks", "conv_filters", "gru_units", "attn_dim", "mlp_hidden",
+               "max_epochs", "early_stop_patience", "lr_patience", "initial_lr")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str, **overrides):

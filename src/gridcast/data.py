@@ -364,18 +364,17 @@ def write_csv(table: Table, path):
 # --- windowing / splitting -------------------------------------------------
 
 
-def make_windows(table: Table, window: int, horizon: int = 1, *,
-                 trailing: bool = False) -> SupervisedSet:
-    """Slide a length-``window`` input over the rows; target sits ``horizon`` after.
+def make_windows(table: Table, window: int, *, trailing: bool = False) -> SupervisedSet:
+    """Slide a length-``window`` input over the rows; the target is the next row's.
 
-    With ``trailing`` the last ``horizon`` windows, whose target row lies
-    past the data, are kept too and get NaN targets. ``inputs`` is a
-    read-only view of ``table.features``, so windowing a table again
-    copies nothing.
+    With ``trailing`` the last window, whose target row lies past the
+    data, is kept too and gets a NaN target. ``inputs`` is a read-only
+    view of ``table.features``, so windowing a table again copies
+    nothing.
     """
-    if window < 1 or horizon < 1:
-        raise ParameterError(f"window and horizon must be >= 1, got {window}, {horizon}")
-    need = window if trailing else window + horizon
+    if window < 1:
+        raise ParameterError(f"window must be >= 1, got {window}")
+    need = window if trailing else window + 1
     n = len(table)
     if n < need:
         raise DataError(f"need at least {need} rows to window, got {n}")
@@ -383,7 +382,7 @@ def make_windows(table: Table, window: int, horizon: int = 1, *,
     inputs = np.lib.stride_tricks.sliding_window_view(
         table.features, window, axis=0).transpose(0, 2, 1)[:count]
     targets = np.full(count, np.nan)
-    known = table.features[window + horizon - 1:, TARGET_INDEX]
+    known = table.features[window:, TARGET_INDEX]
     targets[:len(known)] = known
     return SupervisedSet(inputs, targets, indices=np.arange(count))
 

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the
 per-criterion lines. The surrogate-scale criteria (2 and 3) train the
 full-size network on the 5,000-row seed-fixed synthetic dataset and
-take about 18 s and 9 s on 2 CPUs; everything else is fast.
+take 17-28 s and 8-11 s on 2 CPUs; everything else is fast.
 """
 
 import itertools

@@ -1,7 +1,8 @@
 """Every module-level function and class in ``src/gridcast`` has a caller outside the tests,
 every dataclass field there has a reader, every defaulted parameter there is passed,
 every parameter there is read by its own function, every name a module there imports
-is used in that module, and only ``cli.py`` and ``data.py`` open or write files.
+is used in that module, only ``cli.py`` and ``data.py`` open or write files, and every
+``RunConfig`` field has a flag that some user of the CLI passes.
 
 A name counts as used when code under ``src/``, ``scripts/`` or
 ``perfbench/`` refers to it (as a name, an attribute, an import or a
@@ -18,9 +19,13 @@ in place (``param -= step`` reads ``param`` first). An imported name counts
 as used when its module loads it or lists it in ``__all__``.
 """
 
+import argparse
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from gridcast.cli import RunConfig, build_parser
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "gridcast"
@@ -201,3 +206,33 @@ def test_every_import_is_used():
                    for alias in node.names
                    if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def user_flags() -> set[str]:
+    """Every ``--flag`` that the acceptance criteria, ``scripts/``, ``perfbench/`` or a
+    ``gridcast`` command line in README.md passes."""
+    sources = [REPO / "tests" / "test_acceptance.py",
+               *(REPO / "scripts").rglob("*.py"), *(REPO / "perfbench").rglob("*.py")]
+    flags = {node.value for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.startswith("--")}
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    # a command line runs on over lines that end in a backslash
+    for command in re.findall(r"^gridcast .*(?:\\\n.*)*", readme, re.MULTILINE):
+        flags.update(re.findall(r"--[\w-]+", command))
+    return flags
+
+
+def test_every_run_setting_has_a_user():
+    """A setting that no criterion, script, benchmark or documented run sets has one
+    value in use, and belongs in the code as a constant."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for command in sub.choices.values():
+        for action in command._actions:
+            flags.setdefault(action.dest, set()).update(action.option_strings)
+    used = user_flags()
+    unset = [f"{field.name} ({', '.join(sorted(flags.get(field.name, ()))) or 'no flag'})"
+             for field in fields(RunConfig) if not flags.get(field.name, set()) & used]
+    assert unset == []

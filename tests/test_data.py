@@ -156,10 +156,9 @@ class TestMakeWindows:
             assert sset.targets_raw[i] == i + 5
             assert sset.targets_raw[i] not in sset.inputs[i][:, gen_col]
 
-    @pytest.mark.parametrize("window, horizon", [(0, 1), (4, 0)])
-    def test_window_or_horizon_below_one(self, window, horizon):
-        with pytest.raises(ParameterError, match="window and horizon must be >= 1"):
-            make_windows(Table(np.ones((10, 13))), window, horizon)
+    def test_window_below_one(self):
+        with pytest.raises(ParameterError, match="window must be >= 1, got 0"):
+            make_windows(Table(np.ones((10, 13))), 0)
 
     def test_too_few_rows(self):
         with pytest.raises(DataError):
@@ -169,12 +168,12 @@ class TestMakeWindows:
 
     def test_trailing_keeps_windows_past_the_data(self):
         feats = np.arange(10 * 13, dtype=float).reshape(10, 13)
-        full = make_windows(Table(feats), window=4, horizon=2)
-        trailing = make_windows(Table(feats), window=4, horizon=2, trailing=True)
+        full = make_windows(Table(feats), window=4)
+        trailing = make_windows(Table(feats), window=4, trailing=True)
         assert len(trailing) == 10 - 4 + 1
-        assert np.isnan(trailing.targets_raw[-2:]).all()
-        assert np.array_equal(trailing.targets_raw[:-2], full.targets_raw)
-        assert np.array_equal(trailing.inputs[:-2], full.inputs)
+        assert np.isnan(trailing.targets_raw[-1])
+        assert np.array_equal(trailing.targets_raw[:-1], full.targets_raw)
+        assert np.array_equal(trailing.inputs[:-1], full.inputs)
         assert np.array_equal(trailing.inputs[-1], feats[6:10])
         assert np.array_equal(trailing.indices, np.arange(7))
         assert len(make_windows(Table(feats[:4]), window=4, trailing=True)) == 1
@@ -182,7 +181,7 @@ class TestMakeWindows:
     @pytest.mark.parametrize("trailing", [False, True])
     def test_inputs_are_a_read_only_view_of_stacked_slices(self, trailing):
         feats = np.random.default_rng(3).normal(size=(20, 13))
-        sset = make_windows(Table(feats), window=5, horizon=3, trailing=trailing)
+        sset = make_windows(Table(feats), window=5, trailing=trailing)
         stacked = np.stack([feats[i:i + 5] for i in range(len(sset))])
         assert np.array_equal(sset.inputs, stacked)
         assert np.shares_memory(sset.inputs, feats)
