@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .tensor import PermutationHeads, RngState
+from .tensor import RngState, permutation_heads
 
 
 def flatten_windows(inputs: np.ndarray) -> np.ndarray:
@@ -265,83 +265,70 @@ def best_split(x: np.ndarray, ranks: np.ndarray, feats: np.ndarray, rows: np.nda
             zip(best[node, column].tolist(), column.tolist(), threshold.tolist())]
 
 
-# Nodes of at most SPLIT_BATCH_ROWS rows share one best_split call per
-# round: those of at most SPLIT_SMALL_ROWS rows in one batch, the rest in
-# one batch per power of two, so padding stays small. Larger nodes, where
-# numpy's per-call cost no longer dominates, run as a batch of 1.
-SPLIT_BATCH_ROWS = 128
-SPLIT_SMALL_ROWS = 32
-
-
-def _batch_key(index: int, rows: int) -> int:
-    if rows > SPLIT_BATCH_ROWS:
-        return -1 - index
-    return max(SPLIT_SMALL_ROWS, 1 << (rows - 1).bit_length())
+# A level's split searches go to best_split in runs of nodes sorted by
+# size, each run at most SPLIT_ENTRIES node x column x row entries (a
+# larger node runs alone), which bounds best_split's temporaries.
+SPLIT_ENTRIES = 1 << 13
 
 
 def _grow_trees(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
                max_depth: int, min_leaf: int):
-    """Grows ``trees[i]`` on rows ``roots[i]`` of (x, y), all trees in lockstep.
+    """Grows ``trees[i]`` on rows ``roots[i]`` of (x, y), all trees a level at a time.
 
-    A node is an int array of row indices. Each tree's nodes are visited
-    depth first, left before right. A node deeper than ``max_depth``, too
-    small to split or with one target value stays a leaf; any other node
-    draws its round(sqrt(d)) candidate columns from its tree's ``rng``
-    (d - 1 words) and is split when the best gain is positive. Each
-    round takes one such node from every unfinished tree, so the s-th
-    node a tree searches reads the same words however many trees grow
-    beside it, and every tree is the tree grown alone, bit for bit.
+    A node is an int array of row indices. A node at depth ``max_depth``,
+    too small to split or with one target value stays a leaf; any other
+    node draws its round(sqrt(d)) candidate columns from its tree's
+    ``rng`` (d - 1 words) and is split when the best gain is positive.
+    Each tree's nodes draw in level order, every level left to right, so
+    a node reads the same words however many trees grow beside it and
+    however its level's searches are batched, and every tree is the tree
+    grown alone, bit for bit. One round searches a whole level of every
+    tree, so a fit takes at most ``max_depth`` rounds.
     """
     n, d = x.shape
     k = min(max(1, round(np.sqrt(d))), d)
     ranks = rank_columns(x)
     padded_y = np.append(y, 0.0)
-    draws = PermutationHeads([tree.rng for tree in trees], d, k)
+    streams = [tree.rng for tree in trees]
 
-    def open_node(rows, depth):
-        """A new node valued at its mean target, as a stack entry."""
+    def open_node(t, rows):
+        """A new node of tree ``t`` valued at its mean target, as a level entry."""
         values = y[rows]
         # what values.mean() computes, without its per-call overhead
-        return _Node(float(values.sum() / values.size)), rows, values, depth
+        return t, _Node(float(values.sum() / values.size)), rows, values
 
-    stacks = []
-    for tree, rows in zip(trees, roots):
-        root = open_node(rows, 0)
-        tree.root = root[0]
-        stacks.append([root])
-    while True:
-        searched = []     # (tree, node, rows, depth): each tree's next split search
-        for t, stack in enumerate(stacks):
-            while stack:
-                node, rows, values, depth = stack.pop()
-                if (depth < max_depth and rows.size >= 2 * min_leaf
-                        and not (values == values[0]).all()):
-                    searched.append((t, node, rows, depth))
-                    break
+    level = [open_node(t, rows) for t, rows in enumerate(roots)]
+    for tree, (_, root, _, _) in zip(trees, level):
+        tree.root = root
+    for _ in range(max_depth):
+        # the level's nodes that search, tree by tree and left to right
+        searched = [(t, node, rows) for t, node, rows, values in level
+                    if rows.size >= 2 * min_leaf and not (values == values[0]).all()]
         if not searched:
             return
-        feats = draws.take([t for t, *_ in searched])
-        batches = {}
-        for i, (_, _, rows, _) in enumerate(searched):
-            batches.setdefault(_batch_key(i, rows.size), []).append(i)
-        for batch in batches.values():
-            sizes = [searched[i][2].size for i in batch]
-            index = np.full((len(batch), max(sizes)), n)
-            for b, i in enumerate(batch):
-                index[b, :sizes[b]] = searched[i][2]
-            found_all = best_split(x, ranks, feats[batch], index, padded_y[index], sizes,
-                                   min_leaf)
-            for i, found in zip(batch, found_all):
+        feats = permutation_heads(
+            streams, np.bincount([t for t, _, _ in searched], minlength=len(trees)), d, k)
+        sizes = np.array([rows.size for _, _, rows in searched])
+        by_size = np.argsort(-sizes, kind="stable")
+        children = [()] * len(searched)
+        while by_size.size:
+            batch = by_size[:max(1, SPLIT_ENTRIES // (k * sizes[by_size[0]]))]
+            by_size = by_size[batch.size:]
+            index = np.full((batch.size, sizes[batch[0]]), n)
+            index[np.arange(index.shape[1]) < sizes[batch][:, None]] = np.concatenate(
+                [searched[i][2] for i in batch.tolist()])
+            found_all = best_split(x, ranks, feats[batch], index, padded_y[index],
+                                   sizes[batch], min_leaf)
+            for i, found in zip(batch.tolist(), found_all):
                 if found is None or found[0] <= 0.0:
                     continue
-                t, node, rows, depth = searched[i]
+                t, node, rows = searched[i]
                 node.feature = int(feats[i, found[1]])
                 node.threshold = found[2]
                 go_left = x[rows, node.feature] <= node.threshold
-                left = open_node(rows[go_left], depth + 1)
-                right = open_node(rows[~go_left], depth + 1)
-                node.left, node.right = left[0], right[0]
-                stacks[t] += (right, left)
+                children[i] = open_node(t, rows[go_left]), open_node(t, rows[~go_left])
+                node.left, node.right = children[i][0][1], children[i][1][1]
+        level = [child for pair in children for child in pair]
 
 
 def usable_cpus() -> int:

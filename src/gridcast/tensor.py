@@ -51,10 +51,13 @@ _SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array (arrays wrap silently)."""
-    z = (z ^ (z >> _SHIFT1)) * _MUL1
-    z = (z ^ (z >> _SHIFT2)) * _MUL2
-    return z ^ (z >> _SHIFT3)
+    """SplitMix64 finalizer on a uint64 array, in place (arrays wrap silently)."""
+    z ^= z >> _SHIFT1
+    z *= _MUL1
+    z ^= z >> _SHIFT2
+    z *= _MUL2
+    z ^= z >> _SHIFT3
+    return z
 
 
 def _mix_int(v: int) -> int:
@@ -77,9 +80,11 @@ class RngState:
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 words."""
-        idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
+        z = np.arange(self._counter, self._counter + n, dtype=np.uint64)
         self._counter += n
-        return _mix64(self._key + _GOLDEN64 * idx)
+        z *= _GOLDEN64
+        z += self._key
+        return _mix64(z)
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1) with 53 random bits each."""
@@ -137,63 +142,49 @@ def _fisher_yates(n: int, partners: np.ndarray) -> list:
     return perm
 
 
-# Heads worked out per stream at each refill of a PermutationHeads. A
-# refill holds a few arrays of (streams * block) * n entries, so with many
-# streams or long permutations the block shrinks to keep them near
+# Entries (heads * n) that ``permutation_heads`` works out at once. More
+# heads are taken in chunks, so a chunk's few (n, heads) arrays stay near
 # HEAD_WORDS entries.
-HEAD_BLOCK = 32
 HEAD_WORDS = 1 << 16
 
 
-class PermutationHeads:
-    """Successive ``s.permutation(n)[:k]`` draws for each stream ``s`` in ``streams``.
+def permutation_heads(streams: list, counts, n: int, k: int) -> np.ndarray:
+    """The next ``counts[i]`` draws of ``streams[i].permutation(n)[:k]`` for each i.
 
-    ``take`` returns the next head of each chosen stream and advances
-    that stream by n - 1 words, as ``permutation`` would, so each
-    stream's draws and final counter are those of one-at-a-time draws
-    however the streams are chosen. Heads are worked out a block per
-    stream ahead: one mix over every word of the block and one
-    Fisher-Yates swap loop over all (stream, head) rows at once. The
-    streams must not be drawn from elsewhere while heads are taken.
+    Returns (sum(counts), k) heads, stream by stream, each stream's in
+    draw order, and advances each stream by n - 1 words per head, as
+    ``permutation`` would: the heads and final counters are those of
+    one-at-a-time draws. All heads of a chunk take one mix over their
+    words and one Fisher-Yates swap loop over all of them at once.
     """
-
-    def __init__(self, streams: list, n: int, k: int):
-        self.streams, self.n, self.k = streams, n, k
-        self.block = min(HEAD_BLOCK, max(1, HEAD_WORDS // (len(streams) * n)))
-        self._heads = np.empty((len(streams), self.block, k), dtype=np.int64)
-        self._used = np.full(len(streams), self.block)
-
-    def take(self, which: list) -> np.ndarray:
-        """The next head of ``streams[i]`` for each distinct ``i`` in ``which``, as rows."""
-        which = np.array(which, dtype=np.int64)
-        spent = which[self._used[which] == self.block]
-        if spent.size:
-            self._refill(spent)
-        heads = self._heads[which, self._used[which]]
-        self._used[which] += 1
-        for i in which.tolist():
-            self.streams[i]._counter += self.n - 1
-        return heads
-
-    def _refill(self, which: np.ndarray):
-        n, block, words = self.n, self.block, self.n - 1
-        streams = [self.streams[i] for i in which.tolist()]
-        keys = np.array([s._key for s in streams], dtype=np.uint64)
-        starts = np.array([s._counter for s in streams], dtype=np.uint64)
-        # row r is head r % block of stream r // block, whose n - 1 words start
-        # (r % block) * (n - 1) past the stream's counter; word t of every row
-        # sits in row t of idx, so each swap step reads one contiguous row
-        firsts = (starts[:, None] + np.arange(block, dtype=np.uint64) * words).ravel()
-        idx = firsts + np.arange(words, dtype=np.uint64)[:, None]
-        mixed = _mix64(np.repeat(keys, block) + _GOLDEN64 * idx) % _moduli(n)[:, None]
-        rows = firsts.size
+    counts = np.asarray(counts, dtype=np.int64)
+    words, total = n - 1, int(counts.sum())
+    keys = np.repeat(np.array([s._key for s in streams], dtype=np.uint64), counts)
+    # head h of a stream starts h * (n - 1) words past the stream's counter
+    ahead = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    firsts = (np.repeat(np.array([s._counter for s in streams], dtype=np.uint64), counts)
+              + ahead.astype(np.uint64) * np.uint64(words))
+    moduli = _moduli(n)[:, None]
+    step = max(1, HEAD_WORDS // n)
+    heads = np.empty((total, k), dtype=np.int64)
+    for lo in range(0, total, step):
+        rows = min(step, total - lo)
+        # word t of every head sits in row t, so each swap step reads one row
+        z = firsts[lo:lo + rows] + np.arange(words, dtype=np.uint64)[:, None]
+        z *= _GOLDEN64
+        z += keys[lo:lo + rows]
+        partners = _mix64(z)
+        partners %= moduli
+        partners = partners.view(np.int64)      # each entry is below n
         base = np.arange(rows) * n
-        partners = mixed.astype(np.int64) + base
+        partners += base
         perm = np.tile(np.arange(n), rows)
         for t, i in enumerate(range(n - 1, 0, -1)):
             here, there = base + i, partners[t]
             held = perm[here]
             perm[here] = perm[there]
             perm[there] = held
-        self._heads[which] = perm.reshape(len(streams), block, n)[..., :self.k]
-        self._used[which] = 0
+        heads[lo:lo + rows] = perm.reshape(rows, n)[:, :k]
+    for stream, count in zip(streams, counts.tolist()):
+        stream._counter += count * words
+    return heads

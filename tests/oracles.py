@@ -3,8 +3,8 @@
 These deliberately avoid the library's own computation paths: gradients
 come from central finite differences, nearest neighbours from a full
 sort, ridge weights from raw normal equations, tree splits from
-exhaustive threshold enumeration, trees from a recursive node-by-node
-grower, permutations from an
+exhaustive threshold enumeration, trees from a node-by-node grower
+with a first-in first-out queue, permutations from an
 element-by-element Fisher-Yates loop, bit-exact KNN from a per-query
 full scan, Adam from a loop over
 per-parameter arrays, the GRU from one matrix per gate, the network
@@ -12,6 +12,8 @@ with every block (the top one too) over all time steps, and Shapley
 values from subset enumeration or a
 permutation loop that scores one coalition per model call.
 """
+
+import collections
 
 import numpy as np
 
@@ -167,30 +169,41 @@ def reference_best_split(x, y, min_leaf):
 
 
 def reference_tree(x, y, rng, max_depth, min_leaf):
-    """A CART tree grown alone by recursion on row copies, as nested tuples.
+    """A CART tree grown alone, breadth first on row copies, as nested tuples.
 
     A leaf is ``(value,)``, a split ``(value, feature, threshold, left,
-    right)``. Each node that reaches a split search takes the first
-    round(sqrt(d)) entries of ``rng.permutation(d)`` as its candidates.
+    right)``. Nodes leave a first-in first-out queue, so they are visited
+    in level order, each level left to right. Each node that reaches a
+    split search takes the first round(sqrt(d)) entries of
+    ``rng.permutation(d)`` as its candidates, in that order.
     """
     d = x.shape[1]
     k = min(max(1, round(np.sqrt(d))), d)
-
-    def grow(x, y, depth):
-        value = float(y.mean())
-        if depth >= max_depth or y.size < 2 * min_leaf or np.all(y == y[0]):
-            return (value,)
+    root = {}
+    queue = collections.deque([(x, y, 0, root)])
+    while queue:
+        x_node, y_node, depth, node = queue.popleft()
+        node["value"] = float(y_node.mean())
+        if depth >= max_depth or y_node.size < 2 * min_leaf or np.all(y_node == y_node[0]):
+            continue
         feats = rng.permutation(d)[:k] if k < d else np.arange(d)
-        found = reference_best_split(x[:, feats], y, min_leaf)
+        found = reference_best_split(x_node[:, feats], y_node, min_leaf)
         if found is None or found[0] <= 0.0:
-            return (value,)
+            continue
         _, column, threshold = found
-        feature = int(feats[column])
-        mask = x[:, feature] <= threshold
-        return (value, feature, threshold, grow(x[mask], y[mask], depth + 1),
-                grow(x[~mask], y[~mask], depth + 1))
+        node["feature"], node["threshold"] = int(feats[column]), threshold
+        node["left"], node["right"] = {}, {}
+        mask = x_node[:, node["feature"]] <= threshold
+        queue.append((x_node[mask], y_node[mask], depth + 1, node["left"]))
+        queue.append((x_node[~mask], y_node[~mask], depth + 1, node["right"]))
 
-    return grow(x, y, 0)
+    def as_tuples(node):
+        if "left" not in node:
+            return (node["value"],)
+        return (node["value"], node["feature"], node["threshold"], as_tuples(node["left"]),
+                as_tuples(node["right"]))
+
+    return as_tuples(root)
 
 
 def fisher_yates_reference(draws):

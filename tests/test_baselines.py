@@ -408,7 +408,7 @@ class TestForest:
     @pytest.mark.parametrize("n_trees", [1, 3, 10])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_lockstep_trees_match_reference_grower(self, n_trees, seed, monkeypatch):
-        # 300 rows: nodes fall in every batch class, from batches of 1 to <= 32 rows
+        # 300 rows: every level of every tree shares its best_split calls
         x, y = forest_data(seed)
         config = ForestConfig(n_trees=n_trees, max_depth=12, seed=seed)
         expected = []
@@ -425,6 +425,26 @@ class TestForest:
             forest = RandomForest(config).fit(x, y)
             assert [(as_tuples(t.root), t.rng._counter) for t in forest.trees] == expected
             assert np.array_equal(forest.predict(queries), reference)
+
+    def test_ten_tree_fit_takes_few_split_calls_and_little_memory(self, monkeypatch):
+        # compare's 10-tree forest on the 2,000-row seed-1 train split, in one process: a
+        # level of every tree shares a few best_split calls (775 when each call searched
+        # one depth-first round), and neither the calls nor the head chunks grow with it
+        windows = dat.make_windows(dat.synth_generate(2000, 1), 8)
+        train = dat.split_and_scale(windows, dat.split_indices(len(windows)))[0]
+        x, y = flatten_windows(train.inputs), train.targets_raw
+        calls, search = [], baselines.best_split
+        monkeypatch.setattr(baselines, "best_split",
+                            lambda *args: calls.append(1) or search(*args))
+        monkeypatch.setattr(baselines, "usable_cpus", lambda: 1)
+        tracemalloc.start()
+        try:
+            RandomForest(ForestConfig(n_trees=10, seed=1)).fit(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(calls) <= 250
+        assert peak <= 3.5e6
 
     def test_trees_from_a_child_have_python_fields(self, monkeypatch):
         monkeypatch.setattr(baselines, "usable_cpus", lambda: 2)

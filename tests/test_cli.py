@@ -213,10 +213,13 @@ class TestConfigFile:
                      "--window", "7"]) == 0
         assert "window = 7" in (out2 / "effective_config.txt").read_text()
 
+    # deleted keys, refused as unknown, then live fields that RunConfig.validate refuses
     @pytest.mark.parametrize("entry", ["train_frac = 1.0", "val_frac = 0", "horizon = 0",
-                                       "forest_depth = 0", "ridge_alpha = -1"],
+                                       "forest_depth = 0", "ridge_alpha = -1", "n_trees = 0",
+                                       "explain_perms = 0", "window = 0", "initial_lr = -1"],
                              ids=["train_frac", "val_frac", "horizon", "forest_depth",
-                                  "ridge_alpha"])
+                                  "ridge_alpha", "n_trees", "explain_perms", "window",
+                                  "initial_lr"])
     def test_file_setting_rejected_before_out_dir(self, tmp_path, synth_csv, capsys, entry):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entry + "\n")

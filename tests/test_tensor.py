@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcast.errors import ParameterError
-from gridcast.tensor import HEAD_BLOCK, PermutationHeads, RngState, sigmoid, softmax_rows
+from gridcast.tensor import HEAD_WORDS, RngState, permutation_heads, sigmoid, softmax_rows
 
 from oracles import fisher_yates_reference
 
@@ -129,39 +129,41 @@ class TestRngState:
 
 
 class TestPermutationHeads:
-    """Block draws equal ``permutation(n)[:k]`` drawn one at a time, counters included."""
+    """``permutation_heads`` equals ``permutation(n)[:k]`` drawn one at a time, counters included."""
 
     @staticmethod
-    def draw(n, k, rounds, live, streams=3):
-        """Takes ``live(r)`` in round r and checks each head against its own stream."""
+    def draw(n, k, calls, streams=3):
+        """Takes ``counts`` heads per stream for each ``counts`` in ``calls`` and checks
+        every head against its own stream's next one-at-a-time draw."""
         mine = [RngState(seed).spawn(4) for seed in range(streams)]
         refs = [RngState(seed).spawn(4) for seed in range(streams)]
-        heads = PermutationHeads(mine, n, k)
-        for r in range(rounds):
-            which = live(r)
-            got = heads.take(which)
-            assert got.shape == (len(which), k)
-            for row, i in zip(got, which):
-                assert np.array_equal(row, refs[i].permutation(n)[:k])
+        taken = [0] * streams
+        for counts in calls:
+            got = permutation_heads(mine, counts, n, k)
+            expected = [refs[i].permutation(n)[:k] for i, c in enumerate(counts)
+                        for _ in range(c)]
+            assert got.shape == (sum(counts), k)
+            assert np.array_equal(got, np.array(expected).reshape(-1, k))
+            taken = [t + c for t, c in zip(taken, counts)]
         assert [s._counter for s in mine] == [s._counter for s in refs]
-        return heads
+        assert [s._counter for s in mine] == [(n - 1) * t for t in taken]
 
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2), (13, 4), (104, 10), (104, 104)])
     def test_draws_across_block_boundaries(self, n, k):
-        heads = self.draw(n, k, 2 * HEAD_BLOCK + 5, lambda r: [0, 1, 2])
-        assert heads.block == HEAD_BLOCK
+        # several heads per stream in one call; a chunk holds HEAD_WORDS // n heads, and
+        # the later calls end just past a chunk's end and on it, with the middle stream
+        # running across it
+        chunk = HEAD_WORDS // n
+        self.draw(n, k, [[1, 1, 1], [3, 5, 2], [5, chunk - 5, 1], [3, chunk - 3, 0]])
 
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (13, 4)])
     def test_streams_that_stop_early_leave_the_others_unchanged(self, n, k):
-        # stream i draws in the first stops[i] rounds, as a tree searches nodes until it
-        # is finished; the stops fall inside blocks and on either side of a block end
-        stops = [3, HEAD_BLOCK - 1, HEAD_BLOCK, HEAD_BLOCK + 1, 2 * HEAD_BLOCK + 7]
-        self.draw(n, k, max(stops), lambda r: [i for i, stop in enumerate(stops) if r < stop],
-                  streams=len(stops))
+        # a stream with a count of 0 draws nothing, as a finished tree searches no node
+        self.draw(n, k, [[0, 2, 0, 1], [0, 0, 0, 0], [3, 0, 0, 2], [0, 1, 0, 0]], streams=4)
 
     def test_streams_taken_out_of_step(self):
-        self.draw(13, 4, 80, lambda r: [i for i in range(4) if (r + i) % (i + 2)], streams=4)
+        self.draw(13, 4, [[(r + i) % (i + 2) for i in range(4)] for r in range(20)], streams=4)
 
     def test_many_long_streams_take_smaller_blocks(self):
-        heads = self.draw(1000, 32, 30, lambda r: [0, 1, 2, 3, 4], streams=5)
-        assert 1 < heads.block < HEAD_BLOCK
+        # long permutations fit fewer heads in a chunk: 65 of n = 1000
+        self.draw(1000, 32, [[30, 40, 50, 60, 70]], streams=5)
