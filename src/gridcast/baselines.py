@@ -47,12 +47,14 @@ def knn_predict_batch(train_x, train_y, queries, k: int) -> np.ndarray:
     estimates every squared distance as ``|q|^2 + |x|^2 - 2 q.x`` with
     one matmul, and keeps as candidates the rows whose estimate, less a
     rigorous rounding bound, does not exceed the k-th smallest estimate
-    plus its bound. Stage 2 computes the direct distance
-    ``((x - q)**2).sum()`` on the candidates only and takes the first k
-    of a stable sort. Every dropped row's direct distance is strictly
-    above the k-th smallest, and the candidates keep index order, so the
-    chosen rows, their order and the mean are those of a full scan, bit
-    for bit; no Gram value reaches the output.
+    plus its bound. Stage 2 takes all of a chunk's candidates at once:
+    it computes the direct distance ``((x - q)**2).sum()`` of each, sorts
+    them by query and then distance with one stable sort, and averages
+    the first k of each query. Every dropped row's direct distance is
+    strictly above the k-th smallest, and the candidates keep index
+    order within each query, so the chosen rows, their order and the
+    mean are those of a full scan, bit for bit; no Gram value reaches
+    the output.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64)
@@ -90,11 +92,14 @@ def knn_predict_batch(train_x, train_y, queries, k: int) -> np.ndarray:
         kth = upper[:, k - 1:k]
         # written as a negation so a NaN or inf bound keeps the row
         keep = ~(approx - slack > kth)
-        for row, query in enumerate(chunk):
-            cand = np.flatnonzero(keep[row])
-            diff = train_x[cand] - query
-            dists = (diff * diff).sum(axis=1)
-            out[start + row] = train_y[cand[np.argsort(dists, kind="stable")[:k]]].mean()
+        query, cand = np.nonzero(keep)
+        diff = train_x[cand] - chunk[query]
+        dists = (diff * diff).sum(axis=1)
+        # by query, then distance; stable, so equal distances keep index order
+        nearest = cand[np.lexsort((dists, query))]
+        counts = np.bincount(query, minlength=len(chunk))
+        firsts = np.cumsum(counts) - counts
+        out[start:start + KNN_CHUNK] = train_y[nearest[firsts[:, None] + np.arange(k)]].mean(axis=1)
     return out
 
 
@@ -271,64 +276,106 @@ def best_split(x: np.ndarray, ranks: np.ndarray, feats: np.ndarray, rows: np.nda
 SPLIT_ENTRIES = 1 << 13
 
 
-def _grow_trees(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
-               max_depth: int, min_leaf: int):
-    """Grows ``trees[i]`` on rows ``roots[i]`` of (x, y), all trees a level at a time.
+def _grow_trees(streams: list, x: np.ndarray, y: np.ndarray, roots: list, ranks: np.ndarray,
+                max_depth: int, min_leaf: int) -> bytes:
+    """Grows a tree on rows ``roots[i]`` of (x, y) with rng ``streams[i]``, all a level at a time.
 
-    A node is an int array of row indices. A node at depth ``max_depth``,
-    too small to split or with one target value stays a leaf; any other
-    node draws its round(sqrt(d)) candidate columns from its tree's
-    ``rng`` (d - 1 words) and is split when the best gain is positive.
-    Each tree's nodes draw in level order, every level left to right, so
-    a node reads the same words however many trees grow beside it and
+    ``ranks`` is ``rank_columns(x)``. A node at depth ``max_depth``, too
+    small to split or with one target value stays a leaf; any other node
+    draws its round(sqrt(d)) candidate columns from its tree's stream
+    (d - 1 words) and is split when the best gain is positive. Each
+    tree's nodes draw in level order, every level left to right, so a
+    node reads the same words however many trees grow beside it and
     however its level's searches are batched, and every tree is the tree
     grown alone, bit for bit. One round searches a whole level of every
-    tree, so a fit takes at most ``max_depth`` rounds.
+    tree, so a fit takes at most ``max_depth`` rounds. A level is three
+    arrays: the rows of every node, tree by tree and left to right, each
+    node's size and the tree that owns it.
+
+    Returns the bytes ``_unpack_trees`` reads: int64 node count and
+    final rng counter of each tree, then int64 feature, left and right
+    and float64 threshold and value of each node: the trees in order,
+    each tree's nodes in level order, with ``left`` and ``right``
+    indexing the tree's own nodes (-1 at a leaf).
     """
     n, d = x.shape
     k = min(max(1, round(np.sqrt(d))), d)
-    ranks = rank_columns(x)
     padded_y = np.append(y, 0.0)
-    streams = [tree.rng for tree in trees]
-
-    def open_node(t, rows):
-        """A new node of tree ``t`` valued at its mean target, as a level entry."""
-        values = y[rows]
-        # what values.mean() computes, without its per-call overhead
-        return t, _Node(float(values.sum() / values.size)), rows, values
-
-    level = [open_node(t, rows) for t, rows in enumerate(roots)]
-    for tree, (_, root, _, _) in zip(trees, level):
-        tree.root = root
-    for _ in range(max_depth):
-        # the level's nodes that search, tree by tree and left to right
-        searched = [(t, node, rows) for t, node, rows, values in level
-                    if rows.size >= 2 * min_leaf and not (values == values[0]).all()]
-        if not searched:
-            return
+    rows = np.concatenate(roots)
+    sizes = np.array([root.size for root in roots])
+    owner = np.arange(len(roots))
+    levels = []         # (owner, value, feature, threshold, left) of each level's nodes
+    count = 0           # nodes up to this level's last: the next level's first index
+    for depth in range(max_depth + 1):
+        count += sizes.size
+        starts = np.cumsum(sizes) - sizes
+        targets = y[rows]
+        value = np.empty(sizes.size)
+        # Each mean adds its node's targets in the order values.sum() adds
+        # them on the node alone, bit for bit: as one contiguous slice, or as
+        # a row of a matrix of equal-size nodes. np.add.reduceat adds in
+        # another order.
+        by_size = np.argsort(sizes, kind="stable")
+        for of_size in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+            size = sizes[of_size[0]]
+            if of_size.size == 1:
+                start = starts[of_size[0]]
+                value[of_size] = targets[start:start + size].sum() / size
+            else:
+                value[of_size] = targets[starts[of_size, None] + np.arange(size)].sum(axis=1) / size
+        # a node's min and max differ unless its targets are all equal; the
+        # last target, repeated, keeps an empty last node's start in range
+        # without changing a last node's min or max
+        targets = np.append(targets, targets[-1:])
+        varied = (sizes >= 2 * min_leaf) & (np.minimum.reduceat(targets, starts)
+                                              != np.maximum.reduceat(targets, starts))
+        feature, left = np.full(sizes.size, -1), np.full(sizes.size, -1)
+        threshold = np.zeros(sizes.size)
+        levels.append((owner, value, feature, threshold, left))
+        if depth == max_depth or not varied.any():
+            break
+        searched = np.flatnonzero(varied)
         feats = permutation_heads(
-            streams, np.bincount([t for t, _, _ in searched], minlength=len(trees)), d, k)
-        sizes = np.array([rows.size for _, _, rows in searched])
-        by_size = np.argsort(-sizes, kind="stable")
-        children = [()] * len(searched)
+            streams, np.bincount(owner[searched], minlength=len(streams)), d, k)
+        by_size = np.argsort(-sizes[searched], kind="stable")
         while by_size.size:
-            batch = by_size[:max(1, SPLIT_ENTRIES // (k * sizes[by_size[0]]))]
+            batch = by_size[:max(1, SPLIT_ENTRIES // (k * sizes[searched[by_size[0]]]))]
             by_size = by_size[batch.size:]
-            index = np.full((batch.size, sizes[batch[0]]), n)
-            index[np.arange(index.shape[1]) < sizes[batch][:, None]] = np.concatenate(
-                [searched[i][2] for i in batch.tolist()])
-            found_all = best_split(x, ranks, feats[batch], index, padded_y[index],
-                                   sizes[batch], min_leaf)
-            for i, found in zip(batch.tolist(), found_all):
-                if found is None or found[0] <= 0.0:
+            nodes = searched[batch]
+            width = np.arange(sizes[nodes[0]])
+            inside = width < sizes[nodes][:, None]
+            index = np.full(inside.shape, n)
+            index[inside] = rows[(starts[nodes][:, None] + width)[inside]]
+            found = best_split(x, ranks, feats[batch], index, padded_y[index], sizes[nodes],
+                               min_leaf)
+            for i, columns, hit in zip(nodes.tolist(), feats[batch], found):
+                if hit is None or hit[0] <= 0.0:
                     continue
-                t, node, rows = searched[i]
-                node.feature = int(feats[i, found[1]])
-                node.threshold = found[2]
-                go_left = x[rows, node.feature] <= node.threshold
-                children[i] = open_node(t, rows[go_left]), open_node(t, rows[~go_left])
-                node.left, node.right = children[i][0][1], children[i][1][1]
-        level = [child for pair in children for child in pair]
+                feature[i], threshold[i] = columns[hit[1]], hit[2]
+        split = feature >= 0
+        if not split.any():
+            break
+        left[split] = count + 2 * np.arange(split.sum())
+        # children, left before right, in their parents' order; a stable sort
+        # keeps each child's rows in its parent's order
+        node = np.repeat(np.arange(sizes.size), sizes)
+        keep = split[node]
+        rows, node = rows[keep], node[keep]
+        child = 2 * (np.cumsum(split) - 1)[node] + ~(x[rows, feature[node]] <= threshold[node])
+        rows = rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * int(split.sum()))
+        owner = np.repeat(owner[split], 2)
+    # from level order across all trees to tree by tree: a node's tree-local
+    # index is its place among its tree's nodes
+    owner, value, feature, threshold, left = (np.concatenate(field) for field in zip(*levels))
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=len(streams))
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    left = np.where(left[order] < 0, -1, local[left[order]])
+    head = np.array([counts, [stream._counter for stream in streams]], dtype=np.int64)
+    ints = np.array([feature[order], left, np.where(left < 0, -1, left + 1)], dtype=np.int64)
+    return head.tobytes() + ints.tobytes() + np.array([threshold[order], value[order]]).tobytes()
 
 
 def usable_cpus() -> int:
@@ -344,15 +391,20 @@ def _grow_in_processes(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
                        max_depth: int, min_leaf: int, jobs: int):
     """``_grow_trees`` with the trees split by stride over ``jobs`` processes.
 
-    The caller grows share 0, ``trees[::jobs]``; share j of the others
-    grows in a forked child, which sends its trees back through a pipe
-    as ``_pack_trees`` bytes and ends. Every tree grows as it would grow
+    The columns are ranked once, before any fork, and every process
+    grows on that table. The caller grows share 0, ``trees[::jobs]``;
+    share j of the others grows in a forked child, which sends the
+    grower's bytes back through a pipe and ends. Every share becomes
+    ``_Node`` trees through ``_unpack_trees``, the caller's own first,
+    while the children may still run. Every tree grows as it would grow
     alone, so the trees are the serial fit's, bit for bit. Every pipe is
     read to its end before any child is reaped, so no child blocks on a
     full pipe. Whatever happens, every child is reaped before this
     returns, killed first if this process failed; a child that exits
     non-zero or sends a short payload raises ``ChildProcessError``.
     """
+    ranks = rank_columns(x)
+    streams = [tree.rng for tree in trees]
     workers = []        # (pid, read end of its pipe) of each child
     payloads = []
     try:
@@ -366,11 +418,12 @@ def _grow_in_processes(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
                 raise
             if pid == 0:
                 os.close(read)
-                _grow_in_child(write, trees[j::jobs], x, y, roots[j::jobs], max_depth,
+                _grow_in_child(write, streams[j::jobs], x, y, roots[j::jobs], ranks, max_depth,
                                min_leaf)
             os.close(write)
             workers.append((pid, read))
-        _grow_trees(trees[::jobs], x, y, roots[::jobs], max_depth, min_leaf)
+        _unpack_trees(_grow_trees(streams[::jobs], x, y, roots[::jobs], ranks, max_depth,
+                                  min_leaf), trees[::jobs])
         for _, read in workers:
             chunks = []
             while chunk := os.read(read, 1 << 20):
@@ -389,15 +442,14 @@ def _grow_in_processes(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
         _unpack_trees(payload, trees[j::jobs])
 
 
-def _grow_in_child(write: int, trees: list, x, y, roots, max_depth, min_leaf):
-    """Runs in a forked child: grows ``trees``, writes them to the pipe end
-    ``write`` and ends the process, never returning. ``os._exit`` skips the
-    flush of stdio buffers copied from the parent, which would write their
-    contents a second time."""
+def _grow_in_child(write: int, streams: list, x, y, roots, ranks, max_depth, min_leaf):
+    """Runs in a forked child: grows trees with ``streams``, writes the
+    grower's bytes to the pipe end ``write`` and ends the process, never
+    returning. ``os._exit`` skips the flush of stdio buffers copied from
+    the parent, which would write their contents a second time."""
     status = 1
     try:
-        _grow_trees(trees, x, y, roots, max_depth, min_leaf)
-        view = memoryview(_pack_trees(trees))
+        view = memoryview(_grow_trees(streams, x, y, roots, ranks, max_depth, min_leaf))
         while view:
             view = view[os.write(write, view):]
         status = 0
@@ -407,57 +459,29 @@ def _grow_in_child(write: int, trees: list, x, y, roots, max_depth, min_leaf):
         os._exit(status)
 
 
-def _pack_trees(trees: list) -> bytes:
-    """Grown trees as flat arrays, the bytes ``_unpack_trees`` reads.
-
-    int64 node count and final ``rng._counter`` of each tree, then
-    int64 feature, left and right and float64 threshold and value of
-    each node: the trees in order, each tree's nodes depth first, left
-    before right, with ``left`` and ``right`` indexing the tree's own
-    nodes (-1 at a leaf).
-    """
-    nodes, counts, left, right = [], [], [], []
-    for tree in trees:
-        order, stack = [], [tree.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if node.left is not None:
-                stack += (node.right, node.left)
-        where = {id(node): i for i, node in enumerate(order)}
-        left += [where.get(id(node.left), -1) for node in order]
-        right += [where.get(id(node.right), -1) for node in order]
-        nodes += order
-        counts.append(len(order))
-    head = np.array([counts, [tree.rng._counter for tree in trees]], dtype=np.int64)
-    ints = np.array([[node.feature for node in nodes], left, right], dtype=np.int64)
-    floats = np.array([[node.threshold for node in nodes], [node.value for node in nodes]])
-    return head.tobytes() + ints.tobytes() + floats.tobytes()
-
-
 def _unpack_trees(payload: bytes, trees: list):
-    """Links the ``_Node`` trees that ``_pack_trees`` wrote into ``trees``,
+    """Links the ``_Node`` trees that ``_grow_trees`` wrote into ``trees``,
     their fields Python ints and floats, and sets each tree's rng counter."""
     t = len(trees)
     total = int(np.frombuffer(payload, np.int64, count=t).sum()) if len(payload) >= 8 * t else 0
     if len(payload) != 8 * (2 * t + 5 * total):
         raise ChildProcessError(f"forest worker sent {len(payload)} bytes for {t} trees")
     ints = np.frombuffer(payload, np.int64, count=2 * t + 3 * total)
-    counts, counters = ints[:2 * t].reshape(2, t).tolist()
-    feature, left, right = ints[2 * t:].reshape(3, total).tolist()
-    threshold, value = np.frombuffer(payload, offset=ints.nbytes).reshape(2, total).tolist()
-    start = 0
-    for tree, count, counter in zip(trees, counts, counters):
-        stop = start + count
-        nodes = [_Node(v) for v in value[start:stop]]
-        for node, f, th, lo, hi in zip(nodes, feature[start:stop], threshold[start:stop],
-                                       left[start:stop], right[start:stop]):
-            node.feature, node.threshold = f, th
-            if lo >= 0:
-                node.left, node.right = nodes[lo], nodes[hi]
-        tree.root = nodes[0]
+    counts, counters = ints[:2 * t].reshape(2, t)
+    feature, left, right = ints[2 * t:].reshape(3, total)
+    threshold, value = np.frombuffer(payload, offset=ints.nbytes).reshape(2, total)
+    nodes = [_Node(v) for v in value.tolist()]
+    # a leaf keeps _Node's feature and threshold, which the payload repeats
+    first = np.cumsum(counts) - counts
+    split = np.flatnonzero(left >= 0)
+    base = np.repeat(first, counts)[split]
+    for node, f, th, lo, hi in zip([nodes[i] for i in split.tolist()], feature[split].tolist(),
+                                   threshold[split].tolist(), (left[split] + base).tolist(),
+                                   (right[split] + base).tolist()):
+        node.feature, node.threshold, node.left, node.right = f, th, nodes[lo], nodes[hi]
+    for tree, root, counter in zip(trees, first.tolist(), counters.tolist()):
+        tree.root = nodes[root]
         tree.rng._counter = counter
-        start = stop
 
 
 class RegressionTree:

@@ -16,7 +16,7 @@ import pytest
 
 from gridcast import data as dat
 from gridcast.baselines import (BayesianRidge, ForestConfig, RandomForest,
-                                RegressionTree, _grow_trees, flatten_windows,
+                                RegressionTree, _grow_in_processes, flatten_windows,
                                 knn_predict_batch)
 from gridcast.cli import _write_csv
 from gridcast.cli import main as cli_main
@@ -258,7 +258,8 @@ def test_criterion_6_baseline_oracles():
         x_step = np.linspace(-1, 1, 40).reshape(-1, 1)
         y_step = (x_step[:, 0] >= 0).astype(float)
         tree = RegressionTree(RngState(0))
-        _grow_trees([tree], x_step, y_step, [np.arange(40)], max_depth=1, min_leaf=1)
+        _grow_in_processes([tree], x_step, y_step, [np.arange(40)], max_depth=1, min_leaf=1,
+                           jobs=1)
         gain, thr = exhaustive_best_split(x_step[:, 0], y_step, min_leaf=1)
         assert abs(tree.root.threshold - thr) < 1e-12
         assert tree.predict_one([-0.1]) == 0.0 and tree.predict_one([0.1]) == 1.0

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from gridcast import baselines
 from gridcast import data as dat
 from gridcast.baselines import (KNN_K, MIN_LEAF, RIDGE_ALPHA, BayesianRidge, ForestConfig,
-                                RandomForest, RegressionTree, _grow_trees, best_split,
-                                flatten_windows, knn_predict_batch, rank_columns, rank_sort)
+                                KNN_CHUNK, RandomForest, RegressionTree, _grow_in_processes,
+                                best_split, flatten_windows, knn_predict_batch, rank_columns,
+                                rank_sort)
 from gridcast.cli import RunConfig
 from gridcast.errors import DataError, NumericError, ParameterError
 from gridcast.tensor import RngState
@@ -47,6 +48,13 @@ def knn_case(name):
     if name == "k-equals-n":
         x, q = rng.uniform(-1, 1, (40, 6)), rng.uniform(-1, 1, (37, 6))
         return x, rng.uniform(0, 10, 40), q, (40,)
+    if name == "chunk-boundary":
+        # a last chunk of one query; the first chunk ends with a query at distance
+        # exactly 6 from every +-1 training row, so every row is its candidate
+        x = np.where(rng.uniform(-1, 1, (120, 6)) < 0, -1.0, 1.0)
+        q = rng.uniform(-1, 1, (KNN_CHUNK + 1, 6))
+        q[KNN_CHUNK - 1] = 0.0
+        return x, rng.uniform(0, 10, 120), q, (1, 5, 9)
     # scaled copies of one random case: rounding far above the distances,
     # overflow to inf, and squares in the subnormal range
     x, y, q = rng.uniform(-1, 1, (300, 12)), rng.uniform(0, 10, 300), rng.uniform(-1, 1, (50, 12))
@@ -96,8 +104,8 @@ class TestKnn:
         assert knn_predict_batch(x, y, [[0.0]], k=1)[0] == 5.0
 
     @pytest.mark.parametrize("name", ["synth-windows", "duplicated-rows", "integer-grid-ties",
-                                      "k-equals-n", "offset-1e9", "magnitude-1e200",
-                                      "magnitude-1e-161"])
+                                      "k-equals-n", "chunk-boundary", "offset-1e9",
+                                      "magnitude-1e200", "magnitude-1e-161"])
     def test_matches_per_query_reference_bit_for_bit(self, name):
         x, y, q, ks = knn_case(name)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -227,7 +235,7 @@ def forest_data(seed, n=300, d=20):
 def grow_tree(seed, x, y, max_depth, min_leaf=MIN_LEAF) -> RegressionTree:
     """One tree grown alone on every row of (x, y), as the forest grows each of its trees."""
     tree = RegressionTree(RngState(seed))
-    _grow_trees([tree], x, y, [np.arange(x.shape[0])], max_depth, min_leaf)
+    _grow_in_processes([tree], x, y, [np.arange(x.shape[0])], max_depth, min_leaf, jobs=1)
     return tree
 
 
@@ -394,11 +402,19 @@ class TestTree:
         tree = grow_tree(0, x, y, max_depth=6, min_leaf=3)
         assert min(sizes(tree.root, np.arange(10))) >= 3
 
-    def test_single_tree_matches_reference_grower(self):
+    @pytest.mark.parametrize("max_depth", [1, 3, 12])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    @pytest.mark.parametrize("target", ["noisy", "stretches"])
+    def test_single_tree_matches_reference_grower(self, target, min_leaf, max_depth):
+        # min_leaf 1 leaves one-row children, depths 1 and 3 stop nodes at max_depth,
+        # deep levels hold many nodes of one size, and the "stretches" target is
+        # constant along runs of column 0, so many nodes stop as constant
         x, y = forest_data(11)
-        tree = grow_tree(5, x, y, max_depth=3, min_leaf=1)
+        if target == "stretches":
+            y = np.floor(x[:, 0] * 2) + np.where(x[:, 0] > 1, 0.1 * x[:, 2], 0.0)
+        tree = grow_tree(5, x, y, max_depth=max_depth, min_leaf=min_leaf)
         ref_rng = RngState(5)
-        expected = reference_tree(x, y, ref_rng, max_depth=3, min_leaf=1)
+        expected = reference_tree(x, y, ref_rng, max_depth=max_depth, min_leaf=min_leaf)
         assert as_tuples(tree.root) == expected
         assert tree.rng._counter == ref_rng._counter
         assert np.array_equal(tree.predict(x), predict_tuples(expected, x))
@@ -469,22 +485,23 @@ class TestForest:
         pytest.param("fork-fails", OSError, "no process to spare", id="fork-fails"),
     ])
     def test_failed_fit_raises_and_leaves_no_child(self, monkeypatch, failure, raised, match):
-        parent, grow, pack = os.getpid(), baselines._grow_trees, baselines._pack_trees
+        # the parent and the child call the one grower; the child's failures go there
+        parent, grow = os.getpid(), baselines._grow_trees
 
         def failing_fork():
             raise OSError(errno.EAGAIN, "no process to spare")
 
-        def failing_grow(trees, *args):
-            if failure == "child-exits-3" and os.getpid() != parent:
+        def failing_grow(*args):
+            in_child = os.getpid() != parent
+            if failure == "child-exits-3" and in_child:
                 os._exit(3)
-            if failure == "parent-raises" and os.getpid() == parent:
+            if failure == "parent-raises" and not in_child:
                 raise RuntimeError("parent failed")
-            grow(trees, *args)
+            payload = grow(*args)
+            return payload[:-8] if failure == "child-sends-short-payload" and in_child else payload
 
         monkeypatch.setattr(baselines, "usable_cpus", lambda: 2)
         monkeypatch.setattr(baselines, "_grow_trees", failing_grow)
-        if failure == "child-sends-short-payload":
-            monkeypatch.setattr(baselines, "_pack_trees", lambda trees: pack(trees)[:-8])
         if failure == "fork-fails":
             monkeypatch.setattr(baselines.os, "fork", failing_fork)
         x, y = forest_data(5)
@@ -497,6 +514,26 @@ class TestForest:
         assert sorted(os.listdir("/proc/self/fd")) == fds
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_columns_are_ranked_once_and_never_in_a_child(self, monkeypatch):
+        parent, rank = os.getpid(), baselines.rank_columns
+        ranked = []
+
+        def rank_in_parent_only(x):
+            if os.getpid() != parent:
+                raise RuntimeError("a forked child ranked the columns")
+            ranked.append(1)
+            return rank(x)
+
+        monkeypatch.setattr(baselines, "rank_columns", rank_in_parent_only)
+        x, y = forest_data(6)
+        fits = []
+        for workers in (1, 2):
+            monkeypatch.setattr(baselines, "usable_cpus", lambda: workers)
+            forest = RandomForest(ForestConfig(n_trees=4, seed=6)).fit(x, y)
+            fits.append([(as_tuples(t.root), t.rng._counter) for t in forest.trees])
+        assert fits[0] == fits[1]
+        assert len(ranked) == 2
 
     def test_constant_targets(self):
         x = RngState(7).uniform(-1, 1, (25, 4))
