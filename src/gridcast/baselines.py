@@ -218,13 +218,14 @@ def best_split(x: np.ndarray, ranks: np.ndarray, feats: np.ndarray, rows: np.nda
     finite value. Returns, per node, (gain, column, threshold) with
     ``column`` indexing ``feats[b]``, or None when no column has a split
     that leaves ``min_leaf`` rows on both sides. Thresholds sit midway
-    between adjacent distinct values; rows with value <= threshold go
-    left. Gain ties resolve to the smallest left-side count within a
-    column and to the lowest column index across columns, so results
-    are order-deterministic. Sorted prefix sums over a padded row equal
-    the unpadded ones bit for bit, and each node reads its totals at its
-    own last row, so a node's result does not depend on the batch it is
-    in.
+    between adjacent distinct values, computed as ``lo / 2 + hi / 2`` so
+    that no sum overflows, and on ``lo`` where the midpoint rounds onto
+    ``hi``; rows with value <= threshold go left. Gain ties resolve to
+    the smallest left-side count within a column and to the lowest
+    column index across columns, so results are order-deterministic.
+    Sorted prefix sums over a padded row equal the unpadded ones bit for
+    bit, and each node reads its totals at its own last row, so a node's
+    result does not depend on the batch it is in.
     """
     (nodes, width), k = rows.shape, feats.shape[1]
     if width < 2 * min_leaf:
@@ -265,7 +266,11 @@ def best_split(x: np.ndarray, ranks: np.ndarray, feats: np.ndarray, rows: np.nda
     below = np.minimum(rows[node, order[node, column, split - 1]], n - 1)
     above = np.minimum(rows[node, order[node, column, split]], n - 1)
     f = feats[node, column]
-    threshold = (x[below, f] + x[above, f]) / 2.0
+    lo, hi = x[below, f], x[above, f]
+    # the same double as (lo + hi) / 2.0 while that sum is finite and the
+    # halves are normal; a threshold equal to hi would send every row left
+    threshold = lo / 2.0 + hi / 2.0
+    threshold = np.where(threshold < hi, threshold, lo)
     return [None if g == -np.inf else (g, c, t) for g, c, t in
             zip(best[node, column].tolist(), column.tolist(), threshold.tolist())]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import RngState
+from .tensor import RngState, permutation_heads
 
 
 def _mask_bits(masks, d) -> np.ndarray:
@@ -68,7 +68,7 @@ def shapley_sample(model, x, background, n_perms: int, rng: RngState):
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[1]
-    perms = np.array([rng.permutation(d) for _ in range(n_perms)])
+    perms = permutation_heads([rng], [n_perms], d, d)
     prefixes = np.zeros((n_perms, d + 1), dtype=np.int64)
     np.cumsum(1 << perms, axis=1, out=prefixes[:, 1:])
     masks, inverse = np.unique(prefixes.ravel(), return_inverse=True)

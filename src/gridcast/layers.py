@@ -23,6 +23,14 @@ every window of the batch and stored in ``self.grads`` (same keys and
 shapes as ``params()``). No autodiff anywhere: every gradient below is the
 hand-derived derivative of the forward map, and the test suite checks
 all of them against central finite differences.
+
+Where it saves a full-size temporary, a layer builds a result in place
+with ``+=``, ``*=`` and ``out=``, and then only in an array it allocated
+in the same call: never in ``x``, ``upstream`` or an array it has
+already cached for backward. Each in-place form runs the same IEEE
+operations in the same order as the expression it stands for, at most
+swapping the two operands of one ``+`` or ``*``, so every result is the
+same bit for bit.
 """
 
 from __future__ import annotations
@@ -98,7 +106,9 @@ class Conv1d(_Layer):
         cols = cols.reshape(batch * steps, in_ch * k)
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
         self._cache = (cols, x.shape) if training else None
-        return (cols @ w_mat.T + self.bias).reshape(batch, steps, out_ch)
+        out = cols @ w_mat.T
+        out += self.bias
+        return out.reshape(batch, steps, out_ch)
 
     def backward(self, upstream):
         cols, (batch, t_len, in_ch) = self._take_cache()
@@ -161,7 +171,8 @@ class Gru(_Layer):
         batch, t_len, _ = x.shape
         # time-major input; (3, T, B, hidden) gate projections in one shot
         x = np.ascontiguousarray(x.transpose(1, 0, 2))
-        a = x @ self.W[:, None] + self.b[:, None, None]
+        a = x @ self.W[:, None]
+        a += self.b[:, None, None]
         hs = np.empty((t_len + 1, batch, hidden))
         hs[0] = 0.0
         if training:
@@ -171,13 +182,23 @@ class Gru(_Layer):
         # loop free of per-call overhead
         with np.errstate(over="ignore"):
             for t in range(t_len):
-                h_prev = hs[t]
-                rz = 1.0 / (1.0 + np.exp(-(a[:2, t] + h_prev @ self.U_rz)))
+                h_prev, h = hs[t], hs[t + 1]
+                rz = h_prev @ self.U_rz
+                rz += a[:2, t]
+                np.negative(rz, out=rz)
+                np.exp(rz, out=rz)
+                rz += 1.0
+                np.divide(1.0, rz, out=rz)
                 r, z = rz[0], rz[1]
-                c = np.tanh(a[2, t] + (r * h_prev) @ self.U)
-                hs[t + 1] = (1.0 - z) * h_prev + z * c
+                c = (r * h_prev) @ self.U
+                c += a[2, t]
+                np.tanh(c, out=c)
                 if training:
                     rzs[:, t], cs[t] = rz, c
+                np.subtract(1.0, z, out=h)
+                h *= h_prev
+                c *= z
+                h += c
         self._cache = (x, hs, rzs, cs) if training else None
         return hs[1:].transpose(1, 0, 2).copy()
 
@@ -209,7 +230,9 @@ class Gru(_Layer):
             "b": da_rows.sum(axis=1),
         }
         dx = da @ self.W.transpose(0, 2, 1)[:, None]
-        return (dx[0] + dx[1] + dx[2]).transpose(1, 0, 2)
+        dx[0] += dx[1]
+        dx[0] += dx[2]
+        return dx[0].transpose(1, 0, 2)
 
 
 class Attention(_Layer):
@@ -260,11 +283,14 @@ class Attention(_Layer):
         upstream = as_tensor(upstream)
         weights = weights.reshape(batch, steps, t_len)
         scale = 1.0 / np.sqrt(self.K_w.shape[1])
-        dweights = upstream @ x.transpose(0, 2, 1)
-        # softmax backward per row: dS = A * (dA - sum(dA * A))
-        dscores = weights * (dweights - (dweights * weights).sum(axis=2, keepdims=True))
-        dqueries = dscores @ keys * scale
-        dkeys = dscores.transpose(0, 2, 1) @ queries * scale
+        # softmax backward per row: dS = A * (dA - sum(dA * A)), built in dA
+        dscores = upstream @ x.transpose(0, 2, 1)
+        dscores -= (dscores * weights).sum(axis=2, keepdims=True)
+        dscores *= weights
+        dqueries = dscores @ keys
+        dqueries *= scale
+        dkeys = dscores.transpose(0, 2, 1) @ queries
+        dkeys *= scale
         self.grads = {
             "K_w": x.reshape(batch * t_len, d).T @ dkeys.reshape(batch * t_len, -1),
             "Q_w": x[:, first:].reshape(batch * steps, d).T @ dqueries.reshape(batch * steps, -1),
@@ -295,7 +321,8 @@ class Dense(_Layer):
 
     def forward(self, x, training: bool = True) -> np.ndarray:
         x = as_tensor(x)
-        z = x @ self.weight + self.bias
+        z = x @ self.weight
+        z += self.bias
         if self.activation == "relu":
             y = np.maximum(z, 0.0)
         elif self.activation == "sigmoid":
@@ -375,29 +402,44 @@ class LayerNorm(_Layer):
     def forward(self, x, training: bool = True) -> np.ndarray:
         width = self.gain.shape[0]
         x = as_tensor(x)
-        mu = x.mean(axis=-1, keepdims=True)
+        # each mean is a sum divided by the width, as np.mean computes it
+        mu = x.sum(axis=-1, keepdims=True)
+        mu /= width
         # the population variance as np.var computes it, reusing x - mu
-        d = x - mu
-        var = (d * d).sum(axis=-1, keepdims=True) / width
-        inv = 1.0 / np.sqrt(var + LAYERNORM_EPSILON)
-        xhat = d * inv
+        xhat = x - mu
+        out = xhat * xhat
+        inv = out.sum(axis=-1, keepdims=True)
+        inv /= width
+        inv += LAYERNORM_EPSILON
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        xhat *= inv
         self._cache = (xhat, inv) if training else None
-        return self.gain * xhat + self.shift
+        np.multiply(xhat, self.gain, out=out)
+        out += self.shift
+        return out
 
     def backward(self, upstream):
         xhat, inv = self._take_cache()
         upstream = as_tensor(upstream)
         d = self.gain.shape[0]
         dxhat = upstream * self.gain
+        prod = upstream * xhat
         self.grads = {
-            "gain": (upstream * xhat).reshape(-1, d).sum(axis=0),
+            "gain": prod.reshape(-1, d).sum(axis=0),
             "shift": upstream.reshape(-1, d).sum(axis=0),
         }
-        return inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built in dxhat
+        np.multiply(dxhat, xhat, out=prod)
+        proj = prod.sum(axis=-1, keepdims=True)
+        proj /= d
+        centre = dxhat.sum(axis=-1, keepdims=True)
+        centre /= d
+        dxhat -= centre
+        np.multiply(xhat, proj, out=prod)
+        dxhat -= prod
+        dxhat *= inv
+        return dxhat
 
 
 class Relu(_Layer):

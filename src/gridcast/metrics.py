@@ -90,8 +90,12 @@ def classification_metrics(scores, labels) -> ClassificationReport:
     accuracy = (tp + tn) / labels.size
     precision = tp / (tp + fp) if tp + fp > 0 else None
 
+    # the distinct scores from one sort; a plain np.unique would import numpy.ma
+    ordered = np.sort(scores)
+    distinct = np.ones(ordered.size, dtype=bool)
+    distinct[1:] = ordered[1:] != ordered[:-1]
     roc_points = [(0.0, 0.0, np.inf)]
-    for thr in np.unique(scores)[::-1]:
+    for thr in ordered[distinct][::-1]:
         hit = scores >= thr
         tpr = float((hit & pos).sum()) / n_pos if n_pos else 0.0
         fpr = float((hit & ~pos).sum()) / n_neg if n_neg else 0.0

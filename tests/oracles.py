@@ -7,7 +7,9 @@ exhaustive threshold enumeration, trees from a node-by-node grower
 with a first-in first-out queue, permutations from an
 element-by-element Fisher-Yates loop, bit-exact KNN from a per-query
 full scan, Adam from a loop over
-per-parameter arrays, the GRU from one matrix per gate, the network
+per-parameter arrays, the GRU from one matrix per gate, the other
+layers' arithmetic from whole-array expressions that allocate every
+result, the network
 with every block (the top one too) over all time steps, and Shapley
 values from subset enumeration or a
 permutation loop that scores one coalition per model call.
@@ -16,6 +18,8 @@ permutation loop that scores one coalition per model call.
 import collections
 
 import numpy as np
+
+from gridcast.layers import LAYERNORM_EPSILON
 
 FD_STEP = 1e-5
 
@@ -165,7 +169,9 @@ def reference_best_split(x, y, min_leaf):
     best = gain[np.arange(gain.shape[0]), at]
     column = int(best.argmax())
     split = p[at[column]]
-    return float(best[column]), column, float((xs[column, split - 1] + xs[column, split]) / 2.0)
+    lo, hi = xs[column, split - 1], xs[column, split]
+    threshold = lo / 2.0 + hi / 2.0
+    return float(best[column]), column, float(threshold if threshold < hi else lo)
 
 
 def reference_tree(x, y, rng, max_depth, min_leaf):
@@ -282,6 +288,75 @@ def gru_reference(W, U_rz, U, b, x, h0, upstream):
     }
     dx = dar_seq @ W_r.T + daz_seq @ W_z.T + dah_seq @ W_c.T
     return hs[1:].transpose(1, 0, 2), dx.transpose(1, 0, 2), carry, grads
+
+
+def conv1d_reference(kernels, bias, x, steps, upstream):
+    """``Conv1d``'s last ``steps`` output steps, input gradient and {key: gradient}."""
+    out_ch, in_ch, k = kernels.shape
+    batch, t_len, _ = x.shape
+    first, pad = t_len - steps, k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    cols = np.stack([xp[:, first + j:first + j + steps] for j in range(k)], axis=-1)
+    cols = cols.reshape(batch * steps, in_ch * k)
+    w_mat = kernels.reshape(out_ch, in_ch * k)
+    out = (cols @ w_mat.T + bias).reshape(batch, steps, out_ch)
+    up = upstream.reshape(batch * steps, out_ch)
+    grads = {"kernels": (up.T @ cols).reshape(kernels.shape), "bias": up.sum(axis=0)}
+    dcols = (up @ w_mat).reshape(batch, steps, in_ch, k)
+    dxp = np.zeros_like(xp)
+    for j in range(k):
+        dxp[:, first + j:first + j + steps] += dcols[..., j]
+    return out, dxp[:, pad:pad + t_len], grads
+
+
+def attention_reference(K_w, Q_w, x, steps, upstream):
+    """``Attention``'s last ``steps`` output rows, input gradient and {key: gradient}."""
+    batch, t_len, d = x.shape
+    first = t_len - steps
+    keys, queries = x @ K_w, x[:, first:] @ Q_w
+    scores = (queries @ keys.transpose(0, 2, 1) / np.sqrt(K_w.shape[1])).reshape(-1, t_len)
+    z = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = (z / z.sum(axis=1, keepdims=True)).reshape(batch, steps, t_len)
+    scale = 1.0 / np.sqrt(K_w.shape[1])
+    dweights = upstream @ x.transpose(0, 2, 1)
+    dscores = weights * (dweights - (dweights * weights).sum(axis=2, keepdims=True))
+    dqueries = dscores @ keys * scale
+    dkeys = dscores.transpose(0, 2, 1) @ queries * scale
+    grads = {"K_w": x.reshape(-1, d).T @ dkeys.reshape(batch * t_len, -1),
+             "Q_w": x[:, first:].reshape(-1, d).T @ dqueries.reshape(batch * steps, -1)}
+    dx = weights.transpose(0, 2, 1) @ upstream
+    dx[:, first:] += dqueries @ Q_w.T
+    dx += dkeys @ K_w.T
+    return weights @ x, dx, grads
+
+
+def layernorm_reference(gain, shift, x, upstream):
+    """``LayerNorm``'s output, input gradient and {key: gradient}, with np.mean and np.var."""
+    d = gain.shape[0]
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LAYERNORM_EPSILON)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    dxhat = upstream * gain
+    grads = {"gain": (upstream * xhat).reshape(-1, d).sum(axis=0),
+             "shift": upstream.reshape(-1, d).sum(axis=0)}
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return gain * xhat + shift, dx, grads
+
+
+def dense_reference(weight, bias, activation, x, upstream):
+    """``Dense``'s output, input gradient and {key: gradient}."""
+    z = x @ weight + bias
+    if activation == "relu":
+        y, dz = np.maximum(z, 0.0), upstream * (z > 0.0)
+    elif activation == "sigmoid":
+        y = 1.0 / (1.0 + np.exp(-z))
+        dz = upstream * y * (1.0 - y)
+    else:
+        y, dz = z, upstream
+    in_dim, out_dim = weight.shape
+    dz_rows = dz.reshape(-1, out_dim)
+    grads = {"weight": x.reshape(-1, in_dim).T @ dz_rows, "bias": dz_rows.sum(axis=0)}
+    return y, dz @ weight.T, grads
 
 
 def full_sequence_network(net, x, loss_grad, training=False, rng=None):

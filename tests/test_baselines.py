@@ -1,6 +1,7 @@
 import errno
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,32 @@ class TestTree:
             return sizes(node.left, idx[mask]) + sizes(node.right, idx[~mask])
         tree = grow_tree(0, x, y, max_depth=6, min_leaf=3)
         assert min(sizes(tree.root, np.arange(10))) >= 3
+
+    @pytest.mark.parametrize("lo, hi, above", [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0), 2.0),
+        (1e308, 1.5e308, 1.7e308),
+    ], ids=["adjacent-doubles", "sum-past-the-float64-limit"])
+    def test_split_between_close_or_huge_values_keeps_both_children(self, lo, hi, above):
+        # (lo + hi) / 2 rounds onto hi for adjacent doubles and overflows to
+        # inf for the huge pair: every row went left and the right child's
+        # mean was 0 / 0
+        x = np.array([lo] * 3 + [hi] * 3).reshape(-1, 1)
+        y = np.array([0.0] * 3 + [1.0] * 3)
+        queries = np.array([[lo], [hi], [above]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, threshold = one_node(x, y, min_leaf=1)
+            tree = grow_tree(0, x, y, max_depth=3, min_leaf=1)
+            forests = [RandomForest(ForestConfig(n_trees=3, seed=seed)).fit(x, y)
+                       for seed in range(4)]
+            assert lo <= threshold < hi
+            assert tree.root.threshold == threshold
+            assert np.array_equal(tree.predict(queries), [0.0, 1.0, 1.0])
+            for forest in forests:
+                assert np.isfinite(forest.predict(queries)).all()
+                for t in forest.trees:
+                    if t.root.left is not None:
+                        assert t.root.left.value == 0.0 and t.root.right.value == 1.0
 
     @pytest.mark.parametrize("max_depth", [1, 3, 12])
     @pytest.mark.parametrize("min_leaf", [1, 2, 3])

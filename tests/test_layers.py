@@ -13,7 +13,9 @@ from gridcast.layers import (LAYERNORM_EPSILON, Attention, Conv1d, Dense, Dropou
 from gridcast.network import Network, NetworkConfig
 from gridcast.tensor import RngState
 
-from oracles import check_gradients, gru_reference, max_rel_err, numeric_grad, rel_norm_err
+from oracles import (attention_reference, check_gradients, conv1d_reference, dense_reference,
+                     gru_reference, layernorm_reference, max_rel_err, numeric_grad,
+                     rel_norm_err)
 
 BATCH = 3
 # a one-block network: conv 13 -> 3 channels, GRU 13 -> 4 units, attention width 3
@@ -168,6 +170,92 @@ def test_gru_matches_per_gate_reference_bit_for_bit(batch, in_dim, hidden, t_len
     assert layer.grads.keys() == grads.keys()
     for key, g in grads.items():
         assert np.array_equal(layer.grads[key], g), key
+
+
+def _gru_whole_array(layer, x, steps, up):
+    out, dx, _, grads = gru_reference(layer.W, layer.U_rz, layer.U, layer.b, x,
+                                      np.zeros((x.shape[0], layer.U.shape[0])), up)
+    return out, dx, grads
+
+
+# kind -> (layer from an rng, input width, reference(layer, x, steps, upstream)
+# giving output, input gradient and parameter gradients); the default
+# network's layer widths, over an 8-step window
+WHOLE_ARRAY_REFERENCES = {
+    "conv1d": (lambda rng: Conv1d.init(13, 16, 3, rng), 13,
+               lambda l, x, steps, up: conv1d_reference(l.kernels, l.bias, x, steps, up)),
+    "gru": (lambda rng: Gru.init(13, 16, rng), 13, _gru_whole_array),
+    "attention": (lambda rng: Attention.init(16, 16, rng), 16,
+                  lambda l, x, steps, up: attention_reference(l.K_w, l.Q_w, x, steps, up)),
+    "layernorm": (lambda rng: LayerNorm(1.0 + rng.uniform(-0.3, 0.3, 32),
+                                        rng.uniform(-0.3, 0.3, 32)), 32,
+                  lambda l, x, steps, up: layernorm_reference(l.gain, l.shift, x, up)),
+    **{f"dense-{act}": (lambda rng, act=act: Dense.init(32, 32, rng, activation=act), 32,
+                        lambda l, x, steps, up: dense_reference(l.weight, l.bias, l.activation,
+                                                                x, up))
+       for act in ("relu", "sigmoid", "identity")},
+}
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("steps", [None, 1])
+@pytest.mark.parametrize("batch", [1, 32, 128])
+@pytest.mark.parametrize("kind", list(WHOLE_ARRAY_REFERENCES))
+def test_matches_whole_array_reference_bit_for_bit(kind, batch, steps, training):
+    """Arithmetic done in place gives the bits of one temporary per operation.
+
+    ``steps`` goes to the layers that take it; the others get, for
+    ``steps`` 1, the one-step input the network's top block gives them
+    (the last step of the window for the GRU and the norm, the last
+    step's row for the dense head).
+    """
+    make, width, reference = WHOLE_ARRAY_REFERENCES[kind]
+    rng = RngState(2400 + batch)
+    layer = make(rng)
+    if kind == "gru":
+        layer.b += rng.uniform(-0.5, 0.5, layer.b.shape)
+    x = rng.uniform(-2, 2, (batch, 8, width))
+    if kind in ("conv1d", "attention"):
+        out = layer.forward(x, steps, training)
+    else:
+        if steps == 1:
+            x = x[:, -1] if kind.startswith("dense") else x[:, -1:]
+        out = layer.forward(x, training)
+    up = rng.uniform(-1, 1, out.shape)
+    ref_out, ref_dx, ref_grads = reference(layer, x, steps or x.shape[1], up)
+    assert np.array_equal(out, ref_out)
+    if training:
+        assert np.array_equal(layer.backward(up), ref_dx)
+        assert layer.grads.keys() == ref_grads.keys()
+        for key, g in ref_grads.items():
+            assert np.array_equal(layer.grads[key], g), key
+    else:
+        with pytest.raises(StateError):
+            layer.backward(up)
+
+
+def test_no_layer_writes_into_its_input_or_upstream_gradient():
+    """Layers compute in place only in arrays they allocated: read-only
+    inputs and upstream gradients pass through every layer and the network."""
+    def frozen(a):
+        a = np.array(a)
+        a.setflags(write=False)
+        return a
+
+    rng = RngState(2500)
+    cases = [(make(rng), width) for make, width, _ in WHOLE_ARRAY_REFERENCES.values()]
+    cases += [(Dropout(0.3), 16), (Relu(), 16)]
+    for layer, width in cases:
+        x = frozen(rng.uniform(-2, 2, (4, 8, width)))
+        kwargs = {"rng": RngState(1)} if isinstance(layer, Dropout) else {}
+        layer.forward(x, training=False, **kwargs)
+        out = layer.forward(x, training=True, **kwargs)
+        layer.backward(frozen(rng.uniform(-1, 1, out.shape)))
+    net = Network.build(NetworkConfig(window=8, features=13), RngState(3))
+    x = frozen(rng.uniform(-2, 2, (4, 8, 13)))
+    net.forward(x)
+    net.forward(x, training=True, rng=RngState(4))
+    net.backward(frozen(rng.uniform(-1, 1, 4)))
 
 
 class TestAttentionForward:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from gridcast.errors import NumericError
 from gridcast.metrics import RegressionReport, classification_metrics, regression_metrics
 
 from oracles import trapezoid_auc
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestRegressionMetrics:
@@ -118,6 +124,20 @@ class TestClassificationMetrics:
         a = classification_metrics(scores, labels).auc
         b = classification_metrics(1.0 - scores, labels).auc
         assert abs((1.0 - a) - b) < 1e-12
+
+    def test_sweeps_each_distinct_score_without_importing_numpy_ma(self):
+        # a fresh interpreter, since any earlier np.unique call in this one
+        # has imported numpy.ma already
+        code = (
+            "import sys\n"
+            "from gridcast.metrics import classification_metrics\n"
+            "rep = classification_metrics([0.4, 0.9, 0.4, -0.0, 0.0, 0.7], [1, 1, 0, 0, 1, 0])\n"
+            "print([p[2] for p in rep.roc_points[1:]], 'numpy.ma' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[0.9,", "0.7,", "0.4,", "-0.0]", "False"]
 
     def test_to_dict_schema(self):
         rep = classification_metrics([0.9, 0.1], [1.0, 0.0])

@@ -56,6 +56,20 @@ class TestSoftmax:
         x = np.array(values)
         assert np.allclose(softmax_row(x + c), softmax_row(x), atol=1e-12)
 
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 8), (5, 3), (1024, 8)])
+    def test_matches_the_row_max_expression_bit_for_bit(self, rows, cols):
+        # ties, signed zeros, huge values and -inf, where the order in which
+        # maxima are taken could show
+        rng = np.random.default_rng(rows * 10 + cols)
+        pool = np.array([0.0, -0.0, 1.5, -1.5, 3.0, 1e300, -1e300, -np.inf])
+        x = np.where(rng.random((rows, cols)) < 0.5, rng.choice(pool, (rows, cols)),
+                     rng.normal(0, 5, (rows, cols)))
+        x[0] = -np.inf
+        with np.errstate(invalid="ignore"):
+            z = np.exp(x - x.max(axis=1, keepdims=True))
+            expected = z / z.sum(axis=1, keepdims=True)
+            assert np.array_equal(softmax_rows(x), expected, equal_nan=True)
+
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one(self, values):
