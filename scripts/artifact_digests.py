@@ -3,14 +3,16 @@
 
 Writes a 2,000-row ``synth --seed 1`` CSV and runs, on it: ``train``
 with the regression and the classification head, ``compare`` with and
-without ``--model`` (10 trees each), ``predict --split all`` and
-``--split test``, and ``explain`` both sampled and ``--exact --windows
-1``; every training run stops after at most 30 epochs. Every command
-writes to its own folder of the work directory and is given paths
-relative to it, so the artifacts do not depend on where that directory
-is. Prints ``sha256  path`` for every file written, sorted by path, on
-stdout; the commands' own output goes to stderr. Two source trees that
-give the same bytes print the same lines:
+without ``--model`` (10 trees each) and with ``--model`` and 100 trees,
+``predict --split all`` and ``--split test``, and ``explain`` both
+sampled and ``--exact --windows 1``; every training run stops after at
+most 30 epochs. The 100-tree ``compare`` grows 50-tree shares on a
+2-CPU host. Every command writes to its own folder of the work
+directory and is given paths relative to it, so the artifacts do not
+depend on where that directory is. Prints ``sha256  path`` for every
+file written, sorted by path, on stdout; the commands' own output goes
+to stderr. Two source trees that give the same bytes print the same
+lines:
 
     PYTHONPATH=src python3 scripts/artifact_digests.py > change.txt
     PYTHONPATH=<other checkout>/src python3 scripts/artifact_digests.py > parent.txt
@@ -39,6 +41,7 @@ COMMANDS = [
      "--out-dir", "train-classification"],
     ["compare", "--csv", CSV, "--model", MODEL, "--trees", "10", "--out-dir", "compare-model"],
     ["compare", "--csv", CSV, "--trees", "10", *EPOCHS, "--out-dir", "compare-trained"],
+    ["compare", "--csv", CSV, "--model", MODEL, "--trees", "100", "--out-dir", "compare-model-100"],
     ["predict", "--model", MODEL, "--csv", CSV, "--split", "all", "--out-dir", "predict-all"],
     ["predict", "--model", MODEL, "--csv", CSV, "--split", "test", "--out-dir", "predict-test"],
     ["explain", "--model", MODEL, "--csv", CSV, "--out-dir", "explain-sampled"],

@@ -4,8 +4,8 @@
 Generates the 5,000-row synthetic dataset, trains the forecasting
 network for both tasks, benchmarks the regression model against the
 classical baselines, and produces the Shapley feature ranking, leaving
-all artifacts under --out-dir. This is the same pipeline the acceptance
-suite runs, kept here as a single reproducible command.
+all artifacts under --out-dir. Acceptance criteria 2 and 3 run this
+script and assert on its artifacts, so its training recipes are theirs.
 """
 
 import argparse
@@ -15,10 +15,11 @@ from pathlib import Path
 
 from gridcast.cli import main as cli_main
 
-REG_FLAGS = ["--max-epochs", "60", "--patience", "25", "--lr-patience", "10",
-             "--lr", "0.003"]
-CLS_FLAGS = ["--max-epochs", "40", "--patience", "20", "--lr-patience", "8",
-             "--lr", "0.003"]
+# both heads train with Adam from lr 0.003, stop after 25 epochs without a
+# better validation loss and cut the lr after 10
+SCHEDULE = ["--lr", "0.003", "--patience", "25", "--lr-patience", "10"]
+REG_FLAGS = ["--max-epochs", "60", *SCHEDULE]
+CLS_FLAGS = ["--max-epochs", "40", *SCHEDULE]
 
 
 def run(argv: list[str]) -> None:
@@ -30,12 +31,12 @@ def run(argv: list[str]) -> None:
         sys.exit(code)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="surrogate_out")
     parser.add_argument("--rows", type=int, default=5000)
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

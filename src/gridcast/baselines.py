@@ -297,11 +297,12 @@ def _grow_trees(streams: list, x: np.ndarray, y: np.ndarray, roots: list, ranks:
     arrays: the rows of every node, tree by tree and left to right, each
     node's size and the tree that owns it.
 
-    Returns the bytes ``_unpack_trees`` reads: int64 node count and
-    final rng counter of each tree, then int64 feature, left and right
-    and float64 threshold and value of each node: the trees in order,
-    each tree's nodes in level order, with ``left`` and ``right``
-    indexing the tree's own nodes (-1 at a leaf).
+    Every node is numbered by its place in its level, level after level,
+    so the roots are nodes 0 to len(roots) - 1 and a split node's
+    children are ``left`` and ``left + 1``. Returns the bytes ``_unpack_trees``
+    reads: the int64 count of all nodes, then each tree's final rng
+    counter, int64 feature and left (-1 at a leaf) and float64 threshold
+    and value, each array over the nodes in that order.
     """
     n, d = x.shape
     k = min(max(1, round(np.sqrt(d))), d)
@@ -309,7 +310,7 @@ def _grow_trees(streams: list, x: np.ndarray, y: np.ndarray, roots: list, ranks:
     rows = np.concatenate(roots)
     sizes = np.array([root.size for root in roots])
     owner = np.arange(len(roots))
-    levels = []         # (owner, value, feature, threshold, left) of each level's nodes
+    levels = []         # (value, feature, threshold, left) of each level's nodes
     count = 0           # nodes up to this level's last: the next level's first index
     for depth in range(max_depth + 1):
         count += sizes.size
@@ -336,7 +337,7 @@ def _grow_trees(streams: list, x: np.ndarray, y: np.ndarray, roots: list, ranks:
                                               != np.maximum.reduceat(targets, starts))
         feature, left = np.full(sizes.size, -1), np.full(sizes.size, -1)
         threshold = np.zeros(sizes.size)
-        levels.append((owner, value, feature, threshold, left))
+        levels.append((value, feature, threshold, left))
         if depth == max_depth or not varied.any():
             break
         searched = np.flatnonzero(varied)
@@ -370,17 +371,10 @@ def _grow_trees(streams: list, x: np.ndarray, y: np.ndarray, roots: list, ranks:
         rows = rows[np.argsort(child, kind="stable")]
         sizes = np.bincount(child, minlength=2 * int(split.sum()))
         owner = np.repeat(owner[split], 2)
-    # from level order across all trees to tree by tree: a node's tree-local
-    # index is its place among its tree's nodes
-    owner, value, feature, threshold, left = (np.concatenate(field) for field in zip(*levels))
-    order = np.argsort(owner, kind="stable")
-    counts = np.bincount(owner, minlength=len(streams))
-    local = np.empty_like(order)
-    local[order] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    left = np.where(left[order] < 0, -1, local[left[order]])
-    head = np.array([counts, [stream._counter for stream in streams]], dtype=np.int64)
-    ints = np.array([feature[order], left, np.where(left < 0, -1, left + 1)], dtype=np.int64)
-    return head.tobytes() + ints.tobytes() + np.array([threshold[order], value[order]]).tobytes()
+    value, feature, threshold, left = (np.concatenate(field) for field in zip(*levels))
+    head = np.array([value.size] + [stream._counter for stream in streams], dtype=np.int64)
+    ints = np.array([feature, left], dtype=np.int64)
+    return head.tobytes() + ints.tobytes() + np.array([threshold, value]).tobytes()
 
 
 def usable_cpus() -> int:
@@ -406,7 +400,8 @@ def _grow_in_processes(trees: list, x: np.ndarray, y: np.ndarray, roots: list,
     read to its end before any child is reaped, so no child blocks on a
     full pipe. Whatever happens, every child is reaped before this
     returns, killed first if this process failed; a child that exits
-    non-zero or sends a short payload raises ``ChildProcessError``.
+    non-zero or sends a payload of the wrong length raises
+    ``ChildProcessError``.
     """
     ranks = rank_columns(x)
     streams = [tree.rng for tree in trees]
@@ -466,26 +461,25 @@ def _grow_in_child(write: int, streams: list, x, y, roots, ranks, max_depth, min
 
 def _unpack_trees(payload: bytes, trees: list):
     """Links the ``_Node`` trees that ``_grow_trees`` wrote into ``trees``,
-    their fields Python ints and floats, and sets each tree's rng counter."""
+    their fields Python ints and floats, and sets each tree's rng counter.
+    The payload numbers the nodes of all its trees in one level order:
+    the roots first, and a split node's children at ``left`` and
+    ``left + 1``."""
     t = len(trees)
-    total = int(np.frombuffer(payload, np.int64, count=t).sum()) if len(payload) >= 8 * t else 0
-    if len(payload) != 8 * (2 * t + 5 * total):
+    total = int(np.frombuffer(payload, np.int64, count=1)[0]) if len(payload) >= 8 else 0
+    if len(payload) != 8 * (1 + t + 4 * total):
         raise ChildProcessError(f"forest worker sent {len(payload)} bytes for {t} trees")
-    ints = np.frombuffer(payload, np.int64, count=2 * t + 3 * total)
-    counts, counters = ints[:2 * t].reshape(2, t)
-    feature, left, right = ints[2 * t:].reshape(3, total)
+    ints = np.frombuffer(payload, np.int64, count=1 + t + 2 * total)
+    feature, left = ints[1 + t:].reshape(2, total)
     threshold, value = np.frombuffer(payload, offset=ints.nbytes).reshape(2, total)
     nodes = [_Node(v) for v in value.tolist()]
     # a leaf keeps _Node's feature and threshold, which the payload repeats
-    first = np.cumsum(counts) - counts
     split = np.flatnonzero(left >= 0)
-    base = np.repeat(first, counts)[split]
-    for node, f, th, lo, hi in zip([nodes[i] for i in split.tolist()], feature[split].tolist(),
-                                   threshold[split].tolist(), (left[split] + base).tolist(),
-                                   (right[split] + base).tolist()):
-        node.feature, node.threshold, node.left, node.right = f, th, nodes[lo], nodes[hi]
-    for tree, root, counter in zip(trees, first.tolist(), counters.tolist()):
-        tree.root = nodes[root]
+    for node, f, th, lo in zip([nodes[i] for i in split.tolist()], feature[split].tolist(),
+                               threshold[split].tolist(), left[split].tolist()):
+        node.feature, node.threshold, node.left, node.right = f, th, nodes[lo], nodes[lo + 1]
+    for tree, root, counter in zip(trees, nodes, ints[1:1 + t].tolist()):
+        tree.root = root
         tree.rng._counter = counter
 
 

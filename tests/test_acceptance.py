@@ -1,24 +1,28 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the
-per-criterion lines. The surrogate-scale criteria (2 and 3) train the
-full-size network on the 5,000-row seed-fixed synthetic dataset and
-take 17-28 s and 8-11 s on 2 CPUs; everything else is fast.
+per-criterion lines. The surrogate-scale criteria (2 and 3) share one
+run of ``scripts/run_surrogate_experiment.py`` on the 5,000-row
+seed-fixed synthetic dataset, which takes about 25 s on 2 CPUs, and
+assert on its artifacts; everything else is fast.
 """
 
+import io
 import itertools
 import json
+import re
+import runpy
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gridcast import data as dat
-from gridcast.baselines import (BayesianRidge, ForestConfig, RandomForest,
-                                RegressionTree, _grow_in_processes, flatten_windows,
+from gridcast.baselines import (BayesianRidge, RegressionTree, _grow_in_processes,
                                 knn_predict_batch)
-from gridcast.cli import _write_csv
+from gridcast.cli import RunConfig
 from gridcast.cli import main as cli_main
 from gridcast.explain import shapley_exact, shapley_sample
 from gridcast.layers import Attention, Conv1d, Dense, Gru, LayerNorm
@@ -30,6 +34,7 @@ from gridcast.train import TrainConfig, fit, predict_all
 from oracles import (brute_force_knn, check_gradients, enumerate_shapley,
                      exhaustive_best_split, normal_equations_ridge)
 
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_surrogate_experiment.py"
 SURROGATE_ROWS = 5000
 SURROGATE_SEED = 7
 
@@ -48,24 +53,14 @@ def criterion(number: int, description: str):
 
 
 @pytest.fixture(scope="module")
-def surrogate_splits():
-    table = dat.synth_generate(SURROGATE_ROWS, SURROGATE_SEED)
-    windows = dat.make_windows(table, window=8)
-    return dat.split_and_scale(windows, dat.split_indices(len(windows)))
-
-
-def train_surrogate(splits, task: str, max_epochs: int):
-    train, val, test = splits
-    net = Network.build(
-        NetworkConfig(window=8, features=13, head=task),
-        RngState(SURROGATE_SEED).spawn(10),
-    )
-    cfg = TrainConfig(max_epochs=max_epochs, initial_lr=0.003, batch_size=32,
-                      early_stop_patience=25, lr_patience=10,
-                      seed=SURROGATE_SEED)
-    net, log = fit(net, (train.inputs, train.model_targets(task)),
-                   (val.inputs, val.model_targets(task)), cfg)
-    return net, log
+def surrogate_run(tmp_path_factory):
+    """``scripts/run_surrogate_experiment.py``'s out-dir, stdout and wall time in s."""
+    main = runpy.run_path(str(SCRIPT))["main"]
+    out = tmp_path_factory.mktemp("surrogate")
+    t0 = time.perf_counter()
+    with redirect_stdout(io.StringIO()) as stdout:
+        main(["--out-dir", str(out), "--rows", str(SURROGATE_ROWS), "--seed", str(SURROGATE_SEED)])
+    return out, stdout.getvalue(), time.perf_counter() - t0
 
 
 def test_criterion_1_gradient_integrity():
@@ -130,55 +125,41 @@ def test_criterion_1_gradient_integrity():
 
 
 @pytest.mark.slow
-def test_criterion_2_surrogate_regression(surrogate_splits):
+def test_criterion_2_surrogate_regression(surrogate_run):
     with criterion(2, "surrogate regression r2 >= 0.90 and beats >= 2 baselines on RMSE (<10 min)"):
-        t0 = time.perf_counter()
-        train, val, test = surrogate_splits
-        net, log = train_surrogate(surrogate_splits, "regression", max_epochs=60)
-        preds = test.scaler.unscale_targets(predict_all(net, test.inputs))
-        net_report = regression_metrics(preds, test.targets_raw)
-
-        flat_train = flatten_windows(train.inputs)
-        flat_test = flatten_windows(test.inputs)
-        targets = train.targets_raw
-        baseline_rmse = {}
-        knn = knn_predict_batch(flat_train, targets, flat_test, k=5)
-        baseline_rmse["knn"] = regression_metrics(knn, test.targets_raw).rmse
-        ridge = BayesianRidge(alpha=1e-6).fit(flat_train, targets).predict(flat_test)
-        baseline_rmse["ridge"] = regression_metrics(ridge, test.targets_raw).rmse
-        forest = RandomForest(ForestConfig(n_trees=100, max_depth=12,
-                                           seed=SURROGATE_SEED)).fit(flat_train, targets)
-        baseline_rmse["forest"] = regression_metrics(forest.predict(flat_test),
-                                                     test.targets_raw).rmse
-        elapsed = time.perf_counter() - t0
-        beaten = sum(net_report.rmse < rmse for rmse in baseline_rmse.values())
-        print(f"  net r2={net_report.r2:.4f} rmse={net_report.rmse:.3f} "
-              f"epochs={len(log.epochs)}; baseline rmse={ {k: round(v, 3) for k, v in baseline_rmse.items()} }; "
+        out, stdout, elapsed = surrogate_run
+        net = json.loads((out / "regression" / "metrics.json").read_text())
+        # compare's per-model lines: "KNN                mae=1.6713 rmse=2.5054 r2=0.9870"
+        rows = stdout.split("$ gridcast compare", 1)[1]
+        rmse = {name: float(value) for name, value
+                in re.findall(r"^(\S.*?)\s+mae=\S+ rmse=(\S+)", rows, re.MULTILINE)}
+        net_rmse = rmse.pop("CNN-GRU-Attention")
+        beaten = sum(net_rmse < value for value in rmse.values())
+        print(f"  net r2={net['r2']:.4f} rmse={net['rmse']:.3f} "
+              f"epochs={net['epochs_run']}; baseline rmse={ {k: round(v, 3) for k, v in rmse.items()} }; "
               f"{elapsed:.0f}s")
-        assert net_report.r2 >= 0.90, f"r2 {net_report.r2:.4f} < 0.90"
-        assert beaten >= 2, f"beat only {beaten} baselines: {baseline_rmse}"
+        assert net["r2"] >= 0.90, f"r2 {net['r2']:.4f} < 0.90"
+        assert beaten >= 2, f"beat only {beaten} baselines: {rmse}"
         assert elapsed < 600.0, f"run took {elapsed:.0f}s"
 
 
 @pytest.mark.slow
-def test_criterion_3_surrogate_zero_state(surrogate_splits, tmp_path):
+def test_criterion_3_surrogate_zero_state(surrogate_run):
     with criterion(3, "zero-state classification accuracy >= 0.97 and AUC >= 0.99"):
-        train, val, test = surrogate_splits
-        zero_rate = train.labels().mean()
+        out = surrogate_run[0]
+        windows = dat.make_windows(dat.load_csv(out / "synthetic.csv"), RunConfig().window)
+        train = dat.split_indices(len(windows))["train"]
+        zero_rate = dat.label_zero_state(windows.targets_raw[train]).mean()
         assert 0.3 < zero_rate < 0.5, f"zero-state rate {zero_rate:.3f} not ~40%"
-        net, log = train_surrogate(surrogate_splits, "classification", max_epochs=40)
-        scores = predict_all(net, test.inputs)
-        report = classification_metrics(scores, test.labels())
         # Figs. 7-8 analogues: ROC points and confusion counts on disk
-        _write_csv(tmp_path / "roc.csv", ["fpr", "tpr", "threshold"],
-                   ([repr(value) for value in point] for point in report.roc_points))
-        (tmp_path / "confusion.json").write_text(json.dumps(report.to_dict()["confusion"]))
-        assert (tmp_path / "roc.csv").stat().st_size > 0
-        print(f"  accuracy={report.accuracy:.4f} auc={report.auc:.5f} "
-              f"tp={report.tp} tn={report.tn} fp={report.fp} fn={report.fn} "
-              f"epochs={len(log.epochs)}")
-        assert report.accuracy >= 0.97, f"accuracy {report.accuracy:.4f} < 0.97"
-        assert report.auc >= 0.99, f"auc {report.auc:.5f} < 0.99"
+        report = json.loads((out / "classification" / "metrics.json").read_text())
+        assert (out / "classification" / "roc.csv").stat().st_size > 0
+        counts = report["confusion"]
+        print(f"  accuracy={report['accuracy']:.4f} auc={report['auc']:.5f} "
+              f"tp={counts['tp']} tn={counts['tn']} fp={counts['fp']} fn={counts['fn']} "
+              f"epochs={report['epochs_run']}")
+        assert report["accuracy"] >= 0.97, f"accuracy {report['accuracy']:.4f} < 0.97"
+        assert report["auc"] >= 0.99, f"auc {report['auc']:.5f} < 0.99"
 
 
 def test_criterion_4_training_protocol():

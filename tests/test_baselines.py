@@ -468,6 +468,25 @@ class TestForest:
             forest = RandomForest(config).fit(x, y)
             assert [(as_tuples(t.root), t.rng._counter) for t in forest.trees] == expected
             assert np.array_equal(forest.predict(queries), reference)
+        # the grower's payload: the node count, each tree's rng counter, then feature, left,
+        # threshold and value of every node, the roots first, a split's children at left, left + 1
+        streams = [RngState(seed).spawn(i) for i in range(n_trees)]
+        roots = [stream.integers(len(y), len(y)) for stream in streams]
+        payload = baselines._grow_trees(streams, x, y, roots, rank_columns(x), config.max_depth,
+                                        MIN_LEAF)
+        ints, floats = np.frombuffer(payload, np.int64), np.frombuffer(payload)
+        nodes = int(ints[0])
+        assert len(payload) == 8 * (1 + n_trees + 4 * nodes)
+        counters, feature, left = (part.tolist() for part in np.split(
+            ints[1:1 + n_trees + 2 * nodes], [n_trees, n_trees + nodes]))
+        threshold, value = floats[-2 * nodes:].reshape(2, nodes).tolist()
+
+        def subtree(i):
+            if left[i] < 0:
+                return (value[i],)
+            return (value[i], feature[i], threshold[i], subtree(left[i]), subtree(left[i] + 1))
+
+        assert [(subtree(i), c) for i, c in enumerate(counters)] == expected
 
     def test_ten_tree_fit_takes_few_split_calls_and_little_memory(self, monkeypatch):
         # compare's 10-tree forest on the 2,000-row seed-1 train split, in one process: a
@@ -508,6 +527,8 @@ class TestForest:
                      id="child-exits-3"),
         pytest.param("child-sends-short-payload", ChildProcessError,
                      "sent \\d+ bytes for 2 trees", id="child-sends-short-payload"),
+        pytest.param("child-sends-long-payload", ChildProcessError,
+                     "sent \\d+ bytes for 2 trees", id="child-sends-long-payload"),
         pytest.param("parent-raises", RuntimeError, "parent failed", id="parent-raises"),
         pytest.param("fork-fails", OSError, "no process to spare", id="fork-fails"),
     ])
@@ -525,7 +546,8 @@ class TestForest:
             if failure == "parent-raises" and not in_child:
                 raise RuntimeError("parent failed")
             payload = grow(*args)
-            return payload[:-8] if failure == "child-sends-short-payload" and in_child else payload
+            return {"child-sends-short-payload": payload[:-8], "child-sends-long-payload":
+                    payload + bytes(8)}.get(failure if in_child else None, payload)
 
         monkeypatch.setattr(baselines, "usable_cpus", lambda: 2)
         monkeypatch.setattr(baselines, "_grow_trees", failing_grow)

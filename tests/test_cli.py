@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -306,6 +307,11 @@ class TestFlags:
                 REQUIRED_OPTIONS[name]
             assert {a.option_strings[0]: a.help for a in actions if a.help} == \
                 OPTION_HELP[name]
+
+    def test_every_artifact_digests_command_parses(self):
+        # a renamed flag fails here rather than in the same-bytes check that runs them
+        for argv in runpy.run_path(str(REPO / "scripts" / "artifact_digests.py"))["COMMANDS"]:
+            assert build_parser().parse_args(argv).command == argv[0]
 
     def test_flag_runs_set_every_field_flag(self):
         names = {f.name for f in fields(RunConfig)}
