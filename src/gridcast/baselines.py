@@ -6,7 +6,9 @@ target directly. Each is written out in full at small-data scale: KNN
 is an exact search (a bounded Gram-matrix prefilter, then the direct
 distance on the few surviving rows), Bayesian ridge a closed-form
 posterior mean, and the forest an ensemble of greedy variance-reduction
-CART trees over bootstrap samples.
+CART trees over bootstrap samples. The ridge and the forest use the
+float64 arrays they are handed and convert nothing; ``knn_predict_batch``
+converts its arguments once, since it is also called with Python lists.
 
 ``compare`` runs them with fixed settings: ``KNN_K`` neighbours, prior
 precision ``RIDGE_ALPHA``, and ``ForestConfig``'s ``max_depth``.
@@ -123,8 +125,6 @@ class BayesianRidge:
         self._x_mean = None
 
     def fit(self, x, y) -> "BayesianRidge":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
         self._x_mean = x.mean(axis=0)
         y_mean = y.mean()
         xc = x - self._x_mean
@@ -140,7 +140,6 @@ class BayesianRidge:
         return self
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
         return (x - self._x_mean) @ self.weights + self.intercept
 
 
@@ -500,7 +499,6 @@ class RegressionTree:
         return node.value
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
         return np.array([self.predict_one(row) for row in x])
 
 
@@ -512,8 +510,6 @@ class RandomForest:
         self.trees: list[RegressionTree] = []
 
     def fit(self, x, y) -> "RandomForest":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
         master = RngState(self.config.seed)
         n = x.shape[0]
         self.trees = [RegressionTree(master.spawn(i)) for i in range(self.config.n_trees)]

@@ -453,9 +453,9 @@ def split_and_scale(samples: SupervisedSet, parts: dict[str, np.ndarray]):
         idx = parts[name]
         out.append(SupervisedSet(
             inputs=scaler.scale_inputs(train_inputs if name == "train" else samples.inputs[idx]),
-            targets_raw=samples.targets_raw[idx].copy(),
+            targets_raw=samples.targets_raw[idx],
             scaler=scaler,
-            indices=samples.indices[idx].copy(),
+            indices=samples.indices[idx],
         ))
     return tuple(out)
 

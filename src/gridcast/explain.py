@@ -2,14 +2,16 @@
 
 Each of the window's named feature columns is one player; masking a
 player replaces its values with the background value across all
-timesteps jointly. The model maps a (n, T, d) stack of windows to (n,)
-outputs, and both estimators score all the coalitions they need in one
-model call per window. Exact enumeration of the schema's 13 players
-takes 2^13 = 8,192 coalitions per window: at window 8 their mixed-input
-stack is 0.85 M float64 values (6.8 MB), and one window takes
-0.13-0.15 s with the default network on 2 CPUs. By construction every
-sampled permutation's marginals sum to f(x) - f(background), so the
-sampling estimator satisfies the efficiency axiom exactly as well.
+timesteps jointly. The model maps a float64 (n, T, d) stack of windows
+to float64 (n,) outputs, and both estimators score all the coalitions
+they need in one model call per window. Windows, backgrounds and model
+outputs are used as they come, with no conversion. Exact enumeration
+of the schema's 13 players takes 2^13 = 8,192 coalitions per window:
+at window 8 their mixed-input stack is 0.85 M float64 values (6.8 MB),
+and one window takes 0.13-0.15 s with the default network on 2 CPUs.
+By construction every sampled permutation's marginals sum to
+f(x) - f(background), so the sampling estimator satisfies the
+efficiency axiom exactly as well.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .tensor import RngState, permutation_heads
 
 
 def _mask_bits(masks, d) -> np.ndarray:
-    """(n, d) booleans: bit j of each integer mask."""
-    return ((np.asarray(masks)[:, None] >> np.arange(d)) & 1).astype(bool)
+    """(n, d) booleans: bit j of each mask of the (n,) integer array ``masks``."""
+    return ((masks[:, None] >> np.arange(d)) & 1).astype(bool)
 
 
 def _masked_eval(model, x, background, d):
@@ -37,14 +39,13 @@ def _masked_eval(model, x, background, d):
 
     def value(masks) -> np.ndarray:
         mixed = np.where(_mask_bits(masks, d)[:, None, :], x, background)
-        return np.asarray(model(mixed), dtype=np.float64)
+        return model(mixed)
 
     return value
 
 
 def shapley_exact(model, x, background) -> np.ndarray:
     """Exact Shapley values from all 2^d coalitions."""
-    x = np.asarray(x, dtype=np.float64)
     d = x.shape[1]
     masks = np.arange(1 << d)
     v = _masked_eval(model, x, background, d)(masks)
@@ -66,7 +67,6 @@ def shapley_sample(model, x, background, n_perms: int, rng: RngState):
     so each distinct coalition is scored once, in one batch; a coalition
     is a 64-bit mask, one bit per column.
     """
-    x = np.asarray(x, dtype=np.float64)
     d = x.shape[1]
     perms = permutation_heads([rng], [n_perms], d, d)
     prefixes = np.zeros((n_perms, d + 1), dtype=np.int64)
@@ -123,12 +123,11 @@ class AttributionReport:
 def attribute(model, windows, background, feature_names, n_perms: int = 50,
               seed: int = 0, exact: bool = False) -> AttributionReport:
     """Shapley attributions for (n, T, d) windows against one (d,) background row."""
-    windows = np.asarray(windows, dtype=np.float64)
     d = windows.shape[2]
     rng = RngState(seed)
     values = np.zeros((windows.shape[0], d))
     errors = None if exact else np.zeros((windows.shape[0], d))
-    preds = np.asarray(model(windows), dtype=np.float64)
+    preds = model(windows)
     baseline = float(model(np.broadcast_to(background, windows.shape[1:])[None])[0])
     for i in range(windows.shape[0]):
         if exact:

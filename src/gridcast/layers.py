@@ -4,7 +4,10 @@ Every layer runs on a batch. The sequence layers (``Conv1d``, ``Gru``,
 ``Attention``) take and return windows shaped (B, T, F): B windows of
 T steps with F features each; one window is a batch of 1. The row-wise
 layers (``LayerNorm``, ``Dense``, ``Dropout``, ``Relu``) act on the
-last axis and accept any leading axes.
+last axis and accept any leading axes. Inputs, upstream gradients and
+constructor parameters are the float64 ndarrays the network hands
+over, converted once where ``Network.forward`` and ``Network.backward``
+take them; no layer converts anything again.
 
 Each ``forward`` takes a ``training`` flag, True by default on every
 layer but ``Dropout``, which has no default. With it set the layer
@@ -38,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, StateError
-from .tensor import RngState, as_tensor, sigmoid, softmax_rows
+from .tensor import RngState, sigmoid, softmax_rows
 
 LAYERNORM_EPSILON = 1e-5
 
@@ -79,8 +82,8 @@ class Conv1d(_Layer):
 
     def __init__(self, kernels, bias):
         super().__init__()
-        self.kernels = as_tensor(kernels)
-        self.bias = as_tensor(bias)
+        self.kernels = kernels
+        self.bias = bias
 
     @classmethod
     def init(cls, in_ch: int, out_ch: int, k: int, rng: RngState) -> "Conv1d":
@@ -92,7 +95,6 @@ class Conv1d(_Layer):
 
     def forward(self, x, steps: int | None = None, training: bool = True) -> np.ndarray:
         out_ch, in_ch, k = self.kernels.shape
-        x = as_tensor(x)
         batch, t_len, _ = x.shape
         steps = t_len if steps is None else steps
         first = t_len - steps
@@ -115,7 +117,7 @@ class Conv1d(_Layer):
         out_ch, _, k = self.kernels.shape
         steps = cols.shape[0] // batch
         first = t_len - steps
-        upstream = as_tensor(upstream).reshape(batch * steps, out_ch)
+        upstream = upstream.reshape(batch * steps, out_ch)
         pad = k // 2
         w_mat = self.kernels.reshape(out_ch, in_ch * k)
         self.grads = {
@@ -154,7 +156,7 @@ class Gru(_Layer):
 
     def __init__(self, W, U_rz, U, b):
         super().__init__()
-        self.W, self.U_rz, self.U, self.b = (as_tensor(m) for m in (W, U_rz, U, b))
+        self.W, self.U_rz, self.U, self.b = W, U_rz, U, b
 
     @classmethod
     def init(cls, in_dim: int, hidden: int, rng: RngState) -> "Gru":
@@ -167,7 +169,6 @@ class Gru(_Layer):
 
     def forward(self, x, training: bool = True) -> np.ndarray:
         hidden = self.W.shape[2]
-        x = as_tensor(x)
         batch, t_len, _ = x.shape
         # time-major input; (3, T, B, hidden) gate projections in one shot
         x = np.ascontiguousarray(x.transpose(1, 0, 2))
@@ -205,7 +206,7 @@ class Gru(_Layer):
     def backward(self, upstream):
         x, hs, rzs, cs = self._take_cache()
         t_len, batch, hidden = cs.shape
-        upstream = as_tensor(upstream).transpose(1, 0, 2)
+        upstream = upstream.transpose(1, 0, 2)
         # pre-activation gradients per gate and step; weight gradients
         # batch into stacked matmuls afterwards
         da = np.empty((3, t_len, batch, hidden))
@@ -249,8 +250,8 @@ class Attention(_Layer):
 
     def __init__(self, K_w, Q_w):
         super().__init__()
-        self.K_w = as_tensor(K_w)
-        self.Q_w = as_tensor(Q_w)
+        self.K_w = K_w
+        self.Q_w = Q_w
 
     @classmethod
     def init(cls, d: int, d_attn: int, rng: RngState) -> "Attention":
@@ -263,7 +264,6 @@ class Attention(_Layer):
         return {"K_w": self.K_w, "Q_w": self.Q_w}
 
     def forward(self, x, steps: int | None = None, training: bool = True) -> np.ndarray:
-        x = as_tensor(x)
         batch, t_len, _ = x.shape
         steps = t_len if steps is None else steps
         first = t_len - steps
@@ -280,7 +280,6 @@ class Attention(_Layer):
         batch, t_len, d = x.shape
         steps = queries.shape[1]
         first = t_len - steps
-        upstream = as_tensor(upstream)
         weights = weights.reshape(batch, steps, t_len)
         scale = 1.0 / np.sqrt(self.K_w.shape[1])
         # softmax backward per row: dS = A * (dA - sum(dA * A)), built in dA
@@ -307,8 +306,8 @@ class Dense(_Layer):
 
     def __init__(self, weight, bias, activation="identity"):
         super().__init__()
-        self.weight = as_tensor(weight)
-        self.bias = as_tensor(bias)
+        self.weight = weight
+        self.bias = bias
         self.activation = activation
 
     @classmethod
@@ -320,7 +319,6 @@ class Dense(_Layer):
         return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x, training: bool = True) -> np.ndarray:
-        x = as_tensor(x)
         z = x @ self.weight
         z += self.bias
         if self.activation == "relu":
@@ -334,7 +332,6 @@ class Dense(_Layer):
 
     def backward(self, upstream):
         x, z, y = self._take_cache()
-        upstream = as_tensor(upstream)
         if self.activation == "relu":
             dz = upstream * (z > 0.0)
         elif self.activation == "sigmoid":
@@ -360,7 +357,6 @@ class Dropout(_Layer):
         self.rate = rate
 
     def forward(self, x, training: bool, rng: RngState | None = None) -> np.ndarray:
-        x = as_tensor(x)
         if not training:
             self._cache = None
             return x
@@ -376,7 +372,7 @@ class Dropout(_Layer):
 
     def backward(self, upstream):
         mask = self._take_cache()
-        return as_tensor(upstream) * mask
+        return upstream * mask
 
 
 class LayerNorm(_Layer):
@@ -389,8 +385,8 @@ class LayerNorm(_Layer):
 
     def __init__(self, gain, shift):
         super().__init__()
-        self.gain = as_tensor(gain)
-        self.shift = as_tensor(shift)
+        self.gain = gain
+        self.shift = shift
 
     @classmethod
     def init(cls, d: int) -> "LayerNorm":
@@ -401,7 +397,6 @@ class LayerNorm(_Layer):
 
     def forward(self, x, training: bool = True) -> np.ndarray:
         width = self.gain.shape[0]
-        x = as_tensor(x)
         # each mean is a sum divided by the width, as np.mean computes it
         mu = x.sum(axis=-1, keepdims=True)
         mu /= width
@@ -421,7 +416,6 @@ class LayerNorm(_Layer):
 
     def backward(self, upstream):
         xhat, inv = self._take_cache()
-        upstream = as_tensor(upstream)
         d = self.gain.shape[0]
         dxhat = upstream * self.gain
         prod = upstream * xhat
@@ -446,10 +440,9 @@ class Relu(_Layer):
     """Elementwise relu used after the convolution branch."""
 
     def forward(self, x, training: bool = True) -> np.ndarray:
-        x = as_tensor(x)
         self._cache = x > 0.0 if training else None
         return np.maximum(x, 0.0)
 
     def backward(self, upstream):
         positive = self._take_cache()
-        return as_tensor(upstream) * positive
+        return upstream * positive

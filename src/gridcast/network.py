@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .layers import Attention, Conv1d, Dense, Dropout, Gru, LayerNorm, Relu
-from .tensor import RngState, as_tensor
+from .tensor import RngState
 
 HEADS = ("regression", "classification")
 
@@ -167,7 +167,7 @@ class Network:
 
     def forward(self, x, training: bool = False, rng: RngState | None = None) -> np.ndarray:
         """Map (B, window, features) windows to (B,) outputs; (window, features) gives (1,)."""
-        x = as_tensor(x)
+        x = np.asarray(x, dtype=np.float64)
         cfg = self.config
         if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.window, cfg.features):
             raise DimensionError(
@@ -194,7 +194,7 @@ class Network:
         ``input_grad``, shaped like the forward input; the returned dict
         holds views of ``grad`` keyed like ``params()``.
         """
-        loss_grad = as_tensor(loss_grad).reshape(-1, 1)
+        loss_grad = np.asarray(loss_grad, dtype=np.float64).reshape(-1, 1)
         up = self.head_hidden.backward(self.head_drop.backward(self.head_out.backward(loss_grad)))
         cfg = self.config
         grad_seq = up[:, None, :]

@@ -1,8 +1,11 @@
 """Minimal dense float64 numerics plus a reproducible random stream.
 
 All higher layers operate on plain numpy float64 ndarrays (1-3 axes,
-row-major). This module is the only place that talks to numpy's math
-directly for the primitives below; everything else composes them.
+row-major). Values become float64 where they enter the program: the
+exported ``Network.forward``, ``Network.backward`` and ``fit``, the
+baselines' KNN search, the metrics and ``label_zero_state`` convert
+their arguments once, and the functions behind them, the two below
+included, use the float64 arrays they are handed and convert nothing.
 
 Randomness comes from :class:`RngState`, a counter-based SplitMix64
 stream implemented here so that identical seeds give bit-identical
@@ -16,25 +19,18 @@ import numpy as np
 from .errors import ParameterError
 
 
-def as_tensor(data) -> np.ndarray:
-    """Coerce to a float64 ndarray (copies only when needed)."""
-    return np.asarray(data, dtype=np.float64)
-
-
-def sigmoid(x) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, finite for all finite inputs.
 
     exp(-x) may overflow to inf for very negative x; 1/(1+inf) is the
     correct 0.0, so only the warning is suppressed.
     """
-    x = as_tensor(x)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def softmax_rows(x) -> np.ndarray:
+def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a 2-D tensor."""
-    x = as_tensor(x)
     # the row maxima as column maxima of the transpose: a max is exact in
     # any order, and numpy's max over many short rows costs up to 9x more
     top = np.ascontiguousarray(x.T).max(axis=0)
@@ -77,8 +73,7 @@ class RngState:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
-        self._key = np.uint64(_mix_int(self.seed ^ _GOLDEN))
+        self._key = np.uint64(_mix_int(int(seed) ^ _GOLDEN))
         self._counter = 0
 
     def raw(self, n: int) -> np.ndarray:
@@ -122,7 +117,6 @@ class RngState:
     def spawn(self, tag: int) -> "RngState":
         """Independent child stream determined by (this stream's key, tag)."""
         child = RngState(0)
-        child.seed = self.seed
         child._key = np.uint64(_mix_int(int(self._key) ^ _mix_int((tag & _MASK64) + _GOLDEN)))
         child._counter = 0
         return child

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError, NumericError, ParameterError
 from .network import Network
-from .tensor import RngState, as_tensor
+from .tensor import RngState
 
 
 LR_REDUCE_FACTOR = 3.0
@@ -73,15 +73,13 @@ class TrainLog:
 
 
 # --- losses ----------------------------------------------------------------
+# both take float64 arrays of one shape, as ``fit`` hands them over
 
 _BCE_CLAMP = 1e-7
 
 
 def mse_loss(pred, target):
     """Mean squared error and its gradient with respect to ``pred``."""
-    pred, target = as_tensor(pred), as_tensor(target)
-    if pred.shape != target.shape:
-        raise DimensionError(f"loss shapes differ: {pred.shape} vs {target.shape}")
     diff = pred - target
     n = pred.size
     return float((diff * diff).mean()), 2.0 * diff / n
@@ -89,9 +87,6 @@ def mse_loss(pred, target):
 
 def bce_loss(pred, target):
     """Binary cross-entropy with predictions clamped away from {0, 1}."""
-    pred, target = as_tensor(pred), as_tensor(target)
-    if pred.shape != target.shape:
-        raise DimensionError(f"loss shapes differ: {pred.shape} vs {target.shape}")
     p = np.clip(pred, _BCE_CLAMP, 1.0 - _BCE_CLAMP)
     n = pred.size
     value = float(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).mean())
@@ -203,14 +198,16 @@ def fit(net: Network, train_set, val_set, cfg: TrainConfig):
     gradient the mean of the per-window gradients. A non-finite batch
     loss, validation loss or parameter gradient raises ``NumericError``
     naming the epoch (and, for a gradient, the parameter); inputs and
-    targets of different lengths raise ``DimensionError``.
+    targets of different lengths, or targets not shaped (n,), raise
+    ``DimensionError``.
     """
     cfg.validate()
-    train_x, train_y = (as_tensor(a) for a in train_set)
-    val_x, val_y = (as_tensor(a) for a in val_set)
+    train_x, train_y, val_x, val_y = (np.asarray(a, dtype=np.float64)
+                                      for a in (*train_set, *val_set))
     for name, x, y in (("train", train_x, train_y), ("validation", val_x, val_y)):
-        if x.shape[0] != y.shape[0]:
-            raise DimensionError(f"{name} set has {x.shape[0]} inputs and {y.shape[0]} targets")
+        if y.shape != (x.shape[0],):
+            raise DimensionError(f"{name} set has {x.shape[0]} inputs and {y.size} targets "
+                                 f"shaped {y.shape}; they must be shaped ({x.shape[0]},)")
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise DataError("fit needs non-empty train and validation sets")
     head = net.config.head

@@ -1,7 +1,8 @@
 """Every module-level function and class in ``src/gridcast`` has a caller outside the tests,
 every dataclass field there has a reader, every defaulted parameter there is passed,
 every parameter there is read by its own function, every name a module there imports
-is used in that module, only ``cli.py`` and ``data.py`` open or write files, and every
+is used in that module, only ``cli.py`` and ``data.py`` open or write files, only the
+functions where values enter the program convert them to float64, and every
 ``RunConfig`` field has a flag that some user of the CLI passes.
 
 A name counts as used when code under ``src/``, ``scripts/`` or
@@ -189,6 +190,56 @@ def test_only_cli_and_data_open_files():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) in FILE_CALLS]
     assert calls == []
+
+
+# the functions that convert values to float64, each with the reason: values
+# become float64 where they enter the program, and nothing behind these converts again
+FLOAT64_CONVERTERS = {
+    "network.py Network.forward": "exported: the windows it is handed",
+    "network.py Network.backward": "exported: the loss gradient it is handed",
+    "train.py fit": "exported: the train and validation sets",
+    "data.py label_zero_state": "exported: the targets it is handed, and its 0/1 labels",
+    "baselines.py knn_predict_batch": "hand-case tests and acceptance criterion 5 pass lists",
+    "metrics.py regression_metrics": "hand-case tests and acceptance criterion 5 pass lists",
+    "metrics.py classification_metrics": "hand-case tests and acceptance criterion 5 pass lists",
+}
+FLOAT64_SPELLINGS = {"np.float64", "float", "'float64'", "'f8'"}
+
+
+def float64_conversion(call: ast.Call) -> bool:
+    """``np.asarray(..., dtype=np.float64)`` or ``.astype(np.float64)``, the dtype
+    spelled as in ``FLOAT64_SPELLINGS``."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    dtypes = [keyword.value for keyword in call.keywords if keyword.arg == "dtype"]
+    if name == "asarray":
+        dtypes += call.args[1:2]
+    elif name == "astype":
+        dtypes += call.args[:1]
+    else:
+        return False
+    return any(ast.unparse(dtype) in FLOAT64_SPELLINGS for dtype in dtypes)
+
+
+def float64_converters(node, prefix="", owner="<module>"):
+    """The dotted name of the function around each float64 conversion under ``node``;
+    a nested function is its own owner, and code outside any function is ``<module>``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from float64_converters(child, f"{prefix}{child.name}.", owner)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}{child.name}"
+            yield from float64_converters(child, f"{name}.", name)
+        else:
+            if isinstance(child, ast.Call) and float64_conversion(child):
+                yield owner
+            yield from float64_converters(child, prefix, owner)
+
+
+def test_float64_conversions_only_where_values_enter():
+    found = {f"{path.name} {owner}" for path in sorted(PACKAGE.glob("*.py"))
+             for owner in float64_converters(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(found - FLOAT64_CONVERTERS.keys()) == []
+    assert sorted(FLOAT64_CONVERTERS.keys() - found) == []
 
 
 def test_every_import_is_used():

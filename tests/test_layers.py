@@ -121,8 +121,8 @@ class TestGruForward:
     def test_scalar_hand_case(self):
         # in=hidden=1, only the candidate input weight is 1:
         # r=z=0.5, candidate tanh(1), h1 = 0.5*tanh(1)
-        layer = Gru(W=[[[0.0]], [[0.0]], [[1.0]]], U_rz=[[[0.0]], [[0.0]]], U=[[0.0]],
-                    b=[[0.0], [0.0], [0.0]])
+        layer = Gru(W=np.array([[[0.0]], [[0.0]], [[1.0]]]), U_rz=np.zeros((2, 1, 1)),
+                    U=np.zeros((1, 1)), b=np.zeros((3, 1)))
         out = layer.forward(np.array([[[1.0]]]))
         expected = 0.5 * math.tanh(1.0)
         assert abs(out[0, 0, 0] - expected) < 1e-12
@@ -274,7 +274,7 @@ class TestAttentionForward:
     def test_scalar_hand_case(self):
         # d = d_attn = 1, K_w = Q_w = [1], x = [[0], [ln 3]]:
         # row 2 scores are [0, (ln 3)^2], weights follow a two-way softmax
-        layer = Attention(K_w=[[1.0]], Q_w=[[1.0]])
+        layer = Attention(K_w=np.array([[1.0]]), Q_w=np.array([[1.0]]))
         ln3 = math.log(3.0)
         out = layer.forward(np.array([[[0.0], [ln3]]]))
         # row 1: scores [0, 0] -> weights [.5, .5]

@@ -200,6 +200,31 @@ class TestForward:
             net.forward(np.ones((4, 3)), training=True, rng=None)
 
 
+class TestEntryConversion:
+    """``forward`` and ``backward`` convert what they are given to float64 once;
+    the layers behind them take those arrays as they are."""
+
+    def test_forward_takes_lists_ints_and_float32_as_their_float64_values(self):
+        net = Network.build(NetworkConfig(window=4, features=3), RngState(0))
+        ints = np.arange(-12, 12).reshape(2, 4, 3)
+        singles = RngState(1).uniform(-1, 1, (2, 4, 3)).astype(np.float32)
+        for given in (ints, singles):
+            expected = net.forward(given.astype(np.float64)).tobytes()
+            assert net.forward(given).tobytes() == expected
+            assert net.forward(given.tolist()).tobytes() == expected
+
+    def test_backward_takes_a_list_loss_gradient(self):
+        net = Network.build(NetworkConfig(window=4, features=3, dropout_rate=0.3), RngState(2))
+        x = RngState(3).uniform(-1, 1, (3, 4, 3))
+        loss_grad = RngState(4).uniform(-1, 1, 3)
+        grads = []
+        for given in (loss_grad, loss_grad.tolist()):
+            net.forward(x, training=True, rng=RngState(5))
+            net.backward(given)
+            grads.append((net.grad.tobytes(), net.input_grad.tobytes()))
+        assert grads[0] == grads[1]
+
+
 class TestBackward:
     def test_backward_without_forward_raises(self):
         net = Network.build(NetworkConfig(window=4, features=3), RngState(0))
